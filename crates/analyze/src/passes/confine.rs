@@ -31,7 +31,9 @@ const SUBPATTERN_TYPES: [&str; 2] = ["EdgePatternKey", "TwoPathKey"];
 const TRACE_HOT_FILES: [&str; 2] = ["crates/core/src/kernel.rs", "crates/core/src/inner.rs"];
 
 /// The only file allowed to do shard-id arithmetic: `shard_index_for`
-/// is the partition function, and exactly one may exist.
+/// is the partition function, and exactly one may exist. `graph.rs`
+/// reaches it only through `ShardConfig`'s `Route::store_of`, defined
+/// next to it.
 const SHARD_ROUTING_ALLOWED: &str = "crates/graph/src/shard.rs";
 
 use TokKind::{Ident as I, Punct as P};
@@ -153,9 +155,10 @@ pub fn run(files: &[SourceFile], cfg: &Config, diags: &mut Vec<Diagnostic>) -> U
             }
 
             // shard-routing-confined: the partition function may only be
-            // named (defined *or* called) inside shard.rs — everything
-            // else routes through `GraphShard::shard_of`, so vertex→shard
-            // arithmetic can never fork.
+            // named (defined *or* called) inside shard.rs — the graph
+            // layer asks its `Route`, everything above it routes through
+            // `GraphShard::shard_of`, so vertex→shard arithmetic can
+            // never fork.
             if t.is_ident("shard_index_for") && rel != SHARD_ROUTING_ALLOWED {
                 diags.push(Diagnostic::new(
                     rel,

@@ -5,7 +5,7 @@
 //! repro <experiment ...> [options]
 //!
 //! experiments: table3 table4 table5 table6 fig4 fig7 fig8 fig9 fig10 fig11 fig12 analysis
-//!              observe shared shards profile all
+//!              observe shared profile all
 //!
 //! options:
 //!   --scale xs|s|m       dataset scale                  (default: xs)
@@ -25,15 +25,15 @@
 
 use csm_datagen::Scale;
 use paracosm_bench::experiments::{
-    breakdown, observe, profile, shards, shared_sessions, singlethread, speedups, tables,
+    breakdown, observe, profile, shared_sessions, singlethread, speedups, tables,
 };
 use paracosm_bench::report::Table;
 use paracosm_bench::runner::ExpOptions;
 use std::time::Duration;
 
-const EXPERIMENTS: [&str; 16] = [
+const EXPERIMENTS: [&str; 15] = [
     "table3", "table4", "table5", "table6", "fig4", "fig7", "fig8", "fig9", "fig10", "fig11",
-    "fig12", "analysis", "observe", "shared", "shards", "profile",
+    "fig12", "analysis", "observe", "shared", "profile",
 ];
 
 fn usage() -> ! {
@@ -146,7 +146,6 @@ fn main() {
                 report_json.as_deref(),
             )),
             "shared" => outputs.push(shared_sessions::shared_sessions(&opts)),
-            "shards" => outputs.push(shards::shards(&opts)),
             "profile" => outputs.push(profile::profile(&opts)),
             _ => unreachable!(),
         }
@@ -165,7 +164,7 @@ fn main() {
         if artifacts.is_empty() {
             eprintln!(
                 "repro: --json-out given but no selected experiment produces an artifact \
-                 (currently: shared, shards, profile)"
+                 (currently: shared, profile)"
             );
             std::process::exit(2);
         }

@@ -5,7 +5,6 @@
 pub mod breakdown;
 pub mod observe;
 pub mod profile;
-pub mod shards;
 pub mod shared_sessions;
 pub mod singlethread;
 pub mod speedups;

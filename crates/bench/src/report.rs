@@ -86,8 +86,6 @@ impl Table {
 pub enum Artifact {
     /// The `shared` multi-session sweep (`BENCH_7.json`).
     Shared(BenchArtifact),
-    /// The `shards` multi-writer ingest sweep (`BENCH_9.json`).
-    Shards(ShardsArtifact),
     /// The `profile` profiler-overhead sweep (`BENCH_10.json`).
     Profile(ProfileArtifact),
 }
@@ -97,7 +95,6 @@ impl Artifact {
     pub fn to_json(&self) -> String {
         match self {
             Artifact::Shared(a) => a.to_json(),
-            Artifact::Shards(a) => a.to_json(),
             Artifact::Profile(a) => a.to_json(),
         }
     }
@@ -185,84 +182,6 @@ impl BenchArtifact {
                 c.hits,
                 c.misses,
                 c.subpatterns
-            );
-        }
-        o.push_str("]}");
-        o
-    }
-}
-
-/// One measured cell of the `shards` ingest sweep. Absolute times are
-/// context; the gate compares `speedup` (this cell's update-apply rate
-/// over the same workload's 1-shard baseline) and the deterministic
-/// accounting fields, which must match a baseline artifact exactly.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardCell {
-    /// Workload name (`dense` hub-heavy or `spread` uniform).
-    pub workload: String,
-    /// Partitioner (`hash` or `range`); the 1-shard baseline is `hash`.
-    pub partitioner: String,
-    /// Shard count.
-    pub shards: usize,
-    /// Best-of-reps wall clock for the pure-ingest drain, nanoseconds.
-    pub apply_ns: u64,
-    /// Same-workload 1-shard `apply_ns` divided by this cell's.
-    pub speedup: f64,
-    /// This cell's spread `(max-min)/min` across reps, percent.
-    pub noise_pct: f64,
-    /// Half-edge ops routed through shard appliers (deterministic).
-    pub applied_ops: u64,
-    /// Updates processed by the timed service run (deterministic).
-    pub processed: u64,
-    /// Edges in the graph after the stream (deterministic, and equal to
-    /// the monolithic reference — asserted in-cell before recording).
-    pub edges_final: u64,
-}
-
-/// The `shards` experiment's schema-versioned artifact (`BENCH_9.json`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardsArtifact {
-    /// Base RNG seed the sweep ran with.
-    pub seed: u64,
-    /// Updates in the ingest stream.
-    pub stream_len: usize,
-    /// Repetitions per cell; best kept.
-    pub reps: usize,
-    /// Worst per-cell spread across reps, percent.
-    pub noise_pct: f64,
-    /// The measured cells.
-    pub cells: Vec<ShardCell>,
-}
-
-impl ShardsArtifact {
-    /// Render as a single JSON object (`schema_version` 1), hand-rolled
-    /// like every other serializer in the workspace.
-    pub fn to_json(&self) -> String {
-        let mut o = String::with_capacity(1024);
-        let _ = write!(
-            o,
-            "{{\"schema_version\":1,\"experiment\":\"shards\",\"seed\":{},\
-             \"stream_len\":{},\"reps\":{},\"noise_pct\":{:.2},\"cells\":[",
-            self.seed, self.stream_len, self.reps, self.noise_pct
-        );
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(
-                o,
-                "{{\"workload\":\"{}\",\"partitioner\":\"{}\",\"shards\":{},\
-                 \"apply_ns\":{},\"speedup\":{:.4},\"noise_pct\":{:.2},\
-                 \"applied_ops\":{},\"processed\":{},\"edges_final\":{}}}",
-                c.workload,
-                c.partitioner,
-                c.shards,
-                c.apply_ns,
-                c.speedup,
-                c.noise_pct,
-                c.applied_ops,
-                c.processed,
-                c.edges_final
             );
         }
         o.push_str("]}");
@@ -394,33 +313,6 @@ mod tests {
     fn ratio_and_pct_formats() {
         assert_eq!(fmt_speedup(3.456), "3.46x");
         assert_eq!(fmt_pct(99.337), "99.34%");
-    }
-
-    #[test]
-    fn shards_artifact_json_is_schema_versioned_and_balanced() {
-        let a = ShardsArtifact {
-            seed: 1,
-            stream_len: 4000,
-            reps: 5,
-            noise_pct: 2.5,
-            cells: vec![ShardCell {
-                workload: "dense".into(),
-                partitioner: "hash".into(),
-                shards: 4,
-                apply_ns: 1_000_000,
-                speedup: 3.125,
-                noise_pct: 1.0,
-                applied_ops: 8000,
-                processed: 4000,
-                edges_final: 9000,
-            }],
-        };
-        let j = Artifact::Shards(a).to_json();
-        assert!(j.starts_with("{\"schema_version\":1,\"experiment\":\"shards\""));
-        assert!(j.contains("\"workload\":\"dense\""));
-        assert!(j.contains("\"speedup\":3.1250"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
 
     #[test]

@@ -456,8 +456,7 @@ impl<A: CsmAlgorithm> ParaCosm<A> {
 
             // Walk the batch in order; label-safe edge runs are buffered and
             // applied in parallel, everything else is handled sequentially.
-            let mut buffer: Vec<(VertexId, VertexId, csm_graph::ELabel)> = Vec::new();
-            let mut buffer_kind_insert = true;
+            let mut buffer: Vec<(EdgeUpdate, bool)> = Vec::new();
             let mut pending: HashSet<(VertexId, VertexId)> = HashSet::new();
 
             for (off, u) in batch.iter().enumerate() {
@@ -468,19 +467,18 @@ impl<A: CsmAlgorithm> ParaCosm<A> {
                         let (a, b, _) = e.canonical();
                         (a, b)
                     };
-                    // Flush on kind change or intra-buffer duplicate.
-                    if (!buffer.is_empty() && buffer_kind_insert != is_edge_insert)
-                        || pending.contains(&key)
-                    {
-                        self.flush_buffer(&mut buffer, &mut pending, buffer_kind_insert);
+                    // Flush on an intra-buffer duplicate: the structural
+                    // validation below reads the graph, which must then
+                    // already hold the buffered op on this edge.
+                    if pending.contains(&key) {
+                        self.flush_buffer(&mut buffer, &mut pending);
                     }
-                    buffer_kind_insert = is_edge_insert;
                     // Structural validation against the current graph.
                     let exists = self.g.has_edge(e.src, e.dst);
                     let noop = if is_edge_insert { exists } else { !exists };
                     self.eng.note_update();
                     if !noop {
-                        buffer.push((e.src, e.dst, e.label));
+                        buffer.push((e, is_edge_insert));
                         pending.insert(key);
                     }
                     let gidx = (idx + off) as u64;
@@ -514,7 +512,7 @@ impl<A: CsmAlgorithm> ParaCosm<A> {
                 }
 
                 // State-dependent path: bring the graph up to date first.
-                self.flush_buffer(&mut buffer, &mut pending, buffer_kind_insert);
+                self.flush_buffer(&mut buffer, &mut pending);
                 if self.deadline_passed() {
                     out.timed_out = true;
                     break 'outer;
@@ -555,7 +553,7 @@ impl<A: CsmAlgorithm> ParaCosm<A> {
                     continue 'outer;
                 }
             }
-            self.flush_buffer(&mut buffer, &mut pending, buffer_kind_insert);
+            self.flush_buffer(&mut buffer, &mut pending);
             idx += batch.len();
         }
         Ok(())
@@ -563,9 +561,8 @@ impl<A: CsmAlgorithm> ParaCosm<A> {
 
     fn flush_buffer(
         &mut self,
-        buffer: &mut Vec<(VertexId, VertexId, csm_graph::ELabel)>,
+        buffer: &mut Vec<(EdgeUpdate, bool)>,
         pending: &mut HashSet<(VertexId, VertexId)>,
-        insert: bool,
     ) {
         if buffer.is_empty() {
             return;
@@ -574,11 +571,8 @@ impl<A: CsmAlgorithm> ParaCosm<A> {
         // Pass the configured width through: the bulk apply must not
         // oversubscribe past `num_threads` on wide hosts.
         let nthreads = self.eng.config().num_threads;
-        if insert {
-            self.g.apply_inserts_parallel_with(buffer, nthreads);
-        } else {
-            self.g.apply_deletes_parallel_with(buffer, nthreads);
-        }
+        self.g
+            .apply_edge_batch_with(buffer, nthreads, &mut Vec::with_capacity(buffer.len()));
         let dt = t0.elapsed();
         self.eng.stats.apply_time += dt;
         self.eng.stats.bulk_time += dt;

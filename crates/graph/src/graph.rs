@@ -1,4 +1,13 @@
-//! The dynamic labeled data graph `G`.
+//! The dynamic labeled data graph `G`: one adjacency store type, one
+//! vertex-metadata block, and a route between them.
+//!
+//! [`Graph<R>`] keeps every vertex's label, liveness and label bucket in
+//! one place and every vertex's neighbor list in exactly one
+//! [`AdjStore`], chosen by the [`Route`] `R`. [`DataGraph`] is the
+//! constant-route, one-store instance; [`crate::shard::ShardedGraph`] is
+//! the [`crate::shard::ShardConfig`]-routed `K`-store instance. Vertex
+//! lifecycle, edge insert/remove, the invariant check and batch apply
+//! are written once, against the route.
 //!
 //! Design notes:
 //!
@@ -12,25 +21,53 @@
 //!   label branches. CSM spends > 90 % of its time in `Find_Matches`
 //!   (paper Table 3), i.e. *reading* the graph, which justifies paying
 //!   `O(d)` vector shifts on update;
-//! * the search phase only ever holds `&DataGraph`, so multi-threaded
+//! * the search phase only ever holds `&Graph`, so multi-threaded
 //!   enumeration is data-race-free by construction (no locks on the hot
 //!   path);
-//! * batched *safe* insertions (inter-update parallelism, paper §4.2) are
-//!   applied in parallel by grouping operations per endpoint and handing
-//!   each scoped-thread task a disjoint sub-slice of the adjacency table —
-//!   disjoint `&mut` borrows, no locks, no unsafe.
+//! * [`Mono`] is zero-sized and its store sits inline in the graph, so the
+//!   monolithic read path is the plain `adj[v]` slice lookup — no shard
+//!   branch, no extra pointer hop.
+//!
+//! ## The half-edge invariant
+//!
+//! An undirected edge `{a, b}` with label `l` exists as two *half-edges*:
+//!
+//! > `(b, l) ∈ adj[a]` in `store(a)`  **and**  `(a, l) ∈ adj[b]` in
+//! > `store(b)`.
+//!
+//! Both halves are present or both are absent — never one. A vertex's
+//! whole neighbor list lives in its one store, so every `neighbors_with`
+//! slice is a single contiguous, id-sorted borrow, and the kernel's
+//! galloping multi-way intersection works unchanged when the slices it
+//! intersects come from different stores.
+//!
+//! ## Why batch apply needs no locks
+//!
+//! [`Graph::apply_edge_batch_with`] turns each edge op into its two
+//! half-ops, routes every half-op to the store (and id-range chunk of that
+//! store) holding its endpoint, and hands each chunk to exactly one job as
+//! a disjoint `&mut` sub-slice of the store's adjacency table — no two
+//! writers ever share a list, so there is nothing to lock. Ops on the same
+//! edge reach both endpoint lists in the same relative order (both halves
+//! carry the batch sequence tag), and each half's `changed` verdict is a
+//! pure function of prior ops on that edge plus the invariant above — so
+//! both sides decide identically without coordinating. This one pipeline
+//! is the paper's §4.2 safe-update batch executor on the constant route
+//! and the multi-writer shard applier on a `K`-store route.
 //!
 //! **Ordering contract:** `neighbors(v)` is sorted by `(L(neighbor),
 //! elabel, id)`, *not* globally by id. Within one `(vlabel, elabel)` group
 //! the slice is strictly id-sorted — that is what makes galloping
-//! multi-way intersections over [`DataGraph::neighbors_with`] slices
-//! valid. A vlabel-range slice ([`DataGraph::neighbors_with_vlabel`])
+//! multi-way intersections over [`Graph::neighbors_with`] slices
+//! valid. A vlabel-range slice ([`Graph::neighbors_with_vlabel`])
 //! spans several elabel groups and is therefore *not* id-sorted; callers
 //! that ignore edge labels must probe, not merge.
 
 use crate::error::{GraphError, Result};
 use crate::ids::{ELabel, VLabel, VertexId};
 use crate::par;
+use crate::shard::{GraphShard, ShardStats};
+use crate::update::EdgeUpdate;
 
 /// Packed partition key: vertex label in the high 32 bits, edge label in
 /// the low 32. Lexicographic `u64` order == `(VLabel, ELabel)` order.
@@ -316,21 +353,12 @@ impl AdjList {
     }
 }
 
-/// A single endpoint-local adjacency operation used by the parallel bulk
-/// application path. Carries the *neighbor's* vertex label so each task
-/// can maintain the partition index without touching shared state.
-#[derive(Clone, Copy, Debug)]
-enum AdjOp {
-    Insert(VertexId, ELabel, VLabel),
-    Remove(VertexId, VLabel),
-}
-
-/// One endpoint-local half of an undirected edge operation, as routed by
-/// [`crate::shard::ShardedGraph`] to the shard owning the endpoint. Like
-/// [`AdjOp`] it carries the neighbor's label so the partition index can be
-/// maintained without consulting (possibly remote) vertex metadata.
+/// One endpoint-local half of an undirected edge operation, as a writer
+/// job of [`Graph::apply_edge_batch_with`] applies it to the list of the
+/// endpoint it mutates. Carries the *neighbor's* vertex label, which is
+/// what the partition index is keyed by.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum HalfOp {
+enum HalfOp {
     /// Add neighbor `n` (labeled `nl`) over edge label `el`.
     Insert {
         /// Neighbor vertex.
@@ -351,21 +379,133 @@ pub(crate) enum HalfOp {
 
 impl HalfOp {
     #[inline]
-    pub(crate) fn neighbor(self) -> VertexId {
+    fn neighbor(self) -> VertexId {
         match self {
             HalfOp::Insert { n, .. } | HalfOp::Remove { n, .. } => n,
         }
     }
 
     #[inline]
-    pub(crate) fn neighbor_label(self) -> VLabel {
+    fn neighbor_label(self) -> VLabel {
         match self {
             HalfOp::Insert { nl, .. } | HalfOp::Remove { nl, .. } => nl,
         }
     }
 }
 
-/// The dynamic, labeled, undirected data graph `G = (V, E, L)`.
+/// One adjacency store: the neighbor lists of the vertices routed to it,
+/// indexed by global vertex id (slots of vertices routed elsewhere stay
+/// empty), plus occupancy and applier counters. Opaque outside this
+/// module — it is public only so [`Route::Stores`] can name it.
+#[derive(Clone, Debug, Default)]
+pub struct AdjStore {
+    adj: Vec<AdjList>,
+    /// Alive vertices routed here.
+    owned: usize,
+    /// Half-edges stored here.
+    half_edges: usize,
+    /// Half-edge ops applied here, successful or not.
+    applied_ops: u64,
+}
+
+impl AdjStore {
+    /// Insert the `v → n` half of an undirected edge. `v` must have a slot
+    /// here; `n` (labeled `nl`) may live in any store.
+    fn insert_half(&mut self, v: VertexId, n: VertexId, el: ELabel, nl: VLabel) -> bool {
+        let did = self.adj[v.index()].insert(n, el, nl);
+        self.half_edges += usize::from(did);
+        self.applied_ops += 1;
+        did
+    }
+
+    /// Remove the `v → n` half-edge. See [`AdjStore::insert_half`].
+    fn remove_half(&mut self, v: VertexId, n: VertexId, nl: VLabel) -> Option<ELabel> {
+        let out = self.adj[v.index()].remove(n, nl);
+        self.half_edges -= usize::from(out.is_some());
+        self.applied_ops += 1;
+        out
+    }
+}
+
+/// Apply one writer job's half-ops to `lists`, the sub-slice of a store's
+/// adjacency table starting at vertex id `base`. `run` names each half-op
+/// as `(endpoint, tag)`; the op itself is read back from `ops[tag >> 1]`
+/// and the neighbor's label from `labels`. Sort by `(endpoint, tag)` (tags
+/// are monotone in op order, so this is per-endpoint FIFO order), then
+/// splice each endpoint's run into its list with **one** merged rebuild
+/// instead of per-op `O(d)` shifts. Returns `(tag, changed)` per op.
+fn apply_run(
+    lists: &mut [AdjList],
+    base: usize,
+    mut run: Vec<(VertexId, u32)>,
+    ops: &[(EdgeUpdate, bool)],
+    labels: &[VLabel],
+) -> Vec<(u32, bool)> {
+    run.sort_unstable();
+    let mut out = Vec::with_capacity(run.len());
+    let mut scratch: Vec<(u32, HalfOp)> = Vec::new();
+    for group in run.chunk_by(|a, b| a.0 == b.0) {
+        scratch.clear();
+        scratch.extend(group.iter().map(|&(_, tag)| {
+            let (e, insert) = ops[(tag >> 1) as usize];
+            let n = if tag & 1 == 1 { e.dst } else { e.src };
+            let nl = labels[n.index()];
+            let op = if insert {
+                HalfOp::Insert { n, el: e.label, nl }
+            } else {
+                HalfOp::Remove { n, nl }
+            };
+            (tag, op)
+        }));
+        lists[group[0].0.index() - base].apply_ops_merged(&scratch, &mut out);
+    }
+    out
+}
+
+/// Where a vertex's adjacency lives — the one decision [`Graph`] is
+/// parameterised by. Implemented by [`Mono`] (everything in one store)
+/// and [`crate::shard::ShardConfig`] (hash or range partitioning over `K`
+/// stores).
+pub trait Route: Clone + std::fmt::Debug + Send + Sync {
+    /// The store container: an inline one-element array for the constant
+    /// route, a `Vec` for a run-time store count.
+    type Stores: AsRef<[AdjStore]> + AsMut<[AdjStore]> + Clone + std::fmt::Debug + Send + Sync;
+    /// Whether there is a router in front of the stores. The constant
+    /// route has none, so [`ShardStats::applied_ops`] ("ops routed through
+    /// this shard's applier") stays 0 for it.
+    const ROUTED: bool;
+    /// Fresh empty stores, one per route target.
+    fn new_stores(&self) -> Self::Stores;
+    /// Index of the store holding `v`'s adjacency (always below the
+    /// length of [`Route::new_stores`]).
+    fn store_of(&self, v: VertexId) -> usize;
+}
+
+/// The constant route: every vertex lives in the single inline store.
+/// Zero-sized, so `Graph<Mono>` pays nothing for being routable.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Mono;
+
+impl Route for Mono {
+    type Stores = [AdjStore; 1];
+    const ROUTED: bool = false;
+    fn new_stores(&self) -> [AdjStore; 1] {
+        [AdjStore::default()]
+    }
+    #[inline(always)]
+    fn store_of(&self, _v: VertexId) -> usize {
+        0
+    }
+}
+
+/// Edge batches below this many ops take the serial per-op path (spawn and
+/// routing overhead beats the merge win). Unverified: no committed
+/// measurement set it; 32 is the smaller of the two thresholds the former
+/// monolithic (64) and sharded (32) bulk paths used.
+const MIN_PARALLEL_BATCH: usize = 32;
+
+/// The dynamic, labeled, undirected data graph `G = (V, E, L)`, with
+/// adjacency placed by the route `R` (see the module docs).
 ///
 /// Vertices are dense `u32` ids. Deleted vertices leave a dead slot so that
 /// ids in a pre-recorded update stream stay stable.
@@ -380,16 +520,26 @@ impl HalfOp {
 /// assert_eq!(g.degree(a), 1);
 /// assert_eq!(g.neighbors_with(a, VLabel(1), ELabel(0)), &[(b, ELabel(0))]);
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct DataGraph {
+#[derive(Clone, Debug)]
+pub struct Graph<R: Route> {
+    route: R,
+    stores: R::Stores,
     labels: Vec<VLabel>,
     alive: Vec<bool>,
-    adj: Vec<AdjList>,
     /// Alive vertices grouped by label; order within a bucket is unspecified.
     by_label: Vec<Vec<VertexId>>,
     n_edges: usize,
     n_alive: usize,
     max_elabel: u32,
+}
+
+/// The monolithic in-memory data graph: [`Graph`] on the constant route.
+pub type DataGraph = Graph<Mono>;
+
+impl Default for DataGraph {
+    fn default() -> Self {
+        Self::with_route(Mono)
+    }
 }
 
 impl DataGraph {
@@ -400,12 +550,46 @@ impl DataGraph {
 
     /// An empty graph with vertex capacity reserved up front.
     pub fn with_capacity(vertices: usize) -> Self {
-        DataGraph {
-            labels: Vec::with_capacity(vertices),
-            alive: Vec::with_capacity(vertices),
-            adj: Vec::with_capacity(vertices),
-            ..Self::default()
+        let mut g = Self::default();
+        g.labels.reserve(vertices);
+        g.alive.reserve(vertices);
+        g.stores[0].adj.reserve(vertices);
+        g
+    }
+}
+
+impl<R: Route> Graph<R> {
+    /// An empty graph whose adjacency is placed by `route`.
+    pub(crate) fn with_route(route: R) -> Self {
+        Graph {
+            stores: route.new_stores(),
+            route,
+            labels: Vec::new(),
+            alive: Vec::new(),
+            by_label: Vec::new(),
+            n_edges: 0,
+            n_alive: 0,
+            max_elabel: 0,
         }
+    }
+
+    /// The vertex→store route in force.
+    pub(crate) fn route(&self) -> &R {
+        &self.route
+    }
+
+    /// `v`'s neighbor list in its store, if it has a slot there.
+    #[inline]
+    fn list(&self, v: VertexId) -> Option<&AdjList> {
+        self.stores.as_ref()[self.route.store_of(v)]
+            .adj
+            .get(v.index())
+    }
+
+    /// The store holding `v`'s adjacency.
+    #[inline]
+    fn store_mut(&mut self, v: VertexId) -> &mut AdjStore {
+        &mut self.stores.as_mut()[self.route.store_of(v)]
     }
 
     /// Number of *alive* vertices.
@@ -443,11 +627,7 @@ impl DataGraph {
     /// Append a fresh vertex with the given label, returning its id.
     pub fn add_vertex(&mut self, label: VLabel) -> VertexId {
         let id = VertexId::from(self.labels.len());
-        self.labels.push(label);
-        self.alive.push(true);
-        self.adj.push(AdjList::default());
-        self.bucket_mut(label).push(id);
-        self.n_alive += 1;
+        self.ensure_vertex(id, label);
         id
     }
 
@@ -457,20 +637,25 @@ impl DataGraph {
     ///
     /// Reviving a dead slot may change its label: that is safe for the
     /// partition index because dead vertices are always isolated
-    /// ([`DataGraph::delete_vertex`] requires isolation or cascades), so no
+    /// ([`Graph::delete_vertex`] requires isolation or cascades), so no
     /// neighbor list holds an entry keyed by the stale label.
     pub fn ensure_vertex(&mut self, id: VertexId, label: VLabel) {
-        while self.labels.len() <= id.index() {
-            self.labels.push(VLabel(0));
-            self.alive.push(false);
-            self.adj.push(AdjList::default());
+        let i = id.index();
+        if self.labels.len() <= i {
+            self.labels.resize(i + 1, VLabel(0));
+            self.alive.resize(i + 1, false);
         }
-        if !self.alive[id.index()] {
-            debug_assert!(self.adj[id.index()].is_empty(), "dead slot with edges");
-            self.alive[id.index()] = true;
-            self.labels[id.index()] = label;
+        if !self.alive[i] {
+            self.alive[i] = true;
+            self.labels[i] = label;
             self.bucket_mut(label).push(id);
             self.n_alive += 1;
+            let store = self.store_mut(id);
+            if store.adj.len() <= i {
+                store.adj.resize_with(i + 1, AdjList::default);
+            }
+            debug_assert!(store.adj[i].is_empty(), "dead slot with edges");
+            store.owned += 1;
         }
     }
 
@@ -480,20 +665,16 @@ impl DataGraph {
     /// deletions, paper Def. 2.3).
     ///
     /// The dead slot is also removed from its `by_label` bucket, so
-    /// [`DataGraph::vertices_with_label`] never yields dead vertices to
+    /// [`Graph::vertices_with_label`] never yields dead vertices to
     /// depth-0 candidate scans.
     pub fn delete_vertex(&mut self, id: VertexId, cascade: bool) -> Result<()> {
         self.check_alive(id)?;
-        let d = self.adj[id.index()].len();
+        let d = self.degree(id);
         if d > 0 {
             if !cascade {
                 return Err(GraphError::VertexNotIsolated(id, d));
             }
-            let neighbors: Vec<VertexId> = self.adj[id.index()]
-                .as_slice()
-                .iter()
-                .map(|&(v, _)| v)
-                .collect();
+            let neighbors: Vec<VertexId> = self.neighbors(id).iter().map(|&(v, _)| v).collect();
             for v in neighbors {
                 self.remove_edge(id, v)?;
             }
@@ -507,6 +688,7 @@ impl DataGraph {
             .expect("alive vertex missing from its label bucket");
         bucket.swap_remove(pos);
         self.n_alive -= 1;
+        self.store_mut(id).owned -= 1;
         Ok(())
     }
 
@@ -517,17 +699,12 @@ impl DataGraph {
     /// this matches the simple-graph model; streams replaying an existing
     /// edge are tolerated rather than corrupting adjacency).
     pub fn insert_edge(&mut self, a: VertexId, b: VertexId, l: ELabel) -> Result<bool> {
-        if a == b {
-            return Err(GraphError::SelfLoop(a));
-        }
-        self.check_alive(a)?;
-        self.check_alive(b)?;
-        let (la, lb) = (self.labels[a.index()], self.labels[b.index()]);
-        if !self.adj[a.index()].insert(b, l, lb) {
+        let (la, lb) = self.endpoint_labels(a, b)?;
+        if !self.store_mut(a).insert_half(a, b, l, lb) {
             return Ok(false);
         }
-        let inserted = self.adj[b.index()].insert(a, l, la);
-        debug_assert!(inserted, "adjacency symmetric invariant violated");
+        let mirrored = self.store_mut(b).insert_half(b, a, l, la);
+        debug_assert!(mirrored, "half-edge invariant violated on insert");
         self.n_edges += 1;
         self.max_elabel = self.max_elabel.max(l.0);
         Ok(true)
@@ -536,24 +713,123 @@ impl DataGraph {
     /// Remove the undirected edge `{a, b}`, returning its label, or `None`
     /// if no such edge existed.
     pub fn remove_edge(&mut self, a: VertexId, b: VertexId) -> Result<Option<ELabel>> {
-        if a == b {
-            return Err(GraphError::SelfLoop(a));
-        }
-        self.check_alive(a)?;
-        self.check_alive(b)?;
-        let (la, lb) = (self.labels[a.index()], self.labels[b.index()]);
-        match self.adj[a.index()].remove(b, lb) {
-            None => Ok(None),
-            Some(label) => {
-                let removed = self.adj[b.index()].remove(a, la);
-                debug_assert_eq!(
-                    removed,
-                    Some(label),
-                    "adjacency symmetric invariant violated"
-                );
-                self.n_edges -= 1;
-                Ok(Some(label))
+        let (la, lb) = self.endpoint_labels(a, b)?;
+        let Some(label) = self.store_mut(a).remove_half(a, b, lb) else {
+            return Ok(None);
+        };
+        let mirrored = self.store_mut(b).remove_half(b, a, la);
+        debug_assert_eq!(
+            mirrored,
+            Some(label),
+            "half-edge invariant violated on remove"
+        );
+        self.n_edges -= 1;
+        Ok(Some(label))
+    }
+
+    /// Apply a FIFO batch of edge updates (`true` = insert) with up to
+    /// `writers` concurrent single-writer jobs (at least one per store),
+    /// pushing one per-op `changed` flag.
+    ///
+    /// The semantics are exactly those of calling
+    /// [`Graph::insert_edge`] / [`Graph::remove_edge`] per op in order — an
+    /// op sees the graph produced by every op before it; invalid ops
+    /// (self-loop, dead endpoint) come back `false` — and batches too small
+    /// to pay for a fork-join, or with a single writer, run as that serial
+    /// loop. Otherwise: route half-ops to per-store, per-id-range runs →
+    /// one job per run over a disjoint `&mut` chunk of the store's
+    /// adjacency table ([`par::run_jobs`]) → one merged list rebuild per
+    /// touched vertex → merge the `changed` flags and do the edge
+    /// accounting serially. See the module docs for why no locks are
+    /// needed.
+    pub fn apply_edge_batch_with(
+        &mut self,
+        ops: &[(EdgeUpdate, bool)],
+        writers: usize,
+        changed: &mut Vec<bool>,
+    ) {
+        let ns = self.stores.as_ref().len();
+        let per_store = writers.div_ceil(ns).max(1);
+        if ns * per_store == 1 || ops.len() < MIN_PARALLEL_BATCH {
+            for &(e, insert) in ops {
+                changed.push(if insert {
+                    self.insert_edge(e.src, e.dst, e.label).unwrap_or(false)
+                } else {
+                    self.remove_edge(e.src, e.dst)
+                        .is_ok_and(|label| label.is_some())
+                });
             }
+            return;
+        }
+
+        // Route each op's two halves as `(endpoint, tag)` to store `s`,
+        // id-range chunk `v / widths[s]` of that store. Tag = op index << 1
+        // | is_src_half: monotone in op order, so the per-endpoint sort in
+        // `apply_run` restores FIFO, and the merge knows which half's
+        // verdict to keep.
+        let widths: Vec<usize> = (self.stores.as_ref().iter())
+            .map(|s| s.adj.len().div_ceil(per_store).max(1))
+            .collect();
+        let mut runs: Vec<Vec<(VertexId, u32)>> = vec![Vec::new(); ns * per_store];
+        for (i, &(e, _)) in ops.iter().enumerate() {
+            if self.endpoint_labels(e.src, e.dst).is_err() {
+                continue; // verdict stays `false`, like the serial path
+            }
+            let tag = (i as u32) << 1;
+            for (v, tag) in [(e.src, tag | 1), (e.dst, tag)] {
+                let s = self.route.store_of(v);
+                self.stores.as_mut()[s].applied_ops += 1;
+                runs[s * per_store + v.index() / widths[s]].push((v, tag));
+            }
+        }
+
+        // One single-writer job per non-empty run; disjoint `&mut` chunks.
+        let labels = &self.labels[..];
+        let chunks = (self.stores.as_mut().iter_mut().zip(&widths)).flat_map(|(store, &w)| {
+            let mut it = store.adj.chunks_mut(w);
+            (0..per_store).map(move |_| it.next().unwrap_or_default())
+        });
+        let jobs: Vec<_> = (chunks.zip(runs).enumerate())
+            .filter(|(_, (_, run))| !run.is_empty())
+            .map(|(j, (lists, run))| {
+                let (s, base) = (j / per_store, (j % per_store) * widths[j / per_store]);
+                move || (s, apply_run(lists, base, run, ops, labels))
+            })
+            .collect();
+        let results = par::run_jobs(jobs);
+
+        // Merge: src-half verdicts become the per-op flags; every applied
+        // half moves its store's half-edge count. Serial and exact.
+        let base = changed.len();
+        changed.resize(base + ops.len(), false);
+        for &(s, ref flags) in &results {
+            for &(tag, _) in flags.iter().filter(|f| f.1) {
+                let i = (tag >> 1) as usize;
+                let (e, insert) = ops[i];
+                let store = &mut self.stores.as_mut()[s];
+                if insert {
+                    store.half_edges += 1;
+                } else {
+                    store.half_edges -= 1;
+                }
+                if tag & 1 == 1 {
+                    changed[base + i] = true;
+                    if insert {
+                        self.n_edges += 1;
+                        self.max_elabel = self.max_elabel.max(e.label.0);
+                    } else {
+                        self.n_edges -= 1;
+                    }
+                }
+            }
+        }
+        #[cfg(debug_assertions)]
+        for &(tag, did) in results.iter().flat_map(|(_, flags)| flags) {
+            debug_assert_eq!(
+                changed[base + (tag >> 1) as usize],
+                did,
+                "half-edge verdicts diverged between endpoints"
+            );
         }
     }
 
@@ -567,10 +843,7 @@ impl DataGraph {
     /// smaller endpoint's partition index.
     #[inline]
     pub fn edge_label(&self, a: VertexId, b: VertexId) -> Option<ELabel> {
-        let (la, lb) = match (self.adj.get(a.index()), self.adj.get(b.index())) {
-            (Some(la), Some(lb)) => (la, lb),
-            _ => return None,
-        };
+        let (la, lb) = (self.list(a)?, self.list(b)?);
         if !self.is_alive(a) || !self.is_alive(b) {
             return None;
         }
@@ -586,7 +859,7 @@ impl DataGraph {
     /// probe of one partition group — the kernel's backward-edge check.
     #[inline]
     pub fn has_edge_with(&self, v: VertexId, n: VertexId, el: ELabel) -> bool {
-        let Some(list) = self.adj.get(v.index()) else {
+        let Some(list) = self.list(v) else {
             return false;
         };
         let Some(&nl) = self.labels.get(n.index()) else {
@@ -601,10 +874,7 @@ impl DataGraph {
     /// `(L(neighbor), elabel, id)` — see the module-level ordering contract.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[(VertexId, ELabel)] {
-        self.adj
-            .get(v.index())
-            .map(AdjList::as_slice)
-            .unwrap_or(&[])
+        self.list(v).map(AdjList::as_slice).unwrap_or(&[])
     }
 
     /// Neighbors of `v` with vertex label `vl` over edge label `el`, as a
@@ -614,7 +884,7 @@ impl DataGraph {
     /// multi-way galloping intersection operates on them.
     #[inline]
     pub fn neighbors_with(&self, v: VertexId, vl: VLabel, el: ELabel) -> &[(VertexId, ELabel)] {
-        self.adj.get(v.index()).map_or(&[][..], |l| l.slice(vl, el))
+        self.list(v).map_or(&[][..], |l| l.slice(vl, el))
     }
 
     /// Neighbors of `v` with vertex label `vl` under *any* edge label, as a
@@ -623,9 +893,7 @@ impl DataGraph {
     /// rather than merge.
     #[inline]
     pub fn neighbors_with_vlabel(&self, v: VertexId, vl: VLabel) -> &[(VertexId, ELabel)] {
-        self.adj
-            .get(v.index())
-            .map_or(&[][..], |l| l.slice_vlabel(vl))
+        self.list(v).map_or(&[][..], |l| l.slice_vlabel(vl))
     }
 
     /// Count of neighbors of `v` with label `vl` (and elabel `el`, unless
@@ -641,7 +909,7 @@ impl DataGraph {
     /// Degree of `v` (0 for dead/unknown vertices).
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.adj.get(v.index()).map_or(0, AdjList::len)
+        self.list(v).map_or(0, AdjList::len)
     }
 
     /// `v`'s partition index as `(neighbor label, edge label, run length)`
@@ -654,7 +922,7 @@ impl DataGraph {
         &self,
         v: VertexId,
     ) -> impl Iterator<Item = (VLabel, ELabel, usize)> + '_ {
-        let list = self.adj.get(v.index());
+        let list = self.list(v);
         let n_groups = list.map_or(0, |l| l.groups.len());
         (0..n_groups).filter_map(move |gi| {
             let l = list?;
@@ -702,9 +970,9 @@ impl DataGraph {
 
     /// Iterator over all undirected edges `(a, b, label)` with `a < b`.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId, ELabel)> + '_ {
-        self.adj.iter().enumerate().flat_map(move |(i, list)| {
+        (0..self.labels.len()).flat_map(move |i| {
             let a = VertexId::from(i);
-            list.as_slice()
+            self.neighbors(a)
                 .iter()
                 .filter(move |&&(b, _)| a < b)
                 .map(move |&(b, l)| (a, b, l))
@@ -727,204 +995,6 @@ impl DataGraph {
         slice.iter().map(|&(n, _)| n)
     }
 
-    /// Apply a batch of pre-validated edge insertions in parallel.
-    ///
-    /// This is the *batch executor* fast path for safe updates (paper §4.2):
-    /// operations are grouped per endpoint, then every adjacency list is
-    /// mutated by exactly one scoped-thread task. The caller must guarantee
-    /// that within the batch no edge is duplicated and none already exists
-    /// in the graph, and that all endpoints are alive, non-equal vertices
-    /// (the classifier validates this sequentially in `O(log d)` per edge).
-    ///
-    /// Returns the number of edges inserted.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `apply_inserts_parallel_with` (explicit worker count) or the \
-                order-preserving `GraphShard::apply_edge_batch` seam"
-    )]
-    pub fn apply_inserts_parallel(&mut self, edges: &[(VertexId, VertexId, ELabel)]) -> usize {
-        self.apply_ops_parallel(edges, true, par::threads())
-    }
-
-    /// As [`DataGraph::apply_inserts_parallel`] with an explicit worker
-    /// count (engines pass their configured width instead of
-    /// oversubscribing to `available_parallelism`).
-    pub fn apply_inserts_parallel_with(
-        &mut self,
-        edges: &[(VertexId, VertexId, ELabel)],
-        nthreads: usize,
-    ) -> usize {
-        self.apply_ops_parallel(edges, true, nthreads)
-    }
-
-    /// Parallel counterpart of [`DataGraph::apply_inserts_parallel_with`]
-    /// for deletions. Same preconditions, except every edge must *exist*.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `apply_deletes_parallel_with` (explicit worker count) or the \
-                order-preserving `GraphShard::apply_edge_batch` seam"
-    )]
-    pub fn apply_deletes_parallel(&mut self, edges: &[(VertexId, VertexId, ELabel)]) -> usize {
-        self.apply_ops_parallel(edges, false, par::threads())
-    }
-
-    /// As [`DataGraph::apply_deletes_parallel`] with an explicit worker
-    /// count.
-    pub fn apply_deletes_parallel_with(
-        &mut self,
-        edges: &[(VertexId, VertexId, ELabel)],
-        nthreads: usize,
-    ) -> usize {
-        self.apply_ops_parallel(edges, false, nthreads)
-    }
-
-    fn apply_ops_parallel(
-        &mut self,
-        edges: &[(VertexId, VertexId, ELabel)],
-        insert: bool,
-        nthreads: usize,
-    ) -> usize {
-        if edges.is_empty() {
-            return 0;
-        }
-        // Small batches: the grouping overhead exceeds the parallel win.
-        if edges.len() < 64 {
-            let mut applied = 0;
-            for &(a, b, l) in edges {
-                let changed = if insert {
-                    self.insert_edge(a, b, l).unwrap_or(false)
-                } else {
-                    self.remove_edge(a, b).map(|r| r.is_some()).unwrap_or(false)
-                };
-                applied += usize::from(changed);
-            }
-            return applied;
-        }
-
-        // Group the per-endpoint operations, sorted by endpoint id so we can
-        // hand each task a contiguous run. Neighbor labels are resolved here,
-        // while we still hold `&self` coherently. Edges violating the
-        // preconditions (self-loop, dead or unknown endpoint) are skipped
-        // and counted as unapplied — exactly what the sequential small-batch
-        // path does via `insert_edge(..).unwrap_or(false)`. Before this
-        // check, a sparse id stream (slots grown by `ensure_vertex`, some
-        // endpoints never ensured) panicked here on the adjacency carve
-        // while sailing through the sequential path.
-        let mut ops: Vec<(VertexId, AdjOp)> = Vec::with_capacity(edges.len() * 2);
-        for &(a, b, l) in edges {
-            if a == b || !self.is_alive(a) || !self.is_alive(b) {
-                continue;
-            }
-            let (la, lb) = (self.labels[a.index()], self.labels[b.index()]);
-            if insert {
-                ops.push((a, AdjOp::Insert(b, l, lb)));
-                ops.push((b, AdjOp::Insert(a, l, la)));
-            } else {
-                ops.push((a, AdjOp::Remove(b, lb)));
-                ops.push((b, AdjOp::Remove(a, la)));
-            }
-        }
-        if ops.is_empty() {
-            return 0;
-        }
-        ops.sort_unstable_by_key(|&(v, _)| v);
-
-        // Split into per-vertex runs (runs are sorted by vertex index).
-        let mut runs: Vec<(usize, &[(VertexId, AdjOp)])> = Vec::new();
-        let mut start = 0;
-        while start < ops.len() {
-            let v = ops[start].0;
-            let mut end = start + 1;
-            while end < ops.len() && ops[end].0 == v {
-                end += 1;
-            }
-            runs.push((v.index(), &ops[start..end]));
-            start = end;
-        }
-
-        // Disjoint mutable access: chunk the run list contiguously, then
-        // carve `adj` into per-chunk sub-slices at the chunk boundaries.
-        // Runs within a chunk touch only indices inside its sub-slice.
-        // Spawning is delegated to `par::run_jobs` (the linter confines
-        // raw thread::scope to par.rs/inner.rs).
-        let nthreads = nthreads.max(1).min(runs.len());
-        let chunk_size = runs.len().div_ceil(nthreads);
-        let mut jobs = Vec::with_capacity(nthreads);
-        let mut rest: &mut [AdjList] = self.adj.as_mut_slice();
-        let mut offset = 0usize;
-        for chunk in runs.chunks(chunk_size) {
-            let first = chunk[0].0;
-            let last = chunk[chunk.len() - 1].0;
-            let tail = std::mem::take(&mut rest);
-            let (_skip, tail) = tail.split_at_mut(first - offset);
-            let (mine, tail) = tail.split_at_mut(last - first + 1);
-            rest = tail;
-            offset = last + 1;
-            jobs.push(move || {
-                let mut changed = 0usize;
-                for &(idx, run) in chunk {
-                    let list = &mut mine[idx - first];
-                    for &(_, op) in run {
-                        let did = match op {
-                            AdjOp::Insert(n, l, nl) => list.insert(n, l, nl),
-                            AdjOp::Remove(n, nl) => list.remove(n, nl).is_some(),
-                        };
-                        changed += usize::from(did);
-                    }
-                }
-                changed
-            });
-        }
-        let applied: usize = par::run_jobs(jobs).into_iter().sum();
-
-        // Each undirected edge contributed two endpoint ops.
-        debug_assert!(applied.is_multiple_of(2), "asymmetric parallel application");
-        let n = applied / 2;
-        if insert {
-            self.n_edges += n;
-            for &(_, _, l) in edges {
-                self.max_elabel = self.max_elabel.max(l.0);
-            }
-        } else {
-            self.n_edges -= n;
-        }
-        n
-    }
-
-    /// Insert the `v → n` **half** of an undirected edge, bypassing alive
-    /// checks for `n` (which may be owned by another shard). The caller
-    /// ([`crate::shard::ShardedGraph`]) guarantees `v` is an owned, alive
-    /// vertex with a slot, supplies `n`'s label from router metadata, and
-    /// installs the mirror half on `n`'s owner. Local `n_edges` is *not*
-    /// touched — the router does global edge accounting.
-    pub(crate) fn half_insert(&mut self, v: VertexId, n: VertexId, el: ELabel, nl: VLabel) -> bool {
-        self.adj[v.index()].insert(n, el, nl)
-    }
-
-    /// Remove the `v → n` half-edge. See [`DataGraph::half_insert`].
-    pub(crate) fn half_remove(&mut self, v: VertexId, n: VertexId, nl: VLabel) -> Option<ELabel> {
-        self.adj[v.index()].remove(n, nl)
-    }
-
-    /// Apply a FIFO run of half-edge ops against `v`'s list in one merged
-    /// rebuild, appending `(tag, changed)` per op. See
-    /// [`AdjList::apply_ops_merged`] for semantics and cost.
-    pub(crate) fn apply_half_ops(
-        &mut self,
-        v: VertexId,
-        ops: &[(u32, HalfOp)],
-        out: &mut Vec<(u32, bool)>,
-    ) {
-        self.adj[v.index()].apply_ops_merged(ops, out);
-    }
-
-    /// Probe `v`'s adjacency for neighbor `n` under label `nl` without any
-    /// aliveness checks — the router's edge probe, where `n` may have no
-    /// local slot (its owner is another shard).
-    pub(crate) fn find_in_adj(&self, v: VertexId, n: VertexId, nl: VLabel) -> Option<ELabel> {
-        self.adj.get(v.index()).and_then(|l| l.find(n, nl))
-    }
-
     #[inline]
     fn check_alive(&self, v: VertexId) -> Result<()> {
         if self.is_alive(v) {
@@ -932,6 +1002,18 @@ impl DataGraph {
         } else {
             Err(GraphError::UnknownVertex(v))
         }
+    }
+
+    /// Validate the endpoints of an edge op (distinct, both alive) and
+    /// return their vertex labels.
+    #[inline]
+    fn endpoint_labels(&self, a: VertexId, b: VertexId) -> Result<(VLabel, VLabel)> {
+        if a == b {
+            return Err(GraphError::SelfLoop(a));
+        }
+        self.check_alive(a)?;
+        self.check_alive(b)?;
+        Ok((self.labels[a.index()], self.labels[b.index()]))
     }
 
     fn bucket_mut(&mut self, label: VLabel) -> &mut Vec<VertexId> {
@@ -942,13 +1024,24 @@ impl DataGraph {
     }
 
     /// Debug-only structural invariant check: partition-index integrity,
-    /// adjacency symmetry, consistent edge counts, and label-bucket
-    /// hygiene (alive-only, label-consistent, duplicate-free). Used by
-    /// property tests.
+    /// the half-edge invariant (both halves present with equal labels, each
+    /// in its endpoint's store and nowhere else), per-store and global
+    /// edge/vertex counts, and label-bucket hygiene (alive-only,
+    /// label-consistent, duplicate-free). Used by property tests.
     pub fn check_invariants(&self) -> Result<()> {
-        let mut dir_edges = 0usize;
-        for (i, list) in self.adj.iter().enumerate() {
+        let stores = self.stores.as_ref();
+        let mut halves = vec![0usize; stores.len()];
+        let mut owned = vec![0usize; stores.len()];
+        for i in 0..self.labels.len() {
             let a = VertexId::from(i);
+            let si = self.route.store_of(a);
+            owned[si] += usize::from(self.alive[i]);
+            let Some(list) = stores[si].adj.get(i) else {
+                if self.alive[i] {
+                    return Err(GraphError::Io(format!("{a:?} has no slot in store {si}")));
+                }
+                continue;
+            };
             if !self.alive[i] && !list.is_empty() {
                 return Err(GraphError::VertexNotIsolated(a, list.len()));
             }
@@ -1015,18 +1108,32 @@ impl DataGraph {
             if seen.windows(2).any(|w| w[0] == w[1]) {
                 return Err(GraphError::Io(format!("duplicate neighbor in {a:?}")));
             }
-            // Symmetry.
+            // The half-edge invariant: the mirror half sits in `b`'s store.
             for &(b, l) in list.as_slice() {
-                let back = self
-                    .adj
-                    .get(b.index())
-                    .and_then(|lb| lb.find(a, self.labels[a.index()]));
+                let back = self.list(b).and_then(|lb| lb.find(a, self.labels[i]));
                 if back != Some(l) {
-                    return Err(GraphError::Io(format!("edge {a:?}-{b:?} not symmetric")));
+                    return Err(GraphError::Io(format!(
+                        "half-edge {a:?}-{b:?} has no mirror in store {}",
+                        self.route.store_of(b)
+                    )));
                 }
             }
-            dir_edges += list.len();
+            halves[si] += list.len();
         }
+        for (si, store) in stores.iter().enumerate() {
+            if (halves[si], owned[si]) != (store.half_edges, store.owned) {
+                return Err(GraphError::Io(format!(
+                    "store {si}: counted {} half-edges / {} vertices, recorded {} / {}",
+                    halves[si], owned[si], store.half_edges, store.owned
+                )));
+            }
+            if store.adj.iter().map(AdjList::len).sum::<usize>() != halves[si] {
+                return Err(GraphError::Io(format!(
+                    "store {si} holds adjacency of vertices routed elsewhere"
+                )));
+            }
+        }
+        let dir_edges: usize = halves.iter().sum();
         if dir_edges != self.n_edges * 2 {
             return Err(GraphError::Io(format!(
                 "edge count mismatch: counted {dir_edges} directed, recorded {}",
@@ -1058,147 +1165,126 @@ impl DataGraph {
     }
 }
 
+/// Every [`Graph`] is a [`GraphShard`]: the read and per-op methods
+/// delegate to the inherent method of the same name.
+impl<R: Route> GraphShard for Graph<R> {
+    #[inline]
+    fn label(&self, v: VertexId) -> VLabel {
+        Graph::label(self, v)
+    }
+    #[inline]
+    fn is_alive(&self, v: VertexId) -> bool {
+        Graph::is_alive(self, v)
+    }
+    #[inline]
+    fn degree(&self, v: VertexId) -> usize {
+        Graph::degree(self, v)
+    }
+    #[inline]
+    fn vertex_slots(&self) -> usize {
+        Graph::vertex_slots(self)
+    }
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        Graph::num_vertices(self)
+    }
+    #[inline]
+    fn num_edges(&self) -> usize {
+        Graph::num_edges(self)
+    }
+    #[inline]
+    fn max_edge_label(&self) -> u32 {
+        Graph::max_edge_label(self)
+    }
+    #[inline]
+    fn num_vertex_label_buckets(&self) -> usize {
+        Graph::num_vertex_label_buckets(self)
+    }
+    #[inline]
+    fn neighbors(&self, v: VertexId) -> &[(VertexId, ELabel)] {
+        Graph::neighbors(self, v)
+    }
+    #[inline]
+    fn neighbors_with(&self, v: VertexId, vl: VLabel, el: ELabel) -> &[(VertexId, ELabel)] {
+        Graph::neighbors_with(self, v, vl, el)
+    }
+    #[inline]
+    fn neighbors_with_vlabel(&self, v: VertexId, vl: VLabel) -> &[(VertexId, ELabel)] {
+        Graph::neighbors_with_vlabel(self, v, vl)
+    }
+    #[inline]
+    fn vertices_with_label(&self, label: VLabel) -> &[VertexId] {
+        Graph::vertices_with_label(self, label)
+    }
+    #[inline]
+    fn edge_label(&self, a: VertexId, b: VertexId) -> Option<ELabel> {
+        Graph::edge_label(self, a, b)
+    }
+    #[inline]
+    fn has_edge_with(&self, v: VertexId, n: VertexId, el: ELabel) -> bool {
+        Graph::has_edge_with(self, v, n, el)
+    }
+    #[inline]
+    fn neighbor_groups(&self, v: VertexId) -> impl Iterator<Item = (VLabel, ELabel, usize)> + '_ {
+        Graph::neighbor_groups(self, v)
+    }
+    fn add_vertex(&mut self, label: VLabel) -> VertexId {
+        Graph::add_vertex(self, label)
+    }
+    fn ensure_vertex(&mut self, id: VertexId, label: VLabel) {
+        Graph::ensure_vertex(self, id, label)
+    }
+    fn delete_vertex(&mut self, id: VertexId, cascade: bool) -> Result<()> {
+        Graph::delete_vertex(self, id, cascade)
+    }
+    fn insert_edge(&mut self, a: VertexId, b: VertexId, l: ELabel) -> Result<bool> {
+        Graph::insert_edge(self, a, b, l)
+    }
+    fn remove_edge(&mut self, a: VertexId, b: VertexId) -> Result<Option<ELabel>> {
+        Graph::remove_edge(self, a, b)
+    }
+
+    /// One writer per store: a single store has nothing to overlap, so the
+    /// constant route (and a 1-store router) keep the serial in-place path.
+    fn apply_edge_batch(&mut self, ops: &[(EdgeUpdate, bool)], changed: &mut Vec<bool>) {
+        self.apply_edge_batch_with(ops, 1, changed)
+    }
+
+    fn num_shards(&self) -> usize {
+        self.stores.as_ref().len()
+    }
+
+    #[inline]
+    fn shard_of(&self, v: VertexId) -> usize {
+        self.route.store_of(v)
+    }
+
+    fn shard_stats(&self) -> Vec<ShardStats> {
+        (self.stores.as_ref().iter().enumerate())
+            .map(|(shard, s)| ShardStats {
+                shard,
+                owned_vertices: s.owned,
+                half_edges: s.half_edges,
+                applied_ops: if R::ROUTED { s.applied_ops } else { 0 },
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    //! Examples of the inherent read API and its ordering contract. The
+    //! behavioural contract shared by every route (per-op semantics, vertex
+    //! lifecycle, batch apply, invariants) is `shard::tests::conformance`.
     use super::*;
-
-    fn labeled_path(n: usize) -> (DataGraph, Vec<VertexId>) {
-        let mut g = DataGraph::new();
-        let vs: Vec<_> = (0..n).map(|i| g.add_vertex(VLabel(i as u32 % 3))).collect();
-        for w in vs.windows(2) {
-            g.insert_edge(w[0], w[1], ELabel(0)).unwrap();
-        }
-        (g, vs)
-    }
-
-    #[test]
-    fn insert_and_query_edges() {
-        let (g, vs) = labeled_path(4);
-        assert_eq!(g.num_edges(), 3);
-        assert!(g.has_edge(vs[0], vs[1]));
-        assert!(g.has_edge(vs[1], vs[0]));
-        assert!(!g.has_edge(vs[0], vs[2]));
-        assert_eq!(g.degree(vs[1]), 2);
-        g.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn duplicate_insert_is_noop() {
-        let (mut g, vs) = labeled_path(2);
-        assert!(!g.insert_edge(vs[0], vs[1], ELabel(5)).unwrap());
-        assert_eq!(g.num_edges(), 1);
-        // Original label preserved.
-        assert_eq!(g.edge_label(vs[0], vs[1]), Some(ELabel(0)));
-    }
-
-    #[test]
-    fn self_loop_rejected() {
-        let (mut g, vs) = labeled_path(1);
-        assert_eq!(
-            g.insert_edge(vs[0], vs[0], ELabel(0)),
-            Err(GraphError::SelfLoop(vs[0]))
-        );
-    }
-
-    #[test]
-    fn remove_edge_roundtrip() {
-        let (mut g, vs) = labeled_path(3);
-        assert_eq!(g.remove_edge(vs[0], vs[1]).unwrap(), Some(ELabel(0)));
-        assert_eq!(g.remove_edge(vs[0], vs[1]).unwrap(), None);
-        assert_eq!(g.num_edges(), 1);
-        assert!(!g.has_edge(vs[0], vs[1]));
-        g.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn edge_label_lookup() {
-        let mut g = DataGraph::new();
-        let a = g.add_vertex(VLabel(0));
-        let b = g.add_vertex(VLabel(0));
-        g.insert_edge(a, b, ELabel(7)).unwrap();
-        assert_eq!(g.edge_label(a, b), Some(ELabel(7)));
-        assert_eq!(g.edge_label(b, a), Some(ELabel(7)));
-        assert_eq!(g.max_edge_label(), 7);
-    }
-
-    #[test]
-    fn label_buckets_track_vertices() {
-        let mut g = DataGraph::new();
-        let a = g.add_vertex(VLabel(2));
-        let b = g.add_vertex(VLabel(2));
-        let c = g.add_vertex(VLabel(1));
-        assert_eq!(g.vertices_with_label(VLabel(2)), &[a, b]);
-        assert_eq!(g.vertices_with_label(VLabel(1)), &[c]);
-        assert!(g.vertices_with_label(VLabel(9)).is_empty());
-        g.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn delete_vertex_requires_isolation_unless_cascade() {
-        let (mut g, vs) = labeled_path(3);
-        assert!(matches!(
-            g.delete_vertex(vs[1], false),
-            Err(GraphError::VertexNotIsolated(_, 2))
-        ));
-        g.delete_vertex(vs[1], true).unwrap();
-        assert_eq!(g.num_edges(), 0);
-        assert!(!g.is_alive(vs[1]));
-        assert_eq!(g.num_vertices(), 2);
-        g.check_invariants().unwrap();
-    }
-
-    /// Regression test: label buckets must never retain dead slots — a dead
-    /// vertex surviving in `by_label` would leak into depth-0 candidate
-    /// scans via `vertices_with_label` and fabricate matches.
-    #[test]
-    fn deleted_vertices_leave_label_buckets() {
-        let mut g = DataGraph::new();
-        let a = g.add_vertex(VLabel(1));
-        let b = g.add_vertex(VLabel(1));
-        let c = g.add_vertex(VLabel(1));
-        g.insert_edge(a, b, ELabel(0)).unwrap();
-        g.insert_edge(b, c, ELabel(0)).unwrap();
-
-        g.delete_vertex(b, true).unwrap();
-        assert_eq!(g.vertices_with_label(VLabel(1)).len(), 2);
-        assert!(g
-            .vertices_with_label(VLabel(1))
-            .iter()
-            .all(|&v| g.is_alive(v)));
-        g.check_invariants().unwrap();
-
-        // Revive the slot under a *different* label: it must appear in the
-        // new bucket only, and never twice.
-        g.ensure_vertex(b, VLabel(7));
-        assert_eq!(g.vertices_with_label(VLabel(7)), &[b]);
-        assert_eq!(g.vertices_with_label(VLabel(1)).len(), 2);
-        g.check_invariants().unwrap();
-
-        // Delete again from the new bucket; repeated churn stays clean.
-        g.delete_vertex(b, false).unwrap();
-        assert!(g.vertices_with_label(VLabel(7)).is_empty());
-        for &v in g.vertices_with_label(VLabel(1)) {
-            assert!(g.is_alive(v));
-        }
-        g.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn ensure_vertex_grows_with_dead_slots() {
-        let mut g = DataGraph::new();
-        g.ensure_vertex(VertexId(5), VLabel(1));
-        assert_eq!(g.vertex_slots(), 6);
-        assert_eq!(g.num_vertices(), 1);
-        assert!(g.is_alive(VertexId(5)));
-        assert!(!g.is_alive(VertexId(0)));
-        // Re-ensuring is a no-op.
-        g.ensure_vertex(VertexId(5), VLabel(2));
-        assert_eq!(g.label(VertexId(5)), VLabel(1));
-    }
 
     #[test]
     fn edges_iterator_yields_each_edge_once() {
-        let (g, _) = labeled_path(5);
+        let mut g = DataGraph::with_capacity(5);
+        let vs: Vec<_> = (0..5).map(|i| g.add_vertex(VLabel(i % 3))).collect();
+        for w in vs.windows(2) {
+            g.insert_edge(w[0], w[1], ELabel(0)).unwrap();
+        }
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges.len(), 4);
         for (a, b, _) in edges {
@@ -1275,69 +1361,20 @@ mod tests {
         g.check_invariants().unwrap();
     }
 
+    /// A store never holds adjacency for a vertex routed elsewhere, and
+    /// `check_invariants` says so if one does.
     #[test]
-    #[allow(deprecated)] // pins the deprecated alias to the `_with` behavior
-    fn parallel_insert_matches_sequential() {
-        let mut seq = DataGraph::new();
-        let mut par = DataGraph::new();
-        for i in 0..200 {
-            seq.add_vertex(VLabel(i % 4));
-            par.add_vertex(VLabel(i % 4));
-        }
-        let mut edges = Vec::new();
-        for i in 0..199u32 {
-            edges.push((VertexId(i), VertexId(i + 1), ELabel(i % 3)));
-        }
-        // A star to stress one hot vertex.
-        for i in 2..150u32 {
-            if i != 1 {
-                edges.push((VertexId(0), VertexId(i), ELabel(1)));
-            }
-        }
-        for &(a, b, l) in &edges {
-            seq.insert_edge(a, b, l).unwrap();
-        }
-        let n = par.apply_inserts_parallel(&edges);
-        assert_eq!(n, edges.len());
-        assert_eq!(par.num_edges(), seq.num_edges());
-        for &(a, b, l) in &edges {
-            assert_eq!(par.edge_label(a, b), Some(l));
-        }
-        par.check_invariants().unwrap();
-    }
-
-    #[test]
-    #[allow(deprecated)] // pins the deprecated alias to the `_with` behavior
-    fn parallel_delete_matches_sequential() {
-        let mut g = DataGraph::new();
-        for i in 0..300 {
-            g.add_vertex(VLabel(i % 2));
-        }
-        let mut edges = Vec::new();
-        for i in 0..299u32 {
-            edges.push((VertexId(i), VertexId(i + 1), ELabel(0)));
-        }
-        for &(a, b, l) in &edges {
-            g.insert_edge(a, b, l).unwrap();
-        }
-        let doomed: Vec<_> = edges.iter().copied().step_by(2).collect();
-        let n = g.apply_deletes_parallel(&doomed);
-        assert_eq!(n, doomed.len());
-        assert_eq!(g.num_edges(), edges.len() - doomed.len());
-        for &(a, b, _) in &doomed {
-            assert!(!g.has_edge(a, b));
-        }
+    fn check_invariants_flags_a_misplaced_half_edge() {
+        use crate::shard::{ShardConfig, ShardedGraph};
+        let mut g = ShardedGraph::new(ShardConfig::range(vec![(0, 2), (2, 4)])).unwrap();
+        let vs: Vec<_> = (0..4).map(|_| g.add_vertex(VLabel(0))).collect();
+        g.insert_edge(vs[0], vs[3], ELabel(0)).unwrap();
         g.check_invariants().unwrap();
-    }
-
-    #[test]
-    #[allow(deprecated)] // pins the deprecated alias to the `_with` behavior
-    fn small_parallel_batch_takes_sequential_path() {
-        let mut g = DataGraph::new();
-        let a = g.add_vertex(VLabel(0));
-        let b = g.add_vertex(VLabel(0));
-        let n = g.apply_inserts_parallel(&[(a, b, ELabel(3))]);
-        assert_eq!(n, 1);
-        assert_eq!(g.edge_label(a, b), Some(ELabel(3)));
+        // Plant vertex 3's half in store 0 instead of its owner, store 1.
+        let stores: &mut [AdjStore] = g.stores.as_mut();
+        let half = stores[1].adj[3].clone();
+        stores[0].adj.resize_with(4, AdjList::default);
+        stores[0].adj[3] = half;
+        assert!(g.check_invariants().is_err());
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! This crate provides the graph model underlying the ParaCOSM reproduction:
 //!
-//! * [`DataGraph`] — the evolving labeled data graph `G`, tuned for the CSM
+//! * [`Graph`] — the evolving labeled data graph `G`, tuned for the CSM
 //!   access pattern (read-heavy sorted adjacency, `O(log d)` edge probes,
-//!   lock-free shared reads during search, parallel bulk application of safe
-//!   update batches);
+//!   lock-free shared reads during search, parallel bulk application of
+//!   update batches), as the monolithic [`DataGraph`] or the partitioned
+//!   [`ShardedGraph`] — one implementation, two [`Route`]s;
 //! * [`QueryGraph`] — the small immutable query pattern `Q` with `O(1)`
 //!   adjacency tests and the label-triple *seed* enumeration that drives both
 //!   incremental matching and the safe-update classifier;
@@ -34,9 +35,9 @@ pub mod update;
 
 pub use catalog::CardinalityCatalog;
 pub use error::{GraphError, Result};
-pub use graph::DataGraph;
+pub use graph::{DataGraph, Graph, Mono, Route};
 pub use ids::{ELabel, QVertexId, VLabel, VertexId};
 pub use query::{EdgePatternKey, QEdge, QueryGraph, TwoPathKey, MAX_QUERY_VERTICES};
-pub use shard::{GraphShard, MemShard, Partition, ShardConfig, ShardStats, ShardedGraph};
+pub use shard::{GraphShard, Partition, ShardConfig, ShardStats, ShardedGraph};
 pub use stats::GraphStats;
 pub use update::{EdgeUpdate, Update, UpdateStream};

@@ -1,59 +1,36 @@
-//! Sharded data graphs behind the [`GraphShard`] trait.
+//! The [`GraphShard`] seam and the partitioned route behind
+//! [`ShardedGraph`].
 //!
 //! The trait is the API seam between "something that answers the CSM
-//! kernel's graph queries and accepts updates" and the concrete storage
-//! behind it. Three implementations live here or in [`crate::graph`]:
+//! kernel's graph queries and accepts updates" and the storage behind it.
+//! There is one storage implementation, [`Graph`], parameterised by where
+//! a vertex's adjacency lives ([`Route`]): [`crate::DataGraph`] puts
+//! everything in one store; [`ShardedGraph`] spreads vertices over `K`
+//! stores with a [`ShardConfig`]. Vertex metadata (labels, liveness, label
+//! buckets) is held once either way, so `vertices_with_label` stays a
+//! borrowed slice and edge routing resolves endpoint labels without
+//! touching a store.
 //!
-//! * [`DataGraph`] — the monolithic in-memory graph (the 1-shard case,
-//!   unchanged semantics);
-//! * [`MemShard`] — one shard's **partial view**: the adjacency of the
-//!   vertices it *owns*, stored in an ordinary [`DataGraph`];
-//! * [`ShardedGraph`] — the router: assigns every vertex to a shard via
-//!   [`ShardConfig`], routes each edge update to the owning shard(s), and
-//!   answers reads by delegating per-vertex queries to the owner while
-//!   serving vertex metadata (labels, liveness, label buckets) centrally.
+//! ## Ownership rules
 //!
-//! ## Ownership rules and the half-edge invariant
-//!
-//! Every vertex has exactly one owner: `shard_index_for(v)`. A shard
-//! stores the **full adjacency list of each vertex it owns** — including
-//! edges whose other endpoint lives elsewhere. An undirected edge
-//! `{a, b}` with label `l` therefore exists as two *half-edges*:
-//!
-//! > `(b, l) ∈ adj[a]` on `shard(a)`  **and**  `(a, l) ∈ adj[b]` on
-//! > `shard(b)`.
-//!
-//! Both halves are present or both are absent — never one. An
-//! intra-shard edge simply has both halves in the same shard. Because a
-//! vertex's whole neighbor list lives with its owner, every
-//! `neighbors_with` slice is a single contiguous, id-sorted borrow from
-//! one shard, and the kernel's galloping multi-way intersection works
-//! unchanged — the slices it intersects merely come from *different*
-//! shards when the partial embedding straddles a partition boundary
-//! (cross-shard candidate streaming).
-//!
-//! ## Why single-writer-per-shard needs no locks
-//!
-//! The batch applier routes each half-edge op to its owner shard's FIFO
-//! run and hands every shard to exactly one applier job (disjoint `&mut`
-//! borrows over the shard vector — no two writers ever share a shard,
-//! so there is nothing to lock). Ops on the same edge reach both
-//! endpoint owners in the same relative order (both halves carry the
-//! batch sequence tag), and each half's `changed` verdict is a pure
-//! function of prior ops on that edge plus the shared invariant — so
-//! both owners decide identically without coordinating.
+//! Every vertex has exactly one owner store: `shard_index_for(v)`. A store
+//! holds the **full adjacency list of each vertex it owns** — including
+//! edges whose other endpoint lives elsewhere — so an undirected edge is
+//! two half-edges, one per endpoint owner. The half-edge invariant, and
+//! why one single-writer job per store can apply a batch without locks,
+//! are spelled out in the [`crate::graph`] module docs, next to the code
+//! that relies on them.
 
 use crate::error::{GraphError, Result};
-use crate::graph::{DataGraph, HalfOp};
+use crate::graph::{AdjStore, DataGraph, Graph, Route};
 use crate::ids::{ELabel, VLabel, VertexId};
-use crate::par;
 use crate::update::{EdgeUpdate, Update};
 
 /// The graph-access seam the matching kernel, classifier and service are
-/// generic over. Implemented by [`DataGraph`] (monolithic), [`MemShard`]
-/// (one shard's partial view) and [`ShardedGraph`] (the router).
+/// generic over. Implemented by every [`Graph`] — [`DataGraph`]
+/// (monolithic) and [`ShardedGraph`] (partitioned) alike.
 ///
-/// Read methods mirror [`DataGraph`]'s inherent API one-for-one,
+/// Read methods mirror [`Graph`]'s inherent API one-for-one,
 /// including the ordering contract: `neighbors_with` slices are id-sorted
 /// within one `(vlabel, elabel)` group and therefore mergeable by
 /// `crate::intersect`; `neighbors_with_vlabel` slices are not.
@@ -171,46 +148,21 @@ pub trait GraphShard: Send + Sync {
     }
 
     /// Apply a FIFO batch of edge updates (`true` = insert), pushing one
-    /// per-op `changed` flag. The reference semantics are exactly the
-    /// serial loop below — an op sees the graph produced by every op
-    /// before it; invalid ops (self-loop, dead endpoint) come back
-    /// `false`. [`ShardedGraph`] overrides this with the multi-writer
-    /// shard-applier pipeline, which preserves these semantics
-    /// bit-for-bit.
-    fn apply_edge_batch(&mut self, ops: &[(EdgeUpdate, bool)], changed: &mut Vec<bool>) {
-        for &(e, insert) in ops {
-            let did = if insert {
-                self.insert_edge(e.src, e.dst, e.label).unwrap_or(false)
-            } else {
-                self.remove_edge(e.src, e.dst)
-                    .map(|r| r.is_some())
-                    .unwrap_or(false)
-            };
-            changed.push(did);
-        }
-    }
+    /// per-op `changed` flag: exactly the flags a serial
+    /// `insert_edge`/`remove_edge` loop would produce (invalid ops — self-loop,
+    /// dead endpoint — come back `false`), with one single-writer job per
+    /// store when there is more than one
+    /// ([`Graph::apply_edge_batch_with`]).
+    fn apply_edge_batch(&mut self, ops: &[(EdgeUpdate, bool)], changed: &mut Vec<bool>);
 
     // --- shard topology / stats ---
 
     /// Number of shards behind this graph (1 for monolithic backends).
-    fn num_shards(&self) -> usize {
-        1
-    }
-
+    fn num_shards(&self) -> usize;
     /// Index of the shard owning `v` (always 0 for monolithic backends).
-    fn shard_of(&self, _v: VertexId) -> usize {
-        0
-    }
-
+    fn shard_of(&self, v: VertexId) -> usize;
     /// Per-shard occupancy and applier counters, for telemetry.
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        vec![ShardStats {
-            shard: 0,
-            owned_vertices: self.num_vertices(),
-            half_edges: self.num_edges() * 2,
-            applied_ops: 0,
-        }]
-    }
+    fn shard_stats(&self) -> Vec<ShardStats>;
 }
 
 /// Per-shard occupancy and applier counters surfaced in `/metrics` and
@@ -227,87 +179,6 @@ pub struct ShardStats {
     /// Total half-edge ops routed through this shard's applier.
     pub applied_ops: u64,
 }
-
-/// [`DataGraph`] is the trivial single-shard backend: every trait method
-/// delegates to the inherent method of the same name.
-impl GraphShard for DataGraph {
-    #[inline]
-    fn label(&self, v: VertexId) -> VLabel {
-        DataGraph::label(self, v)
-    }
-    #[inline]
-    fn is_alive(&self, v: VertexId) -> bool {
-        DataGraph::is_alive(self, v)
-    }
-    #[inline]
-    fn degree(&self, v: VertexId) -> usize {
-        DataGraph::degree(self, v)
-    }
-    #[inline]
-    fn vertex_slots(&self) -> usize {
-        DataGraph::vertex_slots(self)
-    }
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        DataGraph::num_vertices(self)
-    }
-    #[inline]
-    fn num_edges(&self) -> usize {
-        DataGraph::num_edges(self)
-    }
-    #[inline]
-    fn max_edge_label(&self) -> u32 {
-        DataGraph::max_edge_label(self)
-    }
-    #[inline]
-    fn num_vertex_label_buckets(&self) -> usize {
-        DataGraph::num_vertex_label_buckets(self)
-    }
-    #[inline]
-    fn neighbors(&self, v: VertexId) -> &[(VertexId, ELabel)] {
-        DataGraph::neighbors(self, v)
-    }
-    #[inline]
-    fn neighbors_with(&self, v: VertexId, vl: VLabel, el: ELabel) -> &[(VertexId, ELabel)] {
-        DataGraph::neighbors_with(self, v, vl, el)
-    }
-    #[inline]
-    fn neighbors_with_vlabel(&self, v: VertexId, vl: VLabel) -> &[(VertexId, ELabel)] {
-        DataGraph::neighbors_with_vlabel(self, v, vl)
-    }
-    #[inline]
-    fn vertices_with_label(&self, label: VLabel) -> &[VertexId] {
-        DataGraph::vertices_with_label(self, label)
-    }
-    #[inline]
-    fn edge_label(&self, a: VertexId, b: VertexId) -> Option<ELabel> {
-        DataGraph::edge_label(self, a, b)
-    }
-    #[inline]
-    fn has_edge_with(&self, v: VertexId, n: VertexId, el: ELabel) -> bool {
-        DataGraph::has_edge_with(self, v, n, el)
-    }
-    #[inline]
-    fn neighbor_groups(&self, v: VertexId) -> impl Iterator<Item = (VLabel, ELabel, usize)> + '_ {
-        DataGraph::neighbor_groups(self, v)
-    }
-    fn add_vertex(&mut self, label: VLabel) -> VertexId {
-        DataGraph::add_vertex(self, label)
-    }
-    fn ensure_vertex(&mut self, id: VertexId, label: VLabel) {
-        DataGraph::ensure_vertex(self, id, label)
-    }
-    fn delete_vertex(&mut self, id: VertexId, cascade: bool) -> Result<()> {
-        DataGraph::delete_vertex(self, id, cascade)
-    }
-    fn insert_edge(&mut self, a: VertexId, b: VertexId, l: ELabel) -> Result<bool> {
-        DataGraph::insert_edge(self, a, b, l)
-    }
-    fn remove_edge(&mut self, a: VertexId, b: VertexId) -> Result<Option<ELabel>> {
-        DataGraph::remove_edge(self, a, b)
-    }
-}
-
 /// How vertex ids map to shards.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Partition {
@@ -410,649 +281,198 @@ impl ShardConfig {
         }
     }
 }
-
-/// One shard: the full adjacency of the vertices it owns, stored in a
-/// [`DataGraph`], plus half-edge and applier accounting.
-///
-/// As a standalone [`GraphShard`] this is a **partial view** — queries
-/// about vertices owned elsewhere return empty/dead answers. The
-/// [`ShardedGraph`] router composes shards into a total view by serving
-/// vertex metadata itself and delegating per-vertex adjacency queries to
-/// owners.
-#[derive(Clone, Debug, Default)]
-pub struct MemShard {
-    g: DataGraph,
-    half_edges: usize,
-    applied_ops: u64,
-}
-
-impl MemShard {
-    /// An empty shard.
-    pub fn new() -> Self {
-        Self::default()
+/// A [`ShardConfig`] is a route: `shards` stores, picked by
+/// [`ShardConfig::shard_index_for`].
+impl Route for ShardConfig {
+    type Stores = Vec<AdjStore>;
+    const ROUTED: bool = true;
+    fn new_stores(&self) -> Vec<AdjStore> {
+        vec![AdjStore::default(); self.shards]
     }
-
-    /// The underlying partial-view graph (owned vertices' adjacency).
-    pub fn graph(&self) -> &DataGraph {
-        &self.g
-    }
-
-    /// Half-edges currently stored in this shard.
-    pub fn half_edges(&self) -> usize {
-        self.half_edges
-    }
-
-    /// Total half-edge ops routed through this shard's applier.
-    pub fn applied_ops(&self) -> u64 {
-        self.applied_ops
-    }
-
-    fn half_insert(&mut self, v: VertexId, n: VertexId, el: ELabel, nl: VLabel) -> bool {
-        let did = self.g.half_insert(v, n, el, nl);
-        self.half_edges += usize::from(did);
-        self.applied_ops += 1;
-        did
-    }
-
-    fn half_remove(&mut self, v: VertexId, n: VertexId, nl: VLabel) -> Option<ELabel> {
-        let out = self.g.half_remove(v, n, nl);
-        self.half_edges -= usize::from(out.is_some());
-        self.applied_ops += 1;
-        out
-    }
-
-    /// Apply one shard's FIFO half-op run: stable-sort by local endpoint
-    /// (preserving per-endpoint op order), then splice each endpoint's
-    /// ops into its adjacency list with **one** merged rebuild instead of
-    /// per-op `O(d)` shifts. Returns `(tag, changed)` per op.
-    fn apply_half_run(&mut self, mut list: Vec<(u32, VertexId, HalfOp)>) -> Vec<(u32, bool)> {
-        self.applied_ops += list.len() as u64;
-        list.sort_by_key(|&(_, v, _)| v);
-        let mut out = Vec::with_capacity(list.len());
-        let mut scratch: Vec<(u32, HalfOp)> = Vec::new();
-        let mut i = 0;
-        while i < list.len() {
-            let v = list[i].1;
-            scratch.clear();
-            let mut j = i;
-            while j < list.len() && list[j].1 == v {
-                scratch.push((list[j].0, list[j].2));
-                j += 1;
-            }
-            let before = out.len();
-            self.g.apply_half_ops(v, &scratch, &mut out);
-            for (k, &(_, did)) in out[before..].iter().enumerate() {
-                if did {
-                    match scratch[k].1 {
-                        HalfOp::Insert { .. } => self.half_edges += 1,
-                        HalfOp::Remove { .. } => self.half_edges -= 1,
-                    }
-                }
-            }
-            i = j;
-        }
-        out
+    #[inline]
+    fn store_of(&self, v: VertexId) -> usize {
+        self.shard_index_for(v)
     }
 }
 
-impl GraphShard for MemShard {
-    #[inline]
-    fn label(&self, v: VertexId) -> VLabel {
-        DataGraph::label(&self.g, v)
-    }
-    #[inline]
-    fn is_alive(&self, v: VertexId) -> bool {
-        self.g.is_alive(v)
-    }
-    #[inline]
-    fn degree(&self, v: VertexId) -> usize {
-        self.g.degree(v)
-    }
-    #[inline]
-    fn vertex_slots(&self) -> usize {
-        self.g.vertex_slots()
-    }
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.g.num_vertices()
-    }
-    #[inline]
-    fn num_edges(&self) -> usize {
-        self.g.num_edges()
-    }
-    #[inline]
-    fn max_edge_label(&self) -> u32 {
-        self.g.max_edge_label()
-    }
-    #[inline]
-    fn num_vertex_label_buckets(&self) -> usize {
-        self.g.num_vertex_label_buckets()
-    }
-    #[inline]
-    fn neighbors(&self, v: VertexId) -> &[(VertexId, ELabel)] {
-        self.g.neighbors(v)
-    }
-    #[inline]
-    fn neighbors_with(&self, v: VertexId, vl: VLabel, el: ELabel) -> &[(VertexId, ELabel)] {
-        self.g.neighbors_with(v, vl, el)
-    }
-    #[inline]
-    fn neighbors_with_vlabel(&self, v: VertexId, vl: VLabel) -> &[(VertexId, ELabel)] {
-        self.g.neighbors_with_vlabel(v, vl)
-    }
-    #[inline]
-    fn vertices_with_label(&self, label: VLabel) -> &[VertexId] {
-        self.g.vertices_with_label(label)
-    }
-    #[inline]
-    fn edge_label(&self, a: VertexId, b: VertexId) -> Option<ELabel> {
-        self.g.edge_label(a, b)
-    }
-    #[inline]
-    fn has_edge_with(&self, v: VertexId, n: VertexId, el: ELabel) -> bool {
-        self.g.has_edge_with(v, n, el)
-    }
-    #[inline]
-    fn neighbor_groups(&self, v: VertexId) -> impl Iterator<Item = (VLabel, ELabel, usize)> + '_ {
-        self.g.neighbor_groups(v)
-    }
-    fn add_vertex(&mut self, label: VLabel) -> VertexId {
-        self.g.add_vertex(label)
-    }
-    fn ensure_vertex(&mut self, id: VertexId, label: VLabel) {
-        self.g.ensure_vertex(id, label)
-    }
-    fn delete_vertex(&mut self, id: VertexId, cascade: bool) -> Result<()> {
-        self.g.delete_vertex(id, cascade)
-    }
-    fn insert_edge(&mut self, a: VertexId, b: VertexId, l: ELabel) -> Result<bool> {
-        let did = self.g.insert_edge(a, b, l)?;
-        self.half_edges += 2 * usize::from(did);
-        Ok(did)
-    }
-    fn remove_edge(&mut self, a: VertexId, b: VertexId) -> Result<Option<ELabel>> {
-        let out = self.g.remove_edge(a, b)?;
-        self.half_edges -= 2 * usize::from(out.is_some());
-        Ok(out)
-    }
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        vec![ShardStats {
-            shard: 0,
-            owned_vertices: self.g.num_vertices(),
-            half_edges: self.half_edges,
-            applied_ops: self.applied_ops,
-        }]
-    }
-}
-
-/// Half-op runs below which the multi-writer pipeline falls back to the
-/// serial reference path (spawn + routing overhead beats the merge win).
-const MIN_SHARDED_BATCH: usize = 32;
-
-/// The shard router: a total [`GraphShard`] view composed of `K`
-/// [`MemShard`]s plus centrally-held vertex metadata.
-///
-/// See the module docs for the ownership rules and the half-edge
-/// invariant. Vertex metadata (labels, liveness, per-label buckets) is
-/// kept in the router so that `vertices_with_label` stays a borrowed
-/// slice and edge routing can resolve endpoint labels without touching
-/// any shard; shards hold adjacency only.
-#[derive(Clone, Debug)]
-pub struct ShardedGraph {
-    cfg: ShardConfig,
-    shards: Vec<MemShard>,
-    labels: Vec<VLabel>,
-    alive: Vec<bool>,
-    by_label: Vec<Vec<VertexId>>,
-    n_alive: usize,
-    n_edges: usize,
-    max_elabel: u32,
-}
+/// The sharded data graph: [`Graph`] routed by a [`ShardConfig`] over `K`
+/// stores, each applied to by its own single-writer job in
+/// [`GraphShard::apply_edge_batch`].
+pub type ShardedGraph = Graph<ShardConfig>;
 
 impl ShardedGraph {
     /// An empty sharded graph. Fails with [`GraphError::ShardConfig`] on
     /// an invalid config.
     pub fn new(cfg: ShardConfig) -> Result<Self> {
         cfg.validate()?;
-        let shards = (0..cfg.shards).map(|_| MemShard::new()).collect();
-        Ok(ShardedGraph {
-            cfg,
-            shards,
-            labels: Vec::new(),
-            alive: Vec::new(),
-            by_label: Vec::new(),
-            n_alive: 0,
-            n_edges: 0,
-            max_elabel: 0,
-        })
+        Ok(Self::with_route(cfg))
     }
 
     /// The 1-shard case: behaviorally identical to a [`DataGraph`]
-    /// (same per-op semantics; the multi-writer pipeline stays off
-    /// because a single shard has nothing to overlap).
+    /// (same per-op semantics; batches stay serial because a single
+    /// store has nothing to overlap).
     pub fn single() -> Self {
-        Self::new(ShardConfig::hash(1)).expect("1-shard hash config is valid")
+        Self::with_route(ShardConfig::hash(1))
     }
 
     /// Shard an existing monolithic graph: every alive vertex keeps its
     /// id and label; every edge is re-routed to its owners. Bulk-loads
-    /// through the grouped batch paths (one adjacency rebuild per vertex
-    /// instead of a per-edge `O(d)` splice), so resharding a dense graph
-    /// is `O(E log E)` rather than `O(E·d)`.
+    /// through the batch path (one adjacency rebuild per vertex instead
+    /// of a per-edge `O(d)` splice), so resharding a dense graph is
+    /// `O(E log E)` rather than `O(E·d)`.
     pub fn from_graph(cfg: ShardConfig, g: &DataGraph) -> Result<Self> {
         let mut sg = Self::new(cfg)?;
         for v in g.vertices() {
-            GraphShard::ensure_vertex(&mut sg, v, DataGraph::label(g, v));
+            sg.ensure_vertex(v, g.label(v));
         }
-        if sg.shards.len() == 1 {
-            // A single shard owns every vertex, so full-edge bulk insert
-            // into its backing graph is sound.
-            let batch: Vec<(VertexId, VertexId, ELabel)> = g.edges().collect();
-            let applied = sg.shards[0].g.apply_inserts_parallel_with(&batch, 2);
-            debug_assert_eq!(applied, batch.len(), "source edges are valid and unique");
-            sg.shards[0].half_edges += 2 * applied;
-            sg.shards[0].applied_ops += 2 * applied as u64;
-            sg.n_edges = applied;
-            sg.max_elabel = batch.iter().map(|&(_, _, l)| l.0).max().unwrap_or(0);
-        } else {
-            let ops: Vec<(EdgeUpdate, bool)> = g
-                .edges()
-                .map(|(a, b, l)| (EdgeUpdate::new(a, b, l), true))
-                .collect();
-            let mut changed = Vec::new();
-            sg.apply_edge_batch_sharded(&ops, &mut changed);
-            debug_assert!(changed.iter().all(|&c| c), "source edges all apply");
-        }
+        let ops: Vec<(EdgeUpdate, bool)> = g
+            .edges()
+            .map(|(a, b, l)| (EdgeUpdate::new(a, b, l), true))
+            .collect();
+        let mut changed = Vec::with_capacity(ops.len());
+        // Two writers, so a 1-store target still loads in two chunk jobs.
+        sg.apply_edge_batch_with(&ops, 2, &mut changed);
+        debug_assert!(changed.iter().all(|&c| c), "source edges all apply");
         Ok(sg)
     }
 
     /// The partitioning policy in force.
     pub fn config(&self) -> &ShardConfig {
-        &self.cfg
-    }
-
-    /// Borrow one shard's partial view (testing / forensics).
-    pub fn shard(&self, i: usize) -> &MemShard {
-        &self.shards[i]
-    }
-
-    fn bucket_mut(&mut self, label: VLabel) -> &mut Vec<VertexId> {
-        if self.by_label.len() <= label.index() {
-            self.by_label.resize_with(label.index() + 1, Vec::new);
-        }
-        &mut self.by_label[label.index()]
-    }
-
-    fn check_alive(&self, v: VertexId) -> Result<()> {
-        if GraphShard::is_alive(self, v) {
-            Ok(())
-        } else {
-            Err(GraphError::UnknownVertex(v))
-        }
-    }
-
-    /// The multi-writer batch path: route half-ops to per-shard FIFO
-    /// runs, apply every shard's run in a single-writer job over disjoint
-    /// `&mut` shards, then merge the per-op `changed` flags (taken from
-    /// each op's `src`-owner half) and do global accounting serially.
-    fn apply_edge_batch_sharded(&mut self, ops: &[(EdgeUpdate, bool)], changed: &mut Vec<bool>) {
-        let ns = self.shards.len();
-        let mut runs: Vec<Vec<(u32, VertexId, HalfOp)>> = vec![Vec::new(); ns];
-        // Tag = op index << 1 | is_src_half: monotone in op order, so a
-        // stable per-endpoint sort preserves FIFO, and the merge knows
-        // which half's verdict to keep.
-        for (i, &(e, insert)) in ops.iter().enumerate() {
-            let (a, b) = (e.src, e.dst);
-            if a == b || !GraphShard::is_alive(self, a) || !GraphShard::is_alive(self, b) {
-                continue; // verdict stays `false`, like the serial path
-            }
-            let (la, lb) = (self.labels[a.index()], self.labels[b.index()]);
-            let (sa, sb) = (GraphShard::shard_of(self, a), GraphShard::shard_of(self, b));
-            let tag = (i as u32) << 1;
-            if insert {
-                let el = e.label;
-                runs[sa].push((tag | 1, a, HalfOp::Insert { n: b, el, nl: lb }));
-                runs[sb].push((tag, b, HalfOp::Insert { n: a, el, nl: la }));
-            } else {
-                runs[sa].push((tag | 1, a, HalfOp::Remove { n: b, nl: lb }));
-                runs[sb].push((tag, b, HalfOp::Remove { n: a, nl: la }));
-            }
-        }
-
-        // One single-writer applier per shard; disjoint `&mut` borrows.
-        let jobs: Vec<_> = self
-            .shards
-            .iter_mut()
-            .zip(runs)
-            .map(|(shard, run)| move || shard.apply_half_run(run))
-            .collect();
-        let results = par::run_jobs(jobs);
-
-        // Merge: src-half verdicts become the per-op flags.
-        let base = changed.len();
-        changed.resize(base + ops.len(), false);
-        for res in &results {
-            for &(tag, did) in res {
-                if tag & 1 == 1 {
-                    changed[base + (tag >> 1) as usize] = did;
-                }
-            }
-        }
-        #[cfg(debug_assertions)]
-        for res in &results {
-            for &(tag, did) in res {
-                if tag & 1 == 0 {
-                    debug_assert_eq!(
-                        changed[base + (tag >> 1) as usize],
-                        did,
-                        "half-edge verdicts diverged across shards"
-                    );
-                }
-            }
-        }
-
-        // Global accounting, serial and exact.
-        for (i, &(e, insert)) in ops.iter().enumerate() {
-            if changed[base + i] {
-                if insert {
-                    self.n_edges += 1;
-                    self.max_elabel = self.max_elabel.max(e.label.0);
-                } else {
-                    self.n_edges -= 1;
-                }
-            }
-        }
-    }
-
-    /// Structural invariant check for tests: meta/shard agreement, the
-    /// half-edge invariant (both halves present with equal labels), and
-    /// edge-count bookkeeping.
-    pub fn check_invariants(&self) -> Result<()> {
-        let mut half_total = 0usize;
-        for (si, shard) in self.shards.iter().enumerate() {
-            let mut local_halves = 0usize;
-            for v in GraphShard::vertices(self) {
-                if GraphShard::shard_of(self, v) != si {
-                    continue;
-                }
-                if !shard.g.is_alive(v) {
-                    return Err(GraphError::Io(format!(
-                        "owned vertex {v:?} not alive in shard {si}"
-                    )));
-                }
-                if DataGraph::label(&shard.g, v) != self.labels[v.index()] {
-                    return Err(GraphError::Io(format!(
-                        "label of {v:?} diverged in shard {si}"
-                    )));
-                }
-                local_halves += shard.g.degree(v);
-                for &(n, el) in shard.g.neighbors(v) {
-                    if !GraphShard::is_alive(self, n) {
-                        return Err(GraphError::Io(format!("edge {v:?}-{n:?} to dead vertex")));
-                    }
-                    let so = GraphShard::shard_of(self, n);
-                    let mirror = self.shards[so].g.find_in_adj(n, v, self.labels[v.index()]);
-                    if mirror != Some(el) {
-                        return Err(GraphError::Io(format!(
-                            "half-edge {v:?}-{n:?} has no mirror on shard {so}"
-                        )));
-                    }
-                }
-            }
-            if local_halves != shard.half_edges {
-                return Err(GraphError::Io(format!(
-                    "shard {si} half-edge count {} != recorded {}",
-                    local_halves, shard.half_edges
-                )));
-            }
-            half_total += local_halves;
-        }
-        if half_total != self.n_edges * 2 {
-            return Err(GraphError::Io(format!(
-                "half-edge total {half_total} != 2 × {}",
-                self.n_edges
-            )));
-        }
-        let bucket_total: usize = self.by_label.iter().map(Vec::len).sum();
-        if bucket_total != self.n_alive {
-            return Err(GraphError::Io("label buckets out of sync".into()));
-        }
-        Ok(())
-    }
-}
-
-impl GraphShard for ShardedGraph {
-    #[inline]
-    fn label(&self, v: VertexId) -> VLabel {
-        debug_assert!(GraphShard::is_alive(self, v), "label() on dead vertex");
-        self.labels[v.index()]
-    }
-    #[inline]
-    fn is_alive(&self, v: VertexId) -> bool {
-        self.alive.get(v.index()).copied().unwrap_or(false)
-    }
-    #[inline]
-    fn degree(&self, v: VertexId) -> usize {
-        self.shards[self.cfg.shard_index_for(v)].g.degree(v)
-    }
-    #[inline]
-    fn vertex_slots(&self) -> usize {
-        self.labels.len()
-    }
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.n_alive
-    }
-    #[inline]
-    fn num_edges(&self) -> usize {
-        self.n_edges
-    }
-    #[inline]
-    fn max_edge_label(&self) -> u32 {
-        self.max_elabel
-    }
-    #[inline]
-    fn num_vertex_label_buckets(&self) -> usize {
-        self.by_label.len()
-    }
-    #[inline]
-    fn neighbors(&self, v: VertexId) -> &[(VertexId, ELabel)] {
-        self.shards[self.cfg.shard_index_for(v)].g.neighbors(v)
-    }
-    #[inline]
-    fn neighbors_with(&self, v: VertexId, vl: VLabel, el: ELabel) -> &[(VertexId, ELabel)] {
-        self.shards[self.cfg.shard_index_for(v)]
-            .g
-            .neighbors_with(v, vl, el)
-    }
-    #[inline]
-    fn neighbors_with_vlabel(&self, v: VertexId, vl: VLabel) -> &[(VertexId, ELabel)] {
-        self.shards[self.cfg.shard_index_for(v)]
-            .g
-            .neighbors_with_vlabel(v, vl)
-    }
-    #[inline]
-    fn vertices_with_label(&self, label: VLabel) -> &[VertexId] {
-        self.by_label
-            .get(label.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-    fn edge_label(&self, a: VertexId, b: VertexId) -> Option<ELabel> {
-        if !GraphShard::is_alive(self, a) || !GraphShard::is_alive(self, b) {
-            return None;
-        }
-        // Probe the lower-degree endpoint's owner.
-        let (v, n) = if GraphShard::degree(self, b) < GraphShard::degree(self, a) {
-            (b, a)
-        } else {
-            (a, b)
-        };
-        self.shards[self.cfg.shard_index_for(v)]
-            .g
-            .find_in_adj(v, n, self.labels[n.index()])
-    }
-    fn has_edge_with(&self, v: VertexId, n: VertexId, el: ELabel) -> bool {
-        let Some(&nl) = self.labels.get(n.index()) else {
-            return false;
-        };
-        GraphShard::neighbors_with(self, v, nl, el)
-            .binary_search_by_key(&n, |&(w, _)| w)
-            .is_ok()
-    }
-
-    #[inline]
-    fn neighbor_groups(&self, v: VertexId) -> impl Iterator<Item = (VLabel, ELabel, usize)> + '_ {
-        self.shards[self.cfg.shard_index_for(v)]
-            .g
-            .neighbor_groups(v)
-    }
-
-    fn add_vertex(&mut self, label: VLabel) -> VertexId {
-        let id = VertexId::from(self.labels.len());
-        GraphShard::ensure_vertex(self, id, label);
-        id
-    }
-
-    fn ensure_vertex(&mut self, id: VertexId, label: VLabel) {
-        while self.labels.len() <= id.index() {
-            self.labels.push(VLabel(0));
-            self.alive.push(false);
-        }
-        if !self.alive[id.index()] {
-            self.alive[id.index()] = true;
-            self.labels[id.index()] = label;
-            self.bucket_mut(label).push(id);
-            self.n_alive += 1;
-            let s = self.cfg.shard_index_for(id);
-            self.shards[s].g.ensure_vertex(id, label);
-        }
-    }
-
-    fn delete_vertex(&mut self, id: VertexId, cascade: bool) -> Result<()> {
-        self.check_alive(id)?;
-        let s = self.cfg.shard_index_for(id);
-        let d = self.shards[s].g.degree(id);
-        if d > 0 {
-            if !cascade {
-                return Err(GraphError::VertexNotIsolated(id, d));
-            }
-            let neighbors: Vec<VertexId> = self.shards[s]
-                .g
-                .neighbors(id)
-                .iter()
-                .map(|&(n, _)| n)
-                .collect();
-            for n in neighbors {
-                GraphShard::remove_edge(self, id, n)?;
-            }
-        }
-        self.shards[s].g.delete_vertex(id, false)?;
-        self.alive[id.index()] = false;
-        let label = self.labels[id.index()];
-        let bucket = self.bucket_mut(label);
-        let pos = bucket
-            .iter()
-            .position(|&v| v == id)
-            .expect("alive vertex missing from its label bucket");
-        bucket.swap_remove(pos);
-        self.n_alive -= 1;
-        Ok(())
-    }
-
-    fn insert_edge(&mut self, a: VertexId, b: VertexId, l: ELabel) -> Result<bool> {
-        if a == b {
-            return Err(GraphError::SelfLoop(a));
-        }
-        self.check_alive(a)?;
-        self.check_alive(b)?;
-        let (la, lb) = (self.labels[a.index()], self.labels[b.index()]);
-        let sa = self.cfg.shard_index_for(a);
-        if !self.shards[sa].half_insert(a, b, l, lb) {
-            return Ok(false);
-        }
-        let sb = self.cfg.shard_index_for(b);
-        let mirrored = self.shards[sb].half_insert(b, a, l, la);
-        debug_assert!(mirrored, "half-edge invariant violated on insert");
-        self.n_edges += 1;
-        self.max_elabel = self.max_elabel.max(l.0);
-        Ok(true)
-    }
-
-    fn remove_edge(&mut self, a: VertexId, b: VertexId) -> Result<Option<ELabel>> {
-        if a == b {
-            return Err(GraphError::SelfLoop(a));
-        }
-        self.check_alive(a)?;
-        self.check_alive(b)?;
-        let (la, lb) = (self.labels[a.index()], self.labels[b.index()]);
-        let sa = self.cfg.shard_index_for(a);
-        match self.shards[sa].half_remove(a, b, lb) {
-            None => Ok(None),
-            Some(label) => {
-                let sb = self.cfg.shard_index_for(b);
-                let mirrored = self.shards[sb].half_remove(b, a, la);
-                debug_assert_eq!(
-                    mirrored,
-                    Some(label),
-                    "half-edge invariant violated on remove"
-                );
-                self.n_edges -= 1;
-                Ok(Some(label))
-            }
-        }
-    }
-
-    fn apply_edge_batch(&mut self, ops: &[(EdgeUpdate, bool)], changed: &mut Vec<bool>) {
-        // A single shard has nothing to overlap: keep the serial in-place
-        // path (this is also what makes `--shards 1` the status-quo
-        // baseline in the ingest bench). Tiny batches likewise.
-        if self.shards.len() == 1 || ops.len() < MIN_SHARDED_BATCH {
-            for &(e, insert) in ops {
-                let did = if insert {
-                    GraphShard::insert_edge(self, e.src, e.dst, e.label).unwrap_or(false)
-                } else {
-                    GraphShard::remove_edge(self, e.src, e.dst)
-                        .map(|r| r.is_some())
-                        .unwrap_or(false)
-                };
-                changed.push(did);
-            }
-            return;
-        }
-        self.apply_edge_batch_sharded(ops, changed);
-    }
-
-    fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    #[inline]
-    fn shard_of(&self, v: VertexId) -> usize {
-        self.cfg.shard_index_for(v)
-    }
-
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ShardStats {
-                shard: i,
-                owned_vertices: s.g.num_vertices(),
-                half_edges: s.half_edges,
-                applied_ops: s.applied_ops,
-            })
-            .collect()
+        self.route()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    /// Independent reference: an edge map plus a label table, no adjacency.
+    #[derive(Default)]
+    struct Model {
+        labels: Vec<Option<VLabel>>,
+        edges: BTreeMap<(VertexId, VertexId), ELabel>,
+        max_elabel: u32,
+    }
+
+    impl Model {
+        fn label(&self, v: VertexId) -> Option<VLabel> {
+            self.labels.get(v.index()).copied().flatten()
+        }
+
+        fn endpoints(&self, a: VertexId, b: VertexId) -> Result<(VertexId, VertexId)> {
+            if a == b {
+                return Err(GraphError::SelfLoop(a));
+            }
+            for v in [a, b] {
+                if self.label(v).is_none() {
+                    return Err(GraphError::UnknownVertex(v));
+                }
+            }
+            Ok((a.min(b), a.max(b)))
+        }
+
+        fn insert(&mut self, a: VertexId, b: VertexId, l: ELabel) -> Result<bool> {
+            let key = self.endpoints(a, b)?;
+            if self.edges.contains_key(&key) {
+                return Ok(false);
+            }
+            self.edges.insert(key, l);
+            self.max_elabel = self.max_elabel.max(l.0);
+            Ok(true)
+        }
+
+        fn remove(&mut self, a: VertexId, b: VertexId) -> Result<Option<ELabel>> {
+            let key = self.endpoints(a, b)?;
+            Ok(self.edges.remove(&key))
+        }
+
+        fn ensure(&mut self, v: VertexId, l: VLabel) {
+            if self.labels.len() <= v.index() {
+                self.labels.resize(v.index() + 1, None);
+            }
+            self.labels[v.index()].get_or_insert(l);
+        }
+
+        /// `v`'s neighbors in the graph's `(L(n), elabel, id)` order.
+        fn neighbors(&self, v: VertexId) -> Vec<(VertexId, ELabel)> {
+            let mut out: Vec<_> = (self.edges.iter())
+                .filter_map(|(&(a, b), &l)| match v {
+                    _ if v == a => Some((b, l)),
+                    _ if v == b => Some((a, l)),
+                    _ => None,
+                })
+                .collect();
+            out.sort_by_key(|&(n, l)| (self.label(n), l, n));
+            out
+        }
+    }
+
+    /// Full read-side agreement between a graph and the model, plus the
+    /// graph's own structural invariants and per-store accounting.
+    fn agree<R: Route>(g: &Graph<R>, m: &Model) {
+        g.check_invariants().unwrap();
+        assert_eq!(GraphShard::vertex_slots(g), m.labels.len());
+        assert_eq!(GraphShard::num_edges(g), m.edges.len());
+        assert_eq!(GraphShard::max_edge_label(g), m.max_elabel);
+        let alive: Vec<VertexId> = GraphShard::vertices(g).collect();
+        assert_eq!(GraphShard::num_vertices(g), alive.len());
+        let mut edges: Vec<_> = GraphShard::edges(g).collect();
+        edges.sort_unstable();
+        let want: Vec<_> = m.edges.iter().map(|(&(a, b), &l)| (a, b, l)).collect();
+        assert_eq!(edges, want);
+        let nl = GraphShard::num_vertex_label_buckets(g) as u32;
+        for v in (0..m.labels.len()).map(VertexId::from) {
+            assert_eq!(GraphShard::is_alive(g, v), m.label(v).is_some());
+            let ns = m.neighbors(v);
+            assert_eq!(GraphShard::neighbors(g, v), ns);
+            assert_eq!(GraphShard::degree(g, v), ns.len());
+            let Some(lv) = m.label(v) else { continue };
+            assert_eq!(GraphShard::label(g, v), lv);
+            assert!(GraphShard::vertices_with_label(g, lv).contains(&v));
+            for vl in (0..nl).map(VLabel) {
+                let of_vl = |&&(n, _): &&(VertexId, ELabel)| m.label(n) == Some(vl);
+                let any_el: Vec<_> = ns.iter().filter(of_vl).copied().collect();
+                assert_eq!(GraphShard::neighbors_with_vlabel(g, v, vl), any_el);
+                for el in (0..=m.max_elabel).map(ELabel) {
+                    let exact: Vec<_> = any_el.iter().filter(|e| e.1 == el).copied().collect();
+                    assert_eq!(GraphShard::neighbors_with(g, v, vl, el), exact);
+                    assert_eq!(
+                        GraphShard::count_neighbors_with(g, v, vl, Some(el)),
+                        exact.len()
+                    );
+                }
+            }
+            for &(n, l) in &ns {
+                assert_eq!(GraphShard::edge_label(g, n, v), Some(l));
+                assert!(GraphShard::has_edge_with(g, v, n, l));
+                assert!(!GraphShard::has_edge_with(g, v, n, ELabel(l.0 + 1)));
+            }
+        }
+        let buckets: usize = (0..nl)
+            .map(|l| GraphShard::vertices_with_label(g, VLabel(l)).len())
+            .sum();
+        assert_eq!(buckets, alive.len());
+        let stats = GraphShard::shard_stats(g);
+        assert_eq!(stats.len(), GraphShard::num_shards(g));
+        assert_eq!(
+            stats.iter().map(|s| s.owned_vertices).sum::<usize>(),
+            alive.len()
+        );
+        assert_eq!(
+            stats.iter().map(|s| s.half_edges).sum::<usize>(),
+            2 * m.edges.len()
+        );
+        for (i, s) in stats.iter().enumerate() {
+            let mine = |v: &&VertexId| GraphShard::shard_of(g, **v) == i;
+            assert_eq!(s.owned_vertices, alive.iter().filter(mine).count());
+        }
+    }
 
     fn seeded_ops(n: usize, verts: u32, seed: u64) -> Vec<(EdgeUpdate, bool)> {
         // xorshift stream of inserts/deletes over a skewed endpoint pool:
-        // half the ops touch the first 4 "hub" ids.
+        // half the ops touch the first 4 "hub" ids; a few are self-loops or
+        // name a dead (`verts`) or never-allocated (`verts + 1`) vertex.
         let mut x = seed | 1;
         let mut step = move || {
             x ^= x << 13;
@@ -1066,12 +486,9 @@ mod tests {
                 let a = if r % 2 == 0 {
                     (r >> 8) as u32 % 4
                 } else {
-                    (r >> 8) as u32 % verts
+                    (r >> 8) as u32 % (verts + 2)
                 };
-                let mut b = (step() >> 8) as u32 % verts;
-                if b == a {
-                    b = (b + 1) % verts;
-                }
+                let b = (step() >> 8) as u32 % verts;
                 let el = ELabel((r >> 3) as u32 % 3);
                 let insert = r % 16 < 11;
                 (EdgeUpdate::new(VertexId(a), VertexId(b), el), insert)
@@ -1079,13 +496,131 @@ mod tests {
             .collect()
     }
 
-    fn build_pair(cfg: ShardConfig, verts: u32) -> (DataGraph, ShardedGraph) {
-        let mut g = DataGraph::new();
-        for i in 0..verts {
-            g.add_vertex(VLabel(i % 5));
+    /// The one behavioural contract every [`GraphShard`] backend meets,
+    /// checked against [`Model`] with `check_invariants` after every step:
+    /// per-op edge semantics, vertex lifecycle (growth with dead slots,
+    /// isolation, cascade, revive under a new label), and batch apply.
+    fn conformance<R: Route>(make: impl Fn() -> Graph<R>) {
+        const VERTS: u32 = 40;
+        let populated = || {
+            let (mut g, mut m) = (make(), Model::default());
+            for i in 0..VERTS {
+                assert_eq!(GraphShard::add_vertex(&mut g, VLabel(i % 5)), VertexId(i));
+                m.ensure(VertexId(i), VLabel(i % 5));
+            }
+            // Slot `VERTS` exists but is dead; `VERTS + 1` was never made.
+            GraphShard::ensure_vertex(&mut g, VertexId(VERTS), VLabel(0));
+            GraphShard::delete_vertex(&mut g, VertexId(VERTS), false).unwrap();
+            m.labels.push(None);
+            (g, m)
+        };
+
+        // Per-op parity, including every error and no-op case.
+        let (mut g, mut m) = populated();
+        for (i, &(e, insert)) in seeded_ops(600, VERTS, 7).iter().enumerate() {
+            if insert {
+                let got = GraphShard::insert_edge(&mut g, e.src, e.dst, e.label);
+                assert_eq!(got, m.insert(e.src, e.dst, e.label), "op {i}");
+            } else {
+                let got = GraphShard::remove_edge(&mut g, e.src, e.dst);
+                assert_eq!(got, m.remove(e.src, e.dst), "op {i}");
+            }
+            if i % 16 == 0 {
+                agree(&g, &m);
+            }
         }
-        let sg = ShardedGraph::from_graph(cfg, &g).unwrap();
-        (g, sg)
+        agree(&g, &m);
+
+        // Vertex lifecycle on the populated graph.
+        let hub = VertexId(0);
+        let d = GraphShard::degree(&g, hub);
+        assert!(d > 1, "the seeded stream makes vertex 0 a hub");
+        assert_eq!(
+            GraphShard::delete_vertex(&mut g, hub, false),
+            Err(GraphError::VertexNotIsolated(hub, d))
+        );
+        agree(&g, &m);
+        // Cascade removes the mirror halves wherever they live.
+        assert_eq!(
+            GraphShard::apply(&mut g, &Update::DeleteVertex { id: hub }),
+            Ok(true)
+        );
+        m.edges.retain(|&(a, b), _| a != hub && b != hub);
+        m.labels[hub.index()] = None;
+        agree(&g, &m);
+        assert_eq!(
+            GraphShard::delete_vertex(&mut g, hub, true),
+            Err(GraphError::UnknownVertex(hub))
+        );
+        // Revive under a new label: the new bucket only, never twice; a
+        // second ensure is a no-op that keeps the first label.
+        let revive = Update::InsertVertex {
+            id: hub,
+            label: VLabel(7),
+        };
+        assert_eq!(GraphShard::apply(&mut g, &revive), Ok(true));
+        assert_eq!(GraphShard::apply(&mut g, &revive), Ok(false));
+        GraphShard::ensure_vertex(&mut g, hub, VLabel(2));
+        m.ensure(hub, VLabel(7));
+        assert_eq!(GraphShard::vertices_with_label(&g, VLabel(7)), &[hub]);
+        agree(&g, &m);
+        // Repeated churn stays clean: out of the new bucket, back into an
+        // old one.
+        GraphShard::delete_vertex(&mut g, hub, false).unwrap();
+        assert!(GraphShard::vertices_with_label(&g, VLabel(7)).is_empty());
+        GraphShard::ensure_vertex(&mut g, hub, VLabel(3));
+        m.labels[hub.index()] = Some(VLabel(3));
+        agree(&g, &m);
+        // Growing past the end creates dead slots in between.
+        let far = VertexId(VERTS + 6);
+        GraphShard::ensure_vertex(&mut g, far, VLabel(1));
+        m.ensure(far, VLabel(1));
+        assert_eq!(GraphShard::vertex_slots(&g), far.index() + 1);
+        assert!(!GraphShard::is_alive(&g, VertexId(VERTS + 3)));
+        assert_eq!(
+            GraphShard::insert_edge(&mut g, far, hub, ELabel(2)),
+            Ok(true)
+        );
+        m.insert(far, hub, ELabel(2)).unwrap();
+        agree(&g, &m);
+
+        // Batch apply: the flags of the serial per-op path, with same-edge
+        // churn (insert → duplicate under another label → delete →
+        // reinsert) leading a batch long enough for the parallel path.
+        let (mut g, mut m) = populated();
+        let e = EdgeUpdate::new(VertexId(0), VertexId(5), ELabel(1));
+        let e2 = EdgeUpdate::new(VertexId(5), VertexId(0), ELabel(2));
+        let mut ops = vec![(e, true), (e2, true), (e2, false), (e2, true)];
+        ops.extend(seeded_ops(800, VERTS, 31));
+        let mut run = |batch: &[(EdgeUpdate, bool)]| {
+            let want: Vec<bool> = batch
+                .iter()
+                .map(|&(e, insert)| {
+                    if insert {
+                        m.insert(e.src, e.dst, e.label).unwrap_or(false)
+                    } else {
+                        m.remove(e.src, e.dst).is_ok_and(|l| l.is_some())
+                    }
+                })
+                .collect();
+            let mut got = vec![true]; // flags are appended, not overwritten
+            GraphShard::apply_edge_batch(&mut g, batch, &mut got);
+            assert_eq!(got[1..], want);
+            agree(&g, &m);
+            want
+        };
+        assert_eq!(run(&ops)[..4], [true, false, true, true]);
+        // Below the parallel threshold: the serial fallback, same contract.
+        run(&seeded_ops(20, VERTS, 99));
+    }
+
+    #[test]
+    fn every_backend_conforms() {
+        conformance(DataGraph::new);
+        for shards in [1usize, 2, 4, 7] {
+            conformance(|| ShardedGraph::new(ShardConfig::hash(shards)).unwrap());
+            conformance(|| ShardedGraph::new(ShardConfig::range_even(shards, 40)).unwrap());
+        }
     }
 
     #[test]
@@ -1119,6 +654,7 @@ mod tests {
             .is_ok());
         assert!(ShardConfig::hash(4).validate().is_ok());
         assert!(ShardConfig::range_even(3, 1000).validate().is_ok());
+        assert!(ShardedGraph::new(ShardConfig::hash(0)).is_err());
     }
 
     #[test]
@@ -1144,151 +680,30 @@ mod tests {
         }
     }
 
+    /// `from_graph` re-routes an existing graph edge for edge, and the
+    /// applier counters record every routed half-op — but only behind a
+    /// router: the constant route reports 0.
     #[test]
-    fn sharded_matches_monolithic_per_op() {
-        for cfg in [
-            ShardConfig::hash(1),
-            ShardConfig::hash(3),
-            ShardConfig::range_even(4, 40),
-        ] {
-            let (mut g, mut sg) = build_pair(cfg, 40);
-            for (i, &(e, insert)) in seeded_ops(600, 40, 7).iter().enumerate() {
-                let (want, got) = if insert {
-                    (
-                        g.insert_edge(e.src, e.dst, e.label),
-                        GraphShard::insert_edge(&mut sg, e.src, e.dst, e.label),
-                    )
-                } else {
-                    (
-                        g.remove_edge(e.src, e.dst).map(|r| r.is_some()),
-                        GraphShard::remove_edge(&mut sg, e.src, e.dst).map(|r| r.is_some()),
-                    )
-                };
-                assert_eq!(want, got, "op {i} diverged");
-            }
-            assert_eq!(g.num_edges(), GraphShard::num_edges(&sg));
-            assert_eq!(g.max_edge_label(), GraphShard::max_edge_label(&sg));
-            sg.check_invariants().unwrap();
-            // Read-side agreement on every vertex and slice.
-            for v in g.vertices() {
-                assert_eq!(g.degree(v), GraphShard::degree(&sg, v));
-                for vl in 0..5 {
-                    for el in 0..3 {
-                        assert_eq!(
-                            g.neighbors_with(v, VLabel(vl), ELabel(el)),
-                            GraphShard::neighbors_with(&sg, v, VLabel(vl), ELabel(el)),
-                        );
-                    }
-                    assert_eq!(
-                        g.neighbors_with_vlabel(v, VLabel(vl)),
-                        GraphShard::neighbors_with_vlabel(&sg, v, VLabel(vl)),
-                    );
-                }
-            }
-            for (a, b, l) in g.edges() {
-                assert_eq!(GraphShard::edge_label(&sg, a, b), Some(l));
-            }
+    fn from_graph_reshards_and_counts_routed_ops() {
+        let mut g = DataGraph::new();
+        for i in 0..32 {
+            g.add_vertex(VLabel(i % 5));
         }
-    }
-
-    #[test]
-    fn batch_apply_matches_serial_flags() {
-        for shards in [2usize, 4, 7] {
-            let ops = seeded_ops(800, 60, 31 + shards as u64);
-            let (mut g, mut sg) = build_pair(ShardConfig::hash(shards), 60);
-            let mut want = Vec::new();
-            GraphShard::apply_edge_batch(&mut g, &ops, &mut want);
-            let mut got = Vec::new();
-            GraphShard::apply_edge_batch(&mut sg, &ops, &mut got);
-            assert_eq!(want, got);
-            assert_eq!(g.num_edges(), GraphShard::num_edges(&sg));
-            sg.check_invariants().unwrap();
-            for v in g.vertices() {
-                assert_eq!(g.neighbors(v), GraphShard::neighbors(&sg, v));
-            }
-        }
-    }
-
-    #[test]
-    fn batch_apply_handles_same_edge_churn() {
-        // insert → duplicate insert → delete → reinsert of one edge in a
-        // single batch must produce the serial flag sequence.
-        let (mut g, mut sg) = build_pair(ShardConfig::hash(2), 8);
-        let e = EdgeUpdate::new(VertexId(0), VertexId(5), ELabel(1));
-        let e2 = EdgeUpdate::new(VertexId(5), VertexId(0), ELabel(2));
-        let mut ops = vec![(e, true), (e, true), (e2, false), (e2, true)];
-        // Pad past MIN_SHARDED_BATCH so the parallel path engages.
-        for i in 0..MIN_SHARDED_BATCH as u32 {
-            ops.push((
-                EdgeUpdate::new(VertexId(1 + (i % 3)), VertexId(6 + (i % 2)), ELabel(0)),
-                true,
-            ));
-        }
-        let mut want = Vec::new();
-        GraphShard::apply_edge_batch(&mut g, &ops, &mut want);
-        let mut got = Vec::new();
-        GraphShard::apply_edge_batch(&mut sg, &ops, &mut got);
-        assert_eq!(want, got);
-        assert_eq!(&got[..4], &[true, false, true, true]);
-        sg.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn vertex_lifecycle_routes_through_owner() {
-        let mut sg = ShardedGraph::new(ShardConfig::hash(3)).unwrap();
-        let a = GraphShard::add_vertex(&mut sg, VLabel(0));
-        let b = GraphShard::add_vertex(&mut sg, VLabel(1));
-        let c = GraphShard::add_vertex(&mut sg, VLabel(1));
-        GraphShard::insert_edge(&mut sg, a, b, ELabel(0)).unwrap();
-        GraphShard::insert_edge(&mut sg, a, c, ELabel(1)).unwrap();
-        assert_eq!(GraphShard::vertices_with_label(&sg, VLabel(1)), &[b, c]);
-        assert!(GraphShard::has_edge(&sg, b, a));
-        assert!(GraphShard::has_edge_with(&sg, a, c, ELabel(1)));
-        assert!(!GraphShard::has_edge_with(&sg, a, c, ELabel(0)));
-        // Cascade delete removes mirrors on other shards.
-        GraphShard::delete_vertex(&mut sg, a, true).unwrap();
-        assert_eq!(GraphShard::num_edges(&sg), 0);
-        assert!(!GraphShard::is_alive(&sg, a));
-        assert_eq!(GraphShard::degree(&sg, b), 0);
-        sg.check_invariants().unwrap();
-        // Revive under a new label via the stream-apply seam.
-        GraphShard::apply(
-            &mut sg,
-            &Update::InsertVertex {
-                id: a,
-                label: VLabel(7),
-            },
-        )
-        .unwrap();
-        assert_eq!(GraphShard::vertices_with_label(&sg, VLabel(7)), &[a]);
-        sg.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn shard_stats_account_for_ownership() {
-        let (_, mut sg) = build_pair(ShardConfig::hash(4), 32);
-        let ops = seeded_ops(200, 32, 99);
         let mut flags = Vec::new();
-        GraphShard::apply_edge_batch(&mut sg, &ops, &mut flags);
-        let stats = GraphShard::shard_stats(&sg);
-        assert_eq!(stats.len(), 4);
-        let owned: usize = stats.iter().map(|s| s.owned_vertices).sum();
-        assert_eq!(owned, GraphShard::num_vertices(&sg));
-        let halves: usize = stats.iter().map(|s| s.half_edges).sum();
-        assert_eq!(halves, GraphShard::num_edges(&sg) * 2);
-        let routed: u64 = stats.iter().map(|s| s.applied_ops).sum();
-        assert!(routed > 0);
-    }
-
-    #[test]
-    fn single_is_a_plain_datagraph() {
-        let mut sg = ShardedGraph::single();
-        assert_eq!(GraphShard::num_shards(&sg), 1);
-        let a = GraphShard::add_vertex(&mut sg, VLabel(0));
-        let b = GraphShard::add_vertex(&mut sg, VLabel(0));
-        assert_eq!(GraphShard::shard_of(&sg, a), 0);
-        GraphShard::insert_edge(&mut sg, a, b, ELabel(3)).unwrap();
-        assert_eq!(GraphShard::edge_label(&sg, a, b), Some(ELabel(3)));
-        sg.check_invariants().unwrap();
+        g.apply_edge_batch_with(&seeded_ops(200, 32, 99), 2, &mut flags);
+        g.check_invariants().unwrap();
+        let mono = GraphShard::shard_stats(&g);
+        assert_eq!((mono.len(), mono[0].applied_ops), (1, 0));
+        assert_eq!(mono[0].half_edges, 2 * g.num_edges());
+        for cfg in [ShardConfig::hash(1), ShardConfig::hash(4)] {
+            let sg = ShardedGraph::from_graph(cfg.clone(), &g).unwrap();
+            sg.check_invariants().unwrap();
+            assert_eq!(sg.config(), &cfg);
+            for v in g.vertices() {
+                assert_eq!(sg.neighbors(v), g.neighbors(v));
+            }
+            let routed: u64 = sg.shard_stats().iter().map(|s| s.applied_ops).sum();
+            assert_eq!(routed, 2 * g.num_edges() as u64);
+        }
     }
 }

@@ -6,7 +6,7 @@
 use paracosm::algos::testing;
 use paracosm::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 fn triangle() -> QueryGraph {
@@ -170,21 +170,31 @@ fn concurrent_writers_produce_well_formed_spans() {
 /// a snapshot yields has internally consistent payload words (the writer
 /// stamps `span = arg + 1 = seq + 1`), so a torn copy can never survive
 /// validation.
+///
+/// All three threads leave a start barrier together, and the writers keep
+/// wrapping until the reader has validated `VALIDATED` events, then write
+/// a fixed tail of `TAIL` more — so the reader always overlaps live
+/// writers, however the scheduler interleaves them.
 #[test]
 fn ring_wrap_never_yields_torn_events() {
-    const EVENTS: u64 = 40_000;
+    const VALIDATED: u64 = 2_000;
+    const TAIL: u64 = 10_000;
     let f = Arc::new(FlightRecorder::new(FlightConfig {
         capacity: 8,
         session_shards: 2,
     }));
-    let done = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(Barrier::new(3));
+    let validated = Arc::new(AtomicBool::new(false));
 
     let writers: Vec<_> = (0..2u32)
         .map(|sid| {
-            let f = Arc::clone(&f);
+            let (f, start, validated) = (f.clone(), start.clone(), validated.clone());
             std::thread::spawn(move || {
                 let shard = f.session_shard(u64::from(sid));
-                for j in 0..EVENTS {
+                start.wait();
+                let mut stop_at = u64::MAX;
+                let mut j = 0;
+                while j < stop_at {
                     // Payload words are all derived from j: a torn event
                     // (words from two different writes) breaks the
                     // relation and the assertions below catch it.
@@ -198,17 +208,22 @@ fn ring_wrap_never_yields_torn_events() {
                         j,
                         j,
                     );
+                    j += 1;
+                    if stop_at == u64::MAX && validated.load(Ordering::Relaxed) {
+                        stop_at = j + TAIL;
+                    }
                 }
+                (shard, j)
             })
         })
         .collect();
 
     let reader = {
-        let f = Arc::clone(&f);
-        let done = Arc::clone(&done);
+        let (f, start, validated) = (f.clone(), start.clone(), validated.clone());
         std::thread::spawn(move || {
+            start.wait();
             let mut seen = 0u64;
-            while !done.load(Ordering::Relaxed) {
+            while seen < VALIDATED {
                 let snap = f.snapshot();
                 for evs in &snap.shards[1..] {
                     assert!(evs.len() <= 8, "a shard can never exceed capacity");
@@ -224,22 +239,23 @@ fn ring_wrap_never_yields_torn_events() {
                     }
                 }
             }
-            seen
+            validated.store(true, Ordering::Relaxed);
         })
     };
 
-    for w in writers {
-        w.join().unwrap();
-    }
-    done.store(true, Ordering::Relaxed);
-    let seen = reader.join().unwrap();
-    assert!(seen > 0, "the reader must observe events while wrapping");
+    reader.join().unwrap();
+    let totals: Vec<(usize, u64)> = writers.into_iter().map(|w| w.join().unwrap()).collect();
 
     let snap = f.snapshot();
-    for (shard, evs) in snap.shards.iter().enumerate().skip(1) {
+    for (shard, total) in totals {
+        let evs = &snap.shards[shard];
+        assert!(
+            total > TAIL,
+            "shard {shard}: the writer outlived the reader"
+        );
         assert_eq!(evs.len(), 8, "shard {shard}: full ring after the storm");
-        assert_eq!(snap.dropped[shard], EVENTS - 8);
-        assert_eq!(evs.last().unwrap().arg, EVENTS - 1);
+        assert_eq!(snap.dropped[shard], total - 8);
+        assert_eq!(evs.last().unwrap().arg, total - 1);
     }
 }
 

@@ -41,7 +41,7 @@ fn base_graph(seed: u64) -> DataGraph {
 }
 
 /// Edge-only churn, hub-skewed: long label-safe runs so a sharded
-/// backend batches well past `MIN_SHARDED_BATCH` through
+/// backend batches well past `MIN_PARALLEL_BATCH` through
 /// `apply_edge_batch` (the multi-writer path the catalog's touch
 /// protocol must survive).
 fn edge_stream(seed: u64, len: usize) -> Vec<Update> {
@@ -145,7 +145,7 @@ fn catalog_differential<G: GraphShard>(
 
 /// Acceptance: the incrementally maintained catalog equals a rebuild
 /// oracle after a sharded, batched, multi-writer drain (runs well past
-/// `MIN_SHARDED_BATCH`, every shard count and partitioner).
+/// `MIN_PARALLEL_BATCH`, every shard count and partitioner).
 #[test]
 fn catalog_exact_under_sharded_batched_apply() {
     for shards in [2usize, 4] {

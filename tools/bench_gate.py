@@ -14,9 +14,6 @@ Fresh artifacts produced by the CI run are matched to baselines by the
 * ``shared``  — deterministic counters (distinct/hits/misses/subpatterns)
   must match the baseline exactly; each cell's off/on speedup must not
   drop below the baseline beyond both runs' noise floors plus a margin.
-* ``shards``  — deterministic accounting (applied_ops/processed/
-  edges_final) exact; speedup floors as above; the committed baseline
-  itself must show the >= 2.5x dense hash-4 headline win.
 * ``profile`` — every arm must reproduce the baseline's deterministic
   ``positives`` exactly; the Off arms' mutual delta must sit within the
   sweep's noise floor; the ``counters`` arm's overhead must stay within
@@ -98,36 +95,6 @@ def gate_shared(base, fresh, failures):
         check_speedup(b, f, cell, failures, "shared")
 
 
-def gate_shards(base, fresh, failures):
-    check_config(base, fresh, ("seed", "stream_len", "reps"), failures, "shards")
-    key = lambda c: (c["workload"], c["partitioner"], c["shards"])
-    bcells = {key(c): c for c in base["cells"]}
-    if len(bcells) != len(fresh["cells"]):
-        failures.append(
-            f"shards: cell count {len(fresh['cells'])} != baseline {len(bcells)}"
-        )
-        return
-    headline = bcells.get(("dense", "hash", 4))
-    if headline is None:
-        failures.append("shards: baseline lost the dense hash-4 headline cell")
-    elif headline["speedup"] < 2.5:
-        failures.append(
-            f"shards: committed dense hash-4 speedup {headline['speedup']:.2f} < 2.5"
-        )
-    for f in fresh["cells"]:
-        b = bcells.get(key(f))
-        cell = "/".join(str(k) for k in key(f))
-        if b is None:
-            failures.append(f"shards/{cell}: cell missing from baseline")
-            continue
-        # Same seed, single-writer appliers in admission order: these are
-        # deterministic.
-        for k in ("applied_ops", "processed", "edges_final"):
-            if f[k] != b[k]:
-                failures.append(f"shards/{cell}: {k} {f[k]} != baseline {b[k]}")
-        check_speedup(b, f, cell, failures, "shards")
-
-
 def profile_arms_ok(art, who, failures):
     """Self-consistency of one profile artifact (baseline or fresh)."""
     arms = {a["arm"]: a for a in art["arms"]}
@@ -174,7 +141,7 @@ def gate_profile(base, fresh, failures):
         failures.append(f"profile: positives {fp} != baseline {bp}")
 
 
-GATES = {"shared": gate_shared, "shards": gate_shards, "profile": gate_profile}
+GATES = {"shared": gate_shared, "profile": gate_profile}
 
 
 def main():
