@@ -8,10 +8,10 @@
 //!   all partial embeddings of one level are materialized before the next
 //!   query vertex is joined in (paper Table 1 marks GraphFlow join-based,
 //!   i.e. BFS-shaped);
-//! * **multiway sorted intersections** — when a level's query vertex has
+//! * **multi-way sorted intersections** — when a level's query vertex has
 //!   several matched neighbors, its candidates come from a leapfrog-style
 //!   galloping intersection of their adjacency lists
-//!   ([`crate::multiway`]), the primitive that yields the worst-case
+//!   ([`csm_graph::intersect`]), the primitive that yields the worst-case
 //!   optimality bound.
 //!
 //! A pure breadth-first materialization can exhaust memory on dense
@@ -31,8 +31,7 @@ use paracosm_core::{AdsChange, CsmAlgorithm, Embedding, MatchSink};
 /// backward neighbor ([`csm_graph::intersect`]) — so GraphFlow reuses it
 /// directly; what distinguishes GraphFlow is the level-synchronous
 /// (attribute-at-a-time) frontier in [`GraphFlow::search`], not the
-/// per-level candidate computation. The standalone labeled-operand
-/// primitive survives in [`crate::multiway`].
+/// per-level candidate computation.
 fn wco_candidates<G: GraphShard, F>(
     ctx: &SearchCtx<'_, G>,
     emb: Embedding,

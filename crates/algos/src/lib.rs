@@ -24,21 +24,16 @@
 pub mod calig;
 pub mod common;
 pub mod graphflow;
-pub mod incisomatch;
-pub mod multiway;
 pub mod newsp;
 pub mod registry;
-pub mod sjtree;
 pub mod symbi;
 pub mod testing;
 pub mod turboflux;
 
 pub use calig::CaLiG;
 pub use graphflow::GraphFlow;
-pub use incisomatch::IncIsoMatch;
 pub use newsp::NewSP;
 pub use registry::{AlgoKind, AnyAlgorithm};
-pub use sjtree::SjTreeEngine;
 pub use symbi::Symbi;
 pub use turboflux::TurboFlux;
 

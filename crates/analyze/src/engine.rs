@@ -184,10 +184,10 @@ pub fn api_dump(root: &Path) -> Result<String, String> {
     Ok(passes::api::render(&files))
 }
 
-/// Shared CLI driver for `csm-analyze` and the `csm-lint`
-/// compatibility wrapper. `tool` names the binary in messages.
-pub fn cli_main(tool: &str) -> std::process::ExitCode {
+/// The `csm-analyze` CLI driver.
+pub fn cli_main() -> std::process::ExitCode {
     use std::process::ExitCode;
+    let tool = "csm-analyze";
 
     let mut root = PathBuf::from(".");
     let mut dump = false;

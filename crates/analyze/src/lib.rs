@@ -1,7 +1,7 @@
 //! `csm-analyze` — the project's semantic static-analysis engine.
 //!
-//! Supersedes the purely lexical `csm-lint` scrubber with a real (still
-//! dependency-free) pipeline:
+//! A real (still dependency-free) pipeline rather than a lexical
+//! scrubber:
 //!
 //! ```text
 //! source text ──lexer──▶ tokens ──HIR-lite parser──▶ items / fields /
@@ -23,8 +23,7 @@
 //!   across emitter/tests/README, enum-kind exhaustiveness across
 //!   exporters, parser-backed API snapshots).
 //!
-//! The engine is what `csm-analyze` (and the thin `csm-lint`
-//! compatibility wrapper) run in CI; diagnostics are
+//! The engine is what the `csm-analyze` binary runs in CI; diagnostics are
 //! `path:line: [rule] message` with exit code 1 on any violation, plus a
 //! machine-readable `--json` artifact. Budgets and allowlists come from
 //! `LINT.md` ([`config`]).

@@ -66,42 +66,5 @@ fn bench_paracosm(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_stateful_baselines(c: &mut Criterion) {
-    // The Table-1 extremes: SJ-Tree (materialized joins) and IncIsoMatch
-    // (recomputation) against the same stream.
-    let w = workload();
-    let q = &w.queries[0];
-    let mut group = c.benchmark_group("stream_extremes");
-    group.sample_size(10);
-    group.bench_function("SJ-Tree", |b| {
-        b.iter(|| {
-            let mut e = csm_algos::SjTreeEngine::new(w.initial.clone(), q.clone());
-            let mut total = 0u64;
-            for u in &w.stream {
-                let (p, n) = e.process_update(*u).unwrap();
-                total += p + n;
-            }
-            total
-        })
-    });
-    group.bench_function("IncIsoMatch", |b| {
-        b.iter(|| {
-            let mut e = csm_algos::IncIsoMatch::new(w.initial.clone(), q.clone());
-            let mut total = 0u64;
-            for u in &w.stream {
-                let (p, n) = e.process_update(*u).unwrap();
-                total += p + n;
-            }
-            total
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_sequential,
-    bench_paracosm,
-    bench_stateful_baselines
-);
+criterion_group!(benches, bench_sequential, bench_paracosm);
 criterion_main!(benches);

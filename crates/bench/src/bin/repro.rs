@@ -5,7 +5,7 @@
 //! repro <experiment ...> [options]
 //!
 //! experiments: table3 table4 table5 table6 fig4 fig7 fig8 fig9 fig10 fig11 fig12 analysis
-//!              observe shared profile all
+//!              observe all
 //!
 //! options:
 //!   --scale xs|s|m       dataset scale                  (default: xs)
@@ -17,30 +17,28 @@
 //!   --seed N             base RNG seed                  (default: 1)
 //!   --trace-out PATH     observe: write Chrome/Perfetto trace JSON
 //!   --report-json PATH   observe: write machine-readable run report
-//!   --json-out PATH      write the machine-readable bench artifact
-//!                        (schema_version 1) for experiments that
-//!                        produce one — the CI regression gate diffs
-//!                        this against the committed BENCH_*.json
 //! ```
+//!
+//! Every table except `table3`, `fig4`, `table5` and `observe` is
+//! *modelled* (virtual workers on one real thread) and says so in its
+//! notes; measured numbers come from `perf/`.
 
 use csm_datagen::Scale;
-use paracosm_bench::experiments::{
-    breakdown, observe, profile, shared_sessions, singlethread, speedups, tables,
-};
+use paracosm_bench::experiments::{breakdown, observe, singlethread, speedups, tables};
 use paracosm_bench::report::Table;
 use paracosm_bench::runner::ExpOptions;
 use std::time::Duration;
 
-const EXPERIMENTS: [&str; 15] = [
+const EXPERIMENTS: [&str; 13] = [
     "table3", "table4", "table5", "table6", "fig4", "fig7", "fig8", "fig9", "fig10", "fig11",
-    "fig12", "analysis", "observe", "shared", "profile",
+    "fig12", "analysis", "observe",
 ];
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro <experiment ...> [--scale xs|s|m] [--threads N] [--queries N] \
          [--stream N] [--timeout-ms N] [--sizes a,b,c] [--seed N] \
-         [--trace-out PATH] [--report-json PATH] [--json-out PATH]\n\
+         [--trace-out PATH] [--report-json PATH]\n\
          experiments: {} all",
         EXPERIMENTS.join(" ")
     );
@@ -56,7 +54,6 @@ fn main() {
     let mut selected: Vec<String> = Vec::new();
     let mut trace_out: Option<String> = None;
     let mut report_json: Option<String> = None;
-    let mut json_out: Option<String> = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         let mut val = |name: &str| -> String {
@@ -91,9 +88,13 @@ fn main() {
             "--seed" => opts.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
             "--trace-out" => trace_out = Some(val("--trace-out")),
             "--report-json" => report_json = Some(val("--report-json")),
-            "--json-out" => json_out = Some(val("--json-out")),
             "all" => selected = EXPERIMENTS.iter().map(|s| s.to_string()).collect(),
-            e if EXPERIMENTS.contains(&e) => selected.push(e.to_string()),
+            e if EXPERIMENTS.contains(&e) => {
+                // Order-preserving dedup: `table3 fig4 table3` runs table3 once.
+                if !selected.iter().any(|s| s == e) {
+                    selected.push(e.to_string());
+                }
+            }
             other => {
                 eprintln!("unknown argument '{other}'");
                 usage();
@@ -103,7 +104,6 @@ fn main() {
     if selected.is_empty() {
         usage();
     }
-    selected.dedup();
 
     eprintln!(
         "repro: scale={} threads={} queries/cell={} stream-cap={} timeout={:?} sizes={:?}",
@@ -145,37 +145,11 @@ fn main() {
                 trace_out.as_deref(),
                 report_json.as_deref(),
             )),
-            "shared" => outputs.push(shared_sessions::shared_sessions(&opts)),
-            "profile" => outputs.push(profile::profile(&opts)),
             _ => unreachable!(),
         }
     }
     println!();
     for t in &outputs {
         t.print();
-    }
-
-    if let Some(path) = json_out {
-        let artifacts: Vec<String> = outputs
-            .iter()
-            .filter_map(|t| t.artifact.as_ref())
-            .map(|a| a.to_json())
-            .collect();
-        if artifacts.is_empty() {
-            eprintln!(
-                "repro: --json-out given but no selected experiment produces an artifact \
-                 (currently: shared, profile)"
-            );
-            std::process::exit(2);
-        }
-        let body = format!(
-            "{{\"schema_version\":1,\"artifacts\":[{}]}}\n",
-            artifacts.join(",")
-        );
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("repro: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("repro: wrote bench artifact to {path}");
     }
 }

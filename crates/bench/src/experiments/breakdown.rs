@@ -51,6 +51,7 @@ pub fn fig10(opts: &ExpOptions) -> Table {
         &["percentile", "balanced", "unbalanced"],
     );
     t.note("sorted per-thread busy time; a tight spread = good load balance");
+    t.note_modelled(&opts.para_cfg());
     let pctiles = [0usize, 25, 50, 75, 90, 100];
     let at = |v: &[Duration], p: usize| -> Duration {
         if v.is_empty() {
@@ -99,6 +100,7 @@ pub fn fig11(opts: &ExpOptions) -> Table {
         ],
     );
     t.note("times are projected stream times; the ON run skips Find_Matches for safe updates and parallelizes classification + application");
+    t.note_modelled(&opts.para_cfg());
     let qsize = opts.qsizes.first().copied().unwrap_or(6);
     let w = opts.workload(DatasetKind::Orkut, qsize);
     for kind in AlgoKind::ALL {

@@ -54,6 +54,7 @@ pub fn fig7(opts: &ExpOptions) -> Table {
         &hdr_refs,
     );
     t.note("geometric mean over queries successful in both runs; TO = no comparable run");
+    t.note_modelled(&opts.para_cfg());
     let qsize = opts.qsizes.first().copied().unwrap_or(6);
     let mut rows: Vec<Vec<String>> = AlgoKind::ALL
         .iter()
@@ -88,6 +89,7 @@ pub fn fig8(opts: &ExpOptions) -> Table {
         ),
         &hdr_refs,
     );
+    t.note_modelled(&opts.para_cfg());
     let mut rows: Vec<Vec<String>> = AlgoKind::ALL
         .iter()
         .map(|k| vec![k.name().to_string()])
@@ -120,6 +122,8 @@ pub fn fig9(opts: &ExpOptions) -> Table {
         "Figure 9: ParaCOSM speedup with different numbers of threads (LiveJournal)",
         &hdr_refs,
     );
+    // One note for the sweep: the widest column names the worker count.
+    t.note_modelled(&opts.para_cfg_at(thread_counts[thread_counts.len() - 1]));
     let qsize = opts.qsizes.first().copied().unwrap_or(6);
     let w = opts.workload(DatasetKind::LiveJournal, qsize);
     for kind in AlgoKind::ALL {

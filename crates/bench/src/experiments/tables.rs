@@ -18,6 +18,7 @@ pub fn table4(opts: &ExpOptions) -> Table {
     let hdr_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut t = Table::new("Table 4: average unsafe update percentage (%)", &hdr_refs);
     t.note("classifier: label -> degree -> ADS (Symbi's DCS as the stage-3 index)");
+    t.note_modelled(&opts.para_cfg());
     for dataset in DatasetKind::ALL {
         let mut row = vec![dataset.name().to_string()];
         for &s in &opts.qsizes {
@@ -86,6 +87,7 @@ pub fn table6(opts: &ExpOptions, seq: Option<&super::singlethread::Sweep>) -> Ta
         &hdr_refs,
     );
     t.note("(+/-) = change vs the single-threaded run (paper Table 3)");
+    t.note_modelled(&opts.para_cfg());
     for kind in AlgoKind::ALL {
         let mut row = vec![kind.name().to_string()];
         for &s in &opts.qsizes {
@@ -123,6 +125,7 @@ pub fn analysis(opts: &ExpOptions) -> Table {
         ],
     );
     t.note("prediction: P(safe) = 1 - |E(Q)| / (|L(E)| |L(V)|^2), uniform labels");
+    t.note_modelled(&opts.para_cfg());
     let qsize = opts.qsizes.first().copied().unwrap_or(6);
     for dataset in DatasetKind::ALL {
         let w = opts.workload(dataset, qsize);
@@ -162,6 +165,7 @@ pub fn fig12(opts: &ExpOptions) -> Table {
         ],
     );
     t.note("paper: label+degree classify >99.6% safe; ADS prunes >99.7% of the rest");
+    t.note_modelled(&opts.para_cfg());
     let qsize = opts.qsizes.first().copied().unwrap_or(6);
     let w = opts.workload(DatasetKind::Orkut, qsize);
     for kind in [AlgoKind::TurboFlux, AlgoKind::Symbi, AlgoKind::CaLiG] {

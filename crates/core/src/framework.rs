@@ -302,16 +302,6 @@ impl<A: CsmAlgorithm> ParaCosm<A> {
         self.process_stream_impl(stream, Some(observer))
     }
 
-    /// Deprecated alias of [`ParaCosm::run_stream`].
-    #[deprecated(since = "0.2.0", note = "use `run_stream` (identical semantics)")]
-    pub fn process_stream_observed(
-        &mut self,
-        stream: &UpdateStream,
-        observer: &mut dyn StreamObserver,
-    ) -> CsmResult<StreamOutcome> {
-        self.run_stream(stream, observer)
-    }
-
     fn process_stream_impl(
         &mut self,
         stream: &UpdateStream,
@@ -341,59 +331,74 @@ impl<A: CsmAlgorithm> ParaCosm<A> {
         self.eng.set_deadline(deadline);
         let mut out = StreamOutcome::default();
 
-        if self.eng.config().use_batch_executor() {
-            self.run_batched(stream.updates(), &mut out, has_observer, observer)?;
+        let res = if self.eng.config().use_batch_executor() {
+            self.run_batched(stream.updates(), &mut out, has_observer, observer)
         } else {
-            let want_timing = self.eng.per_update_timing(has_observer);
-            for (i, &u) in stream.updates().iter().enumerate() {
-                if self.deadline_passed() {
-                    out.timed_out = true;
-                    break;
-                }
-                let t_upd = want_timing.then(Instant::now);
-                let pre = self.eng.stage_snapshot();
-                let r = self.process_update(u)?;
-                let lat = t_upd.map_or(Duration::ZERO, |t| t.elapsed());
-                if self.eng.config().track_latency {
-                    self.eng.stats.latency.record(lat);
-                }
-                self.eng.finish_update(
-                    u,
-                    UpdateObservation {
-                        index: i as u64,
-                        verdict: None,
-                        noop: r.noop,
-                        latency: lat,
-                        positives: r.positives,
-                        negatives: r.negatives,
-                        skipped: false,
-                        span: trace::flight::SpanId::NONE,
-                    },
-                    pre,
-                    observer,
-                );
-                out.positives += r.positives;
-                out.negatives += r.negatives;
-                out.updates_applied += 1;
-                if r.timed_out {
-                    out.timed_out = true;
-                    break;
-                }
-            }
-        }
+            self.run_one_by_one(stream.updates(), &mut out, has_observer, observer)
+        };
         out.elapsed = start.elapsed();
         if self.eng.config().sim_threads.is_some() {
             if let Some(limit) = self.eng.config().time_limit {
                 out.timed_out |= self.run_projected(out.elapsed) > limit;
             }
         }
+        // Disarm before propagating a failure: an `Err` run must not leave
+        // its deadline on the engine for later `process_update` calls.
         self.eng.set_deadline(None);
         self.run_start = None;
+        res?;
         debug_assert!(
             self.eng.stats.classifier.is_consistent(),
             "classifier verdict counters must add up to total"
         );
         Ok(out)
+    }
+
+    /// The per-update online loop (no inter-update batching).
+    fn run_one_by_one(
+        &mut self,
+        updates: &[Update],
+        out: &mut StreamOutcome,
+        has_observer: bool,
+        observer: &mut dyn StreamObserver,
+    ) -> CsmResult<()> {
+        let want_timing = self.eng.per_update_timing(has_observer);
+        for (i, &u) in updates.iter().enumerate() {
+            if self.deadline_passed() {
+                out.timed_out = true;
+                break;
+            }
+            let t_upd = want_timing.then(Instant::now);
+            let pre = self.eng.stage_snapshot();
+            let r = self.process_update(u)?;
+            let lat = t_upd.map_or(Duration::ZERO, |t| t.elapsed());
+            if self.eng.config().track_latency {
+                self.eng.stats.latency.record(lat);
+            }
+            self.eng.finish_update(
+                u,
+                UpdateObservation {
+                    index: i as u64,
+                    verdict: None,
+                    noop: r.noop,
+                    latency: lat,
+                    positives: r.positives,
+                    negatives: r.negatives,
+                    skipped: false,
+                    span: trace::flight::SpanId::NONE,
+                },
+                pre,
+                observer,
+            );
+            out.positives += r.positives;
+            out.negatives += r.negatives;
+            out.updates_applied += 1;
+            if r.timed_out {
+                out.timed_out = true;
+                break;
+            }
+        }
+        Ok(())
     }
 
     fn deadline_passed(&self) -> bool {
@@ -906,6 +911,36 @@ mod tests {
             .unwrap();
         assert_eq!((a.positives, a.negatives), (b.positives, b.negatives));
         assert_eq!(seen, 3);
+    }
+
+    #[test]
+    fn failed_stream_run_does_not_leak_its_deadline() {
+        // Two hubs sharing 600 neighbours: joining them closes 600 triangles,
+        // enough search nodes for the kernel to probe an armed deadline.
+        let mut g = DataGraph::new();
+        let v: Vec<_> = (0..602).map(|_| g.add_vertex(VLabel(0))).collect();
+        for &x in &v[2..] {
+            g.insert_edge(v[0], x, ELabel(0)).unwrap();
+            g.insert_edge(v[1], x, ELabel(0)).unwrap();
+        }
+        let (_, q, _) = setup();
+        let dead = VertexId(g.vertex_slots() as u32 + 7);
+        let stream: UpdateStream = vec![ins(v[0], dead)].into_iter().collect();
+        let limit = Duration::from_millis(20);
+        for cfg in [
+            ParaCosmConfig::sequential(),
+            ParaCosmConfig::parallel(2).with_batch_size(2),
+        ] {
+            let mut e = ParaCosm::new(g.clone(), q.clone(), Plain, cfg.with_time_limit(limit));
+            assert!(e.process_stream(&stream).is_err());
+            assert_eq!(e.eng.deadline(), None, "deadline outlived the failed run");
+            assert_eq!(e.run_start, None);
+            // Past the failed run's limit, a later update enumerates in full.
+            std::thread::sleep(limit + Duration::from_millis(5));
+            let out = e.process_update(ins(v[0], v[1])).unwrap();
+            assert!(!out.timed_out);
+            assert_eq!(out.positives, 600 * 6);
+        }
     }
 
     #[test]

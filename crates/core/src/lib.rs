@@ -60,7 +60,6 @@
 #![cfg_attr(test, deny(deprecated))]
 
 pub mod algorithm;
-pub mod canonical;
 pub mod config;
 pub mod embedding;
 pub mod engine;
@@ -69,7 +68,6 @@ pub mod framework;
 pub mod inner;
 pub mod inter;
 pub mod kernel;
-pub mod match_store;
 pub mod metrics;
 pub mod model;
 pub mod order;
@@ -77,7 +75,6 @@ pub mod static_match;
 pub mod trace;
 
 pub use algorithm::{AdsCandidates, AdsChange, AlgorithmFactory, CsmAlgorithm};
-pub use canonical::{AutomorphismGroup, CanonicalSink};
 pub use config::ParaCosmConfig;
 pub use embedding::{BufferSink, Embedding, Match, MatchSink, MAX_PATTERN_VERTICES};
 pub use engine::{Engine, FindOutcome, RunStats, SlowUpdate, StageSnapshot};
@@ -86,7 +83,6 @@ pub use framework::{ParaCosm, StreamOutcome, UpdateOutcome};
 pub use inner::{InnerConfig, InnerOutcome, SeedTask, SimOutcome};
 pub use inter::{Classified, ClassifierStats, ProbeMemo, SafeStage};
 pub use kernel::{CandidateFilter, NoFilter, SearchCtx, SearchStats};
-pub use match_store::{MatchStore, StoreError};
 pub use metrics::LatencyHistogram;
 pub use order::{MatchingOrders, SeedOrder};
 pub use static_match::StaticResult;
@@ -102,7 +98,7 @@ pub use trace::window::{
     WINDOW_COUNTER_NAMES,
 };
 pub use trace::{
-    Counter, EventKind, EventRing, Gauge, LocalTrace, MetricsRegistry, MetricsSnapshot,
-    NoopObserver, RunReport, SessionDims, StreamObserver, TraceEvent, TraceLevel, Tracer,
-    UpdateObservation,
+    json_escape, Counter, EventKind, EventRing, Gauge, LocalTrace, MetricsRegistry,
+    MetricsSnapshot, NoopObserver, RunReport, SessionDims, StreamObserver, TraceEvent, TraceLevel,
+    Tracer, UpdateObservation,
 };

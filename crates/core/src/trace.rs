@@ -916,7 +916,11 @@ pub struct RunReport {
     pub profile: Option<profile::cold::QueryProfile>,
 }
 
-fn json_escape(s: &str) -> String {
+/// Escape `s` for embedding inside a JSON string literal (quotes,
+/// backslashes and control characters; the surrounding quotes are the
+/// caller's). Shared by every hand-rolled JSON emitter in the workspace
+/// crates.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {

@@ -68,7 +68,7 @@ pub fn map_slice_with<T: Sync, R: Send>(
 /// Fork-join a set of prepared jobs (one scoped thread each) and return
 /// their results in job order. This is the only spawning primitive
 /// callers outside this module and the inner executor should use — the
-/// project linter (`csm-lint`) confines raw `std::thread::{spawn, scope}`
+/// project linter (`csm-analyze`) confines raw `std::thread::{spawn, scope}`
 /// to `par.rs`/`inner.rs` so every fork-join site stays auditable.
 ///
 /// Jobs may borrow from the caller's stack (including disjoint `&mut`

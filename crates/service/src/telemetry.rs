@@ -35,7 +35,7 @@
 //! merges on read, mirroring the sharded `MetricsRegistry` design.
 //!
 //! This file is the *only* place in the workspace's library crates where
-//! `std::net` may appear (`csm-lint` rule `std-net-confined`): sockets
+//! `std::net` may appear (`csm-analyze` rule `std-net-confined`): sockets
 //! have no business near the matching kernel or the executors.
 
 use crate::queue::AdmissionQueue;
@@ -45,8 +45,8 @@ use csm_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use csm_check::sync::{Mutex, PoisonError};
 use csm_graph::{CardinalityCatalog, ELabel, GraphShard, ShardStats, VLabel};
 use paracosm_core::{
-    CsmError, CsmResult, FlightEvent, FlightRecorder, Profiler, QueryProfile, SpanId, WindowConfig,
-    WindowCounter, WindowRing, NUM_PROFILE_COUNTERS,
+    json_escape, CsmError, CsmResult, FlightEvent, FlightRecorder, Profiler, QueryProfile, SpanId,
+    WindowConfig, WindowCounter, WindowRing, NUM_PROFILE_COUNTERS,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -1100,22 +1100,6 @@ fn escape_label(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render the `/sessions` JSON snapshot (schema documented in DESIGN.md

@@ -5,9 +5,9 @@
 //! (`crates/analyze`): a hand-rolled lexer feeds an HIR-lite item/scope
 //! parser, over which run the atomic-protocol checker (per-field
 //! `(file, field, ordering)` budgets plus declared seqlock protocol
-//! verification), the scope-aware hot-path rules, the confinement rules
-//! ported from the old lexical `csm-lint`, and the cross-artifact drift
-//! passes (telemetry metric names, enum/exporter exhaustiveness).
+//! verification), the scope-aware hot-path rules, the confinement
+//! rules, and the cross-artifact drift passes (telemetry metric names,
+//! enum/exporter exhaustiveness).
 //!
 //! ```text
 //! csm-analyze [ROOT] [--dump | --api-dump] [--json PATH]
@@ -22,5 +22,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    csm_analyze::cli_main("csm-analyze")
+    csm_analyze::cli_main()
 }

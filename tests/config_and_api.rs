@@ -1,11 +1,8 @@
 //! API-surface contracts: builder-produced configurations are always
 //! valid, the [`CsmError::ConfigInvalid`] taxonomy names the offending
-//! field, and [`ParaCosm::run_stream`] is a drop-in replacement for the
-//! deprecated `process_stream_observed` wrapper.
+//! field, and [`ParaCosm::run_stream`] with an observer is a drop-in
+//! replacement for [`ParaCosm::process_stream`].
 
-// The only sanctioned use of the deprecated wrapper is the scoped
-// differential assertion below; everything else in test builds is held to
-// the non-deprecated surface.
 #![deny(deprecated)]
 
 use paracosm::algos::testing;
@@ -82,9 +79,9 @@ proptest! {
     }
 }
 
-/// `run_stream` with a [`NoopObserver`], `process_stream`, and the
-/// deprecated `process_stream_observed` wrapper all produce identical
-/// outcomes and identical final statistics over the same workload.
+/// `run_stream` with a counting observer, `run_stream` with a
+/// [`NoopObserver`], and `process_stream` all produce identical outcomes
+/// and identical final statistics over the same workload.
 #[test]
 fn run_stream_is_a_drop_in_for_the_deprecated_wrapper() {
     for seed in [5u64, 19, 101] {
@@ -114,17 +111,14 @@ fn run_stream_is_a_drop_in_for_the_deprecated_wrapper() {
         }
         let b = observed.run_stream(&stream, &mut Count(&mut seen)).unwrap();
 
-        let mut legacy = mk();
-        #[allow(deprecated)]
-        let c = legacy
-            .process_stream_observed(&stream, &mut NoopObserver)
-            .unwrap();
+        let mut unobserved = mk();
+        let c = unobserved.run_stream(&stream, &mut NoopObserver).unwrap();
 
         assert_eq!((a.positives, a.negatives), (b.positives, b.negatives));
         assert_eq!((a.positives, a.negatives), (c.positives, c.negatives));
         assert_eq!(seen, stream.len() as u64, "observer fires once per update");
         assert_eq!(plain.stats().positives, observed.stats().positives);
-        assert_eq!(plain.stats().negatives, legacy.stats().negatives);
+        assert_eq!(plain.stats().negatives, unobserved.stats().negatives);
         assert!(plain.stats().classifier.is_consistent());
     }
 }

@@ -3,18 +3,11 @@
 //! and a nonzero exit code, and the committed public-API snapshot
 //! (`API.md`) must match what `--api-dump` extracts from the tree.
 //!
-//! `csm-analyze` is the engine; `csm-lint` is a compatibility alias
-//! for the same driver, so both binaries are exercised here (the
-//! scratch-tree tests drive the alias, the artifact/parity tests the
-//! primary name). The analyzer's own fixture corpus lives in
-//! `crates/analyze/tests/fixtures.rs`.
+//! Every test drives the `csm-analyze` binary. The analyzer's own
+//! fixture corpus lives in `crates/analyze/tests/fixtures.rs`.
 
 use std::path::PathBuf;
 use std::process::Command;
-
-fn lint_bin() -> &'static str {
-    env!("CARGO_BIN_EXE_csm-lint")
-}
 
 fn analyze_bin() -> &'static str {
     env!("CARGO_BIN_EXE_csm-analyze")
@@ -22,21 +15,20 @@ fn analyze_bin() -> &'static str {
 
 #[test]
 fn linter_passes_on_the_repo() {
-    let out = Command::new(lint_bin())
+    let out = Command::new(analyze_bin())
         .arg(env!("CARGO_MANIFEST_DIR"))
         .output()
-        .expect("run csm-lint");
+        .expect("run csm-analyze");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         out.status.success(),
-        "csm-lint reported violations on the tree:\n{stdout}{stderr}"
+        "csm-analyze reported violations on the tree:\n{stdout}{stderr}"
     );
 }
 
-/// The primary binary must also pass on the tree, and its `--json`
-/// artifact (what CI uploads) must be well-formed and agree with the
-/// exit status.
+/// The `--json` artifact (what CI uploads) must be well-formed and
+/// agree with the exit status.
 #[test]
 fn analyzer_passes_and_writes_json_artifact() {
     let artifact = scratch_dir("json").with_extension("json");
@@ -61,28 +53,6 @@ fn analyzer_passes_and_writes_json_artifact() {
     std::fs::remove_file(&artifact).ok();
 }
 
-/// Both binary names are the same engine: their API dumps must be
-/// byte-identical.
-#[test]
-fn lint_alias_matches_analyzer_api_dump() {
-    let a = Command::new(analyze_bin())
-        .arg("--api-dump")
-        .arg(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .expect("run csm-analyze --api-dump");
-    let b = Command::new(lint_bin())
-        .arg("--api-dump")
-        .arg(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .expect("run csm-lint --api-dump");
-    assert!(a.status.success() && b.status.success());
-    assert_eq!(
-        String::from_utf8_lossy(&a.stdout),
-        String::from_utf8_lossy(&b.stdout),
-        "csm-lint must stay a byte-identical alias of csm-analyze"
-    );
-}
-
 /// Build a throwaway `crates/` tree containing one seeded violation and
 /// check the linter rejects it, pointing at the offending file and line.
 #[test]
@@ -100,14 +70,14 @@ fn linter_fails_on_seeded_seqcst_violation() {
     )
     .expect("write seeded violation");
 
-    let out = Command::new(lint_bin())
+    let out = Command::new(analyze_bin())
         .arg(&root)
         .output()
-        .expect("run csm-lint");
+        .expect("run csm-analyze");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         !out.status.success(),
-        "csm-lint accepted a seeded SeqCst violation:\n{stdout}"
+        "csm-analyze accepted a seeded SeqCst violation:\n{stdout}"
     );
     assert!(
         stdout.contains("crates/foo/src/lib.rs:4: [seqcst-denied]"),
@@ -134,10 +104,10 @@ fn linter_scrubs_comments_and_checks_forbid_unsafe() {
     )
     .expect("write scratch crate");
 
-    let out = Command::new(lint_bin())
+    let out = Command::new(analyze_bin())
         .arg(&root)
         .output()
-        .expect("run csm-lint");
+        .expect("run csm-analyze");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         !out.status.success(),
@@ -181,14 +151,14 @@ fn linter_fails_on_seeded_std_net_violation() {
     )
     .expect("write telemetry scratch");
 
-    let out = Command::new(lint_bin())
+    let out = Command::new(analyze_bin())
         .arg(&root)
         .output()
-        .expect("run csm-lint");
+        .expect("run csm-analyze");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         !out.status.success(),
-        "csm-lint accepted a seeded std::net violation:\n{stdout}"
+        "csm-analyze accepted a seeded std::net violation:\n{stdout}"
     );
     assert!(
         stdout.contains("crates/foo/src/lib.rs:2: [std-net-confined]"),
@@ -237,14 +207,14 @@ fn linter_fails_on_seeded_subpattern_key_violation() {
         .expect("write sanctioned scratch");
     }
 
-    let out = Command::new(lint_bin())
+    let out = Command::new(analyze_bin())
         .arg(&root)
         .output()
-        .expect("run csm-lint");
+        .expect("run csm-analyze");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         !out.status.success(),
-        "csm-lint accepted a seeded sub-pattern key violation:\n{stdout}"
+        "csm-analyze accepted a seeded sub-pattern key violation:\n{stdout}"
     );
     assert!(
         stdout.contains("crates/foo/src/lib.rs:3: [subpattern-key-confined]"),
@@ -301,14 +271,14 @@ fn linter_fails_on_seeded_flight_hot_path_violation() {
     )
     .expect("write seeded confinement violation");
 
-    let out = Command::new(lint_bin())
+    let out = Command::new(analyze_bin())
         .arg(&root)
         .output()
-        .expect("run csm-lint");
+        .expect("run csm-analyze");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         !out.status.success(),
-        "csm-lint accepted seeded flight-hot-path violations:\n{stdout}"
+        "csm-analyze accepted seeded flight-hot-path violations:\n{stdout}"
     );
     assert!(
         stdout.contains("crates/core/src/trace/flight.rs:2: [flight-hot-path]"),
@@ -331,14 +301,14 @@ fn linter_fails_on_seeded_flight_hot_path_violation() {
 /// without regenerating the snapshot is surface drift and fails here.
 #[test]
 fn api_snapshot_is_current() {
-    let out = Command::new(lint_bin())
+    let out = Command::new(analyze_bin())
         .arg("--api-dump")
         .arg(env!("CARGO_MANIFEST_DIR"))
         .output()
-        .expect("run csm-lint --api-dump");
+        .expect("run csm-analyze --api-dump");
     assert!(
         out.status.success(),
-        "csm-lint --api-dump failed:\n{}",
+        "csm-analyze --api-dump failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let current = String::from_utf8(out.stdout).expect("utf-8 dump");
@@ -373,7 +343,7 @@ fn api_snapshot_is_current() {
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("csm-lint-gate-{tag}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("csm-analyze-gate-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     dir
 }
