@@ -12,11 +12,7 @@
 //! * `profile-hot-path` — the profiler's frame/absorb half
 //!   (`trace/profile.rs`) is allocation-free by the same contract
 //!   (`ProfileFrame::add` runs per extension attempt; exporters live in
-//!   `trace/profile/cold.rs`, which is exempt by path), and the
-//!   cardinality catalog's touch protocol (`begin_touch`/`commit_touch`)
-//!   may only be named in `catalog.rs` and the service apply path — a
-//!   third caller could interleave brackets and silently corrupt the
-//!   delta bookkeeping.
+//!   `trace/profile/cold.rs`, which is exempt by path).
 //!
 //! All of these run on tokens, so patterns inside strings, comments, or
 //! doc examples can never fire — the false-positive class the lexical
@@ -32,11 +28,6 @@ const FLIGHT_HOT_FILE: &str = "crates/core/src/trace/flight.rs";
 const FLIGHT_RING_DIR: &str = "crates/core/src/trace/";
 const FLIGHT_RING_TYPES: [&str; 2] = ["FlightShard", "FlightSlot"];
 const PROFILE_HOT_FILE: &str = "crates/core/src/trace/profile.rs";
-const TOUCH_ALLOWED: [&str; 2] = [
-    "crates/graph/src/catalog.rs",
-    "crates/service/src/service.rs",
-];
-const TOUCH_FNS: [&str; 2] = ["begin_touch", "commit_touch"];
 
 pub fn run(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
     for file in files {
@@ -86,29 +77,6 @@ pub fn run(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
                             ),
                         ));
                     }
-                }
-            }
-        }
-
-        if !TOUCH_ALLOWED.contains(&rel) {
-            for (i, t) in toks.iter().enumerate() {
-                if file.is_test_tok(i) || t.kind != TokKind::Ident {
-                    continue;
-                }
-                if TOUCH_FNS.contains(&t.text.as_str()) {
-                    diags.push(Diagnostic::new(
-                        rel,
-                        t.line,
-                        "profile-hot-path",
-                        format!(
-                            "{} outside catalog.rs/service.rs — the catalog's \
-                             touch bracket has exactly two authors; a third \
-                             caller can interleave begin/commit and corrupt \
-                             the deltas ({})",
-                            t.text,
-                            file.snippet(t.line)
-                        ),
-                    ));
                 }
             }
         }

@@ -87,8 +87,7 @@ pub struct ParaCosmConfig {
     pub window: Option<WindowConfig>,
     /// Query-profiler level (see [`crate::trace::profile`]): `Off` (the
     /// default) costs one branch per instrumentation site; `Counters`
-    /// attributes enumeration cost per (query edge, order depth); `Full`
-    /// additionally keeps the serving layer's cardinality catalog live.
+    /// attributes enumeration cost per (query edge, order depth).
     pub profile: ProfileLevel,
 }
 

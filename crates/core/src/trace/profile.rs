@@ -45,19 +45,14 @@ pub enum ProfileLevel {
     Off,
     /// Per-(order, depth) frame counters are live.
     Counters,
-    /// Counters plus the live cardinality catalog on the apply path
-    /// (maintained by the serving layer; see `csm_graph::catalog`).
-    Full,
 }
 
 impl ProfileLevel {
-    /// Parse `off|counters|on` (CLI surface; `full` is accepted as an
-    /// alias for `on`).
+    /// Parse `off|counters` (CLI surface).
     pub fn parse(s: &str) -> Option<ProfileLevel> {
         match s {
             "off" => Some(ProfileLevel::Off),
             "counters" => Some(ProfileLevel::Counters),
-            "on" | "full" => Some(ProfileLevel::Full),
             _ => None,
         }
     }
@@ -67,7 +62,6 @@ impl ProfileLevel {
         match self {
             ProfileLevel::Off => "off",
             ProfileLevel::Counters => "counters",
-            ProfileLevel::Full => "on",
         }
     }
 }
@@ -125,8 +119,8 @@ pub fn profile_counter_from_index(i: usize) -> ProfileCounter {
 }
 
 /// One backward constraint of an order position: `(source query vertex,
-/// source vertex label, edge label)` — enough for a cardinality catalog
-/// to estimate the expected candidate count without the query graph.
+/// source vertex label, edge label)` — enough for an EXPLAIN reader to
+/// see which mapped neighbors constrain a depth without the query graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BackwardMeta {
     /// Already-matched query vertex whose image constrains this depth.
@@ -378,7 +372,7 @@ mod tests {
 
     #[test]
     fn two_frames_merge_like_local_traces() {
-        let p = triangle_profiler(ProfileLevel::Full);
+        let p = triangle_profiler(ProfileLevel::Counters);
         let a = p.frame().unwrap();
         let b = p.frame().unwrap();
         a.set_order(0);
@@ -417,9 +411,12 @@ mod tests {
             ProfileLevel::parse("counters"),
             Some(ProfileLevel::Counters)
         );
-        assert_eq!(ProfileLevel::parse("on"), Some(ProfileLevel::Full));
-        assert_eq!(ProfileLevel::parse("full"), Some(ProfileLevel::Full));
+        // Retired spellings fail loudly rather than change meaning.
+        assert_eq!(ProfileLevel::parse("on"), None);
+        assert_eq!(ProfileLevel::parse("full"), None);
         assert_eq!(ProfileLevel::parse("bogus"), None);
-        assert_eq!(ProfileLevel::Full.name(), "on");
+        for l in [ProfileLevel::Off, ProfileLevel::Counters] {
+            assert_eq!(ProfileLevel::parse(l.name()), Some(l));
+        }
     }
 }

@@ -87,7 +87,6 @@ impl ProfileShared {
                             vlabel: m.depths[d].vlabel,
                             backward: m.depths[d].backward.clone(),
                             counters,
-                            estimate: None,
                         }
                     })
                     .collect();
@@ -116,13 +115,11 @@ pub struct DepthProfile {
     /// Its vertex label.
     pub vlabel: u32,
     /// Backward constraints of this depth (static metadata, carried so
-    /// catalog estimators need nothing but the profile itself).
+    /// an EXPLAIN reads which mapped neighbors constrain the depth
+    /// without the query graph).
     pub backward: Vec<BackwardMeta>,
     /// Counter values, indexed by [`ProfileCounter`] discriminant.
     pub counters: [u64; NUM_PROFILE_COUNTERS],
-    /// Catalog-estimated candidate cardinality for this depth, if an
-    /// estimator was applied ([`QueryProfile::apply_estimates`]).
-    pub estimate: Option<f64>,
 }
 
 impl DepthProfile {
@@ -133,8 +130,8 @@ impl DepthProfile {
     }
 
     /// Mean candidates emitted per invocation — the observed
-    /// cardinality the catalog estimate is judged against. `None`
-    /// before the depth has ever been entered.
+    /// cardinality of this depth. `None` before the depth has ever been
+    /// entered.
     pub fn observed_card(&self) -> Option<f64> {
         let inv = self.get(ProfileCounter::Invocations);
         if inv == 0 {
@@ -229,18 +226,6 @@ impl QueryProfile {
         self.ranked().into_iter().find(|o| o.cost() > 0)
     }
 
-    /// Attach catalog estimates: `f` sees each depth profile (labels +
-    /// backward structure) and returns the estimated candidate
-    /// cardinality. Keeps `paracosm_core` decoupled from whichever
-    /// graph-side catalog produces the numbers.
-    pub fn apply_estimates<F: FnMut(&DepthProfile) -> Option<f64>>(&mut self, mut f: F) {
-        for o in &mut self.orders {
-            for d in &mut o.depths {
-                d.estimate = f(d);
-            }
-        }
-    }
-
     /// Full profile as JSON (the `/profile` document body per session).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
@@ -266,7 +251,8 @@ impl QueryProfile {
     }
 
     /// EXPLAIN document: oriented query edges ranked by attributed
-    /// cost, each with its per-depth estimate-vs-observed table. Used
+    /// cost, each with its per-depth counter and observed-cardinality
+    /// table. Used
     /// by `/debug/explain/<session>` and `paracosm-cli explain`.
     pub fn explain_json(&self) -> String {
         let total = self.total_cost().max(1);
@@ -350,10 +336,6 @@ fn push_depth_json(s: &mut String, d: &DepthProfile) {
         Some(c) if c.is_finite() => s.push_str(&format!(",\"observed_card\":{c:.4}")),
         _ => s.push_str(",\"observed_card\":null"),
     }
-    match d.estimate {
-        Some(e) if e.is_finite() => s.push_str(&format!(",\"estimate\":{e:.4}")),
-        _ => s.push_str(",\"estimate\":null"),
-    }
     s.push('}');
 }
 
@@ -382,7 +364,7 @@ mod tests {
     use csm_graph::{ELabel, VLabel};
 
     fn path_profiler() -> Profiler {
-        // u0 -a- u1 -b- u2, distinct labels so estimates are testable.
+        // u0 -a- u1 -b- u2, distinct labels.
         let mut q = QueryGraph::new();
         let u: Vec<_> = (0..3).map(|i| q.add_vertex(VLabel(i))).collect();
         q.add_edge(u[0], u[1], ELabel(1)).unwrap();
@@ -426,23 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn estimates_attach_via_closure() {
-        let p = path_profiler();
-        let mut snap = p.snapshot().unwrap();
-        snap.apply_estimates(|d| {
-            if d.backward.is_empty() {
-                None
-            } else {
-                Some(d.backward.len() as f64 * 2.0)
-            }
-        });
-        for o in &snap.orders {
-            assert_eq!(o.depths[0].estimate, None);
-            assert_eq!(o.depths[1].estimate, Some(2.0));
-        }
-    }
-
-    #[test]
     fn json_exports_are_well_formed() {
         let p = path_profiler();
         let f = p.frame().unwrap();
@@ -450,14 +415,12 @@ mod tests {
         f.add(1, ProfileCounter::GallopSteps, 9);
         f.add(1, ProfileCounter::Invocations, 3);
         drop(f);
-        let mut snap = p.snapshot().unwrap();
-        snap.apply_estimates(|_| Some(1.5));
+        let snap = p.snapshot().unwrap();
 
         let full = snap.to_json();
         assert!(full.starts_with("{\"level\":\"counters\""));
         assert!(full.contains("\"totals\":{\"slice_width\":0"));
         assert!(full.contains("\"gallop_steps\":9"));
-        assert!(full.contains("\"estimate\":1.5000"));
         assert_eq!(
             full.matches("{\"index\":").count(),
             snap.orders.len(),

@@ -912,30 +912,6 @@ impl<R: Route> Graph<R> {
         self.list(v).map_or(0, AdjList::len)
     }
 
-    /// `v`'s partition index as `(neighbor label, edge label, run length)`
-    /// triples, in key order. `O(#groups)` — read straight off the
-    /// adjacency partition, no per-neighbor work. This is the catalog
-    /// maintenance primitive: one vertex's entire contribution to the
-    /// label-triple and two-path counts is a fold over these groups
-    /// ([`crate::catalog::CardinalityCatalog`]).
-    pub fn neighbor_groups(
-        &self,
-        v: VertexId,
-    ) -> impl Iterator<Item = (VLabel, ELabel, usize)> + '_ {
-        let list = self.list(v);
-        let n_groups = list.map_or(0, |l| l.groups.len());
-        (0..n_groups).filter_map(move |gi| {
-            let l = list?;
-            let (key, s) = l.groups[gi];
-            let e = l.group_end(gi);
-            Some((
-                VLabel((key >> 32) as u32),
-                ELabel(key as u32),
-                e - s as usize,
-            ))
-        })
-    }
-
     /// Vertex label of `v`. Panics in debug builds on dead vertices.
     #[inline]
     pub fn label(&self, v: VertexId) -> VLabel {
@@ -1223,10 +1199,6 @@ impl<R: Route> GraphShard for Graph<R> {
     #[inline]
     fn has_edge_with(&self, v: VertexId, n: VertexId, el: ELabel) -> bool {
         Graph::has_edge_with(self, v, n, el)
-    }
-    #[inline]
-    fn neighbor_groups(&self, v: VertexId) -> impl Iterator<Item = (VLabel, ELabel, usize)> + '_ {
-        Graph::neighbor_groups(self, v)
     }
     fn add_vertex(&mut self, label: VLabel) -> VertexId {
         Graph::add_vertex(self, label)

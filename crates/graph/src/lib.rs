@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod catalog;
 pub mod error;
 pub mod graph;
 pub mod ids;
@@ -33,7 +32,6 @@ pub mod shard;
 pub mod stats;
 pub mod update;
 
-pub use catalog::CardinalityCatalog;
 pub use error::{GraphError, Result};
 pub use graph::{DataGraph, Graph, Mono, Route};
 pub use ids::{ELabel, QVertexId, VLabel, VertexId};

@@ -65,11 +65,6 @@ pub trait GraphShard: Send + Sync {
     fn edge_label(&self, a: VertexId, b: VertexId) -> Option<ELabel>;
     /// Does `{v, n}` exist with elabel exactly `el`?
     fn has_edge_with(&self, v: VertexId, n: VertexId, el: ELabel) -> bool;
-    /// `v`'s adjacency partition as `(neighbor label, edge label, run
-    /// length)` triples in key order — `O(#groups)`, the cardinality
-    /// catalog's maintenance primitive
-    /// ([`crate::catalog::CardinalityCatalog`]).
-    fn neighbor_groups(&self, v: VertexId) -> impl Iterator<Item = (VLabel, ELabel, usize)> + '_;
 
     /// Count of neighbors of `v` with label `vl` (and elabel `el`, unless
     /// `None`).

@@ -20,22 +20,14 @@ use crate::queue::{AdmissionQueue, Backpressure, IngestHandle};
 use crate::session::{Session, SessionFind, SessionSpec};
 use crate::shared::{SharedIndex, SharedIndexStats};
 use crate::telemetry::{ServiceTelemetry, TelemetryConfig, TelemetryHandle};
-use csm_check::sync::{Mutex, PoisonError};
-use csm_graph::{
-    CardinalityCatalog, DataGraph, EdgeUpdate, GraphShard, ShardStats, Update, VertexId,
-};
+use csm_graph::{DataGraph, EdgeUpdate, GraphShard, ShardStats, Update, VertexId};
 use paracosm_core::{
     Classified, CsmAlgorithm, CsmError, CsmResult, FanKind, FlightConfig, FlightRecorder,
-    FlightStage, ProfileLevel, RunReport, SafeStage, SpanId, StageSnapshot, StreamObserver,
-    UpdateObservation,
+    FlightStage, RunReport, SafeStage, SpanId, StageSnapshot, StreamObserver, UpdateObservation,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn lock<T>(m: &Mutex<T>) -> csm_check::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Construction parameters for a [`CsmService`].
 #[derive(Clone, Copy, Debug)]
@@ -155,12 +147,6 @@ pub struct CsmService<G: GraphShard = DataGraph> {
     telemetry: Option<ServiceTelemetry>,
     shared: Option<SharedIndex>,
     flight: Arc<FlightRecorder>,
-    /// Live cardinality catalog of the profiler plane. `None` until the
-    /// first `ProfileLevel::Full` session registers; from then on it is
-    /// maintained incrementally on every apply-path mutation (the touch
-    /// protocol documented in [`csm_graph::catalog`]) and shared with the
-    /// telemetry plane for `/profile` and `/debug/explain` estimates.
-    catalog: Option<Arc<Mutex<CardinalityCatalog>>>,
 }
 
 impl<G: GraphShard> CsmService<G> {
@@ -185,7 +171,6 @@ impl<G: GraphShard> CsmService<G> {
             flight: Arc::new(FlightRecorder::new(FlightConfig::with_capacity(
                 cfg.flight_capacity,
             ))),
-            catalog: None,
         })
     }
 
@@ -212,9 +197,6 @@ impl<G: GraphShard> CsmService<G> {
             ServiceTelemetry::start(cfg, Arc::clone(&self.queue), Arc::clone(&self.flight))?;
         for s in self.sessions.iter_mut() {
             t.register_session(s);
-        }
-        if let Some(cat) = &self.catalog {
-            t.set_catalog(Arc::clone(cat));
         }
         let handle = t.handle();
         self.telemetry = Some(t);
@@ -250,15 +232,6 @@ impl<G: GraphShard> CsmService<G> {
         }
         let id = self.next_id;
         let mut session = Session::new(id, spec, algo, observer, &self.g)?;
-        if session.eng.profiler().level() == ProfileLevel::Full && self.catalog.is_none() {
-            let mut cat = CardinalityCatalog::new();
-            cat.rebuild(&self.g);
-            let cat = Arc::new(Mutex::new(cat));
-            if let Some(t) = &mut self.telemetry {
-                t.set_catalog(Arc::clone(&cat));
-            }
-            self.catalog = Some(cat);
-        }
         if let Some(t) = &mut self.telemetry {
             t.register_session(&mut session);
         }
@@ -324,35 +297,6 @@ impl<G: GraphShard> CsmService<G> {
     /// The shared data graph (current state).
     pub fn graph(&self) -> &G {
         &self.g
-    }
-
-    /// A point-in-time copy of the live cardinality catalog (`None`
-    /// until a `ProfileLevel::Full` session has registered). The
-    /// differential tests compare this against a from-scratch
-    /// [`CardinalityCatalog::rebuild`] oracle.
-    pub fn catalog_snapshot(&self) -> Option<CardinalityCatalog> {
-        self.catalog.as_ref().map(|c| lock(c).clone())
-    }
-
-    /// Retire both endpoint contributions of one edge op (profiler
-    /// catalog; one branch when no `Full` session is registered).
-    #[inline]
-    fn catalog_begin_edge(&self, src: VertexId, dst: VertexId) {
-        if let Some(cat) = &self.catalog {
-            let mut c = lock(cat);
-            c.begin_touch(&self.g, src);
-            c.begin_touch(&self.g, dst);
-        }
-    }
-
-    /// Re-admit both endpoint contributions after the edge op applied.
-    #[inline]
-    fn catalog_commit_edge(&self, src: VertexId, dst: VertexId) {
-        if let Some(cat) = &self.catalog {
-            let mut c = lock(cat);
-            c.commit_touch(&self.g, src);
-            c.commit_touch(&self.g, dst);
-        }
     }
 
     /// The admission queue (inspection: length, counters, policy).
@@ -493,31 +437,6 @@ impl<G: GraphShard> CsmService<G> {
             return;
         }
         let mut changed = Vec::with_capacity(ops.len());
-        // The catalog's touch protocol is order-independent, so one
-        // deduplicated endpoint set brackets the whole multi-writer
-        // batch: retire every touched contribution, apply in any order,
-        // re-admit every survivor.
-        let cat_touched: Vec<VertexId> = if self.catalog.is_some() && !ops.is_empty() {
-            let mut seen: HashSet<VertexId> = HashSet::with_capacity(ops.len() * 2);
-            let mut vs = Vec::with_capacity(ops.len() * 2);
-            for &(e, _) in ops.iter() {
-                if seen.insert(e.src) {
-                    vs.push(e.src);
-                }
-                if seen.insert(e.dst) {
-                    vs.push(e.dst);
-                }
-            }
-            if let Some(cat) = &self.catalog {
-                let mut c = lock(cat);
-                for &v in &vs {
-                    c.begin_touch(&self.g, v);
-                }
-            }
-            vs
-        } else {
-            Vec::new()
-        };
         let apply = if ops.is_empty() {
             Duration::ZERO
         } else {
@@ -551,12 +470,6 @@ impl<G: GraphShard> CsmService<G> {
             // run's.
             dt / ops.len() as u32
         };
-        if let Some(cat) = &self.catalog {
-            let mut c = lock(cat);
-            for &v in &cat_touched {
-                c.commit_touch(&self.g, v);
-            }
-        }
         for entry in run.drain(..) {
             let idx = self.update_idx;
             self.update_idx += 1;
@@ -739,13 +652,6 @@ impl<G: GraphShard> CsmService<G> {
                 self.g.ensure_vertex(id, label);
                 self.flight.end(0, span, FlightStage::Apply, 0);
                 let apply = t0.elapsed();
-                if grew {
-                    // A fresh (or revived) vertex has no adjacency yet, so
-                    // its whole catalog contribution is the label count.
-                    if let Some(cat) = &self.catalog {
-                        lock(cat).vertex_added(label);
-                    }
-                }
                 if !grew {
                     self.noops += 1;
                 }
@@ -797,17 +703,6 @@ impl<G: GraphShard> CsmService<G> {
                     .iter()
                     .map(|&(v, l)| EdgeUpdate::new(id, v, l))
                     .collect();
-                // Catalog touch set for a cascading delete is `v ∪ N(v)`,
-                // retired before the first cascaded removal mutates the
-                // graph; the victim's own contribution is never re-added.
-                let vlabel = self.g.label(id);
-                if let Some(cat) = &self.catalog {
-                    let mut c = lock(cat);
-                    c.begin_touch(&self.g, id);
-                    for e in incident.iter() {
-                        c.begin_touch(&self.g, e.dst);
-                    }
-                }
                 let mut acc = vec![VertexAcc::default(); self.sessions.len()];
                 self.flight
                     .begin(0, span, FlightStage::Classify, incident.len() as u64);
@@ -820,13 +715,6 @@ impl<G: GraphShard> CsmService<G> {
                 self.g.delete_vertex(id, false)?;
                 self.flight.end(0, span, FlightStage::Apply, 0);
                 let apply = t0.elapsed();
-                if let Some(cat) = &self.catalog {
-                    let mut c = lock(cat);
-                    c.vertex_removed(vlabel);
-                    for e in incident.iter() {
-                        c.commit_touch(&self.g, e.dst);
-                    }
-                }
                 let g = &self.g;
                 for (s, a) in self.sessions.iter_mut().zip(acc) {
                     self.flight
@@ -958,7 +846,6 @@ impl<G: GraphShard> CsmService<G> {
             // Apply args carry the owning shard of each endpoint (both 0
             // on monolithic backends), so flight forensics can attribute
             // single-update applies to shards.
-            self.catalog_begin_edge(e.src, e.dst);
             let t0 = Instant::now();
             self.flight
                 .begin(0, span, FlightStage::Apply, self.g.shard_of(e.src) as u64);
@@ -966,7 +853,6 @@ impl<G: GraphShard> CsmService<G> {
             self.flight
                 .end(0, span, FlightStage::Apply, self.g.shard_of(e.dst) as u64);
             let apply = t0.elapsed();
-            self.catalog_commit_edge(e.src, e.dst);
             let g = &self.g;
             let shared_on = self.shared.is_some();
             let mut agg = 0u64;
@@ -1178,7 +1064,6 @@ impl<G: GraphShard> CsmService<G> {
                 pres.push((pre, dt, stage, fan_kind, metered));
             }
             self.flight.end(0, span, FlightStage::Classify, 0);
-            self.catalog_begin_edge(e.src, e.dst);
             let t0 = Instant::now();
             self.flight
                 .begin(0, span, FlightStage::Apply, self.g.shard_of(e.src) as u64);
@@ -1186,7 +1071,6 @@ impl<G: GraphShard> CsmService<G> {
             self.flight
                 .end(0, span, FlightStage::Apply, self.g.shard_of(e.dst) as u64);
             let apply = t0.elapsed();
-            self.catalog_commit_edge(e.src, e.dst);
             let g = &self.g;
             let mut agg = 0u64;
             for (s, (pre, dt, stage, fan_kind, metered)) in self.sessions.iter_mut().zip(pres) {

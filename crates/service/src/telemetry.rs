@@ -43,7 +43,7 @@ use crate::session::{DegradeLevel, Session};
 use crate::shared::SharedIndexStats;
 use csm_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use csm_check::sync::{Mutex, PoisonError};
-use csm_graph::{CardinalityCatalog, ELabel, GraphShard, ShardStats, VLabel};
+use csm_graph::{GraphShard, ShardStats};
 use paracosm_core::{
     json_escape, CsmError, CsmResult, FlightEvent, FlightRecorder, Profiler, QueryProfile, SpanId,
     WindowConfig, WindowCounter, WindowRing, NUM_PROFILE_COUNTERS,
@@ -268,10 +268,6 @@ struct TelemetryShared {
     /// Per-shard occupancy/applier mirror (one entry on monolithic
     /// backends), refreshed by the owner thread after every update.
     shards: Mutex<Vec<ShardStats>>,
-    /// The service's live cardinality catalog (`None` until a
-    /// `ProfileLevel::Full` session registers) — estimate source for
-    /// `/profile` and `/debug/explain`.
-    catalog: Mutex<Option<Arc<Mutex<CardinalityCatalog>>>>,
     stalled: AtomicBool,
     stalls_total: AtomicU64,
     diagnostics: Mutex<Vec<StallDiagnostic>>,
@@ -431,7 +427,6 @@ impl ServiceTelemetry {
             shared_hits: AtomicU64::new(0),
             shared_misses: AtomicU64::new(0),
             shards: Mutex::new(Vec::new()),
-            catalog: Mutex::new(None),
             stalled: AtomicBool::new(false),
             stalls_total: AtomicU64::new(0),
             diagnostics: Mutex::new(Vec::new()),
@@ -489,14 +484,6 @@ impl ServiceTelemetry {
         });
         self.mirror.push(Arc::clone(&st_entry));
         lock(&self.shared.sessions).push(st_entry);
-    }
-
-    /// Hand the scrape side the service's live cardinality catalog so
-    /// `/profile` and `/debug/explain` can attach estimates. Called by
-    /// the owner thread when the first `Full`-profiled session registers
-    /// (in either order relative to `start_telemetry`).
-    pub(crate) fn set_catalog(&self, cat: Arc<Mutex<CardinalityCatalog>>) {
-        *lock(&self.shared.catalog) = Some(cat);
     }
 
     /// Drop a removed session from the registry (its final report already
@@ -1002,43 +989,16 @@ const PROFILE_FAMILIES: [&str; NUM_PROFILE_COUNTERS] = [
     "paracosm_profile_invocations",
 ];
 
-/// Attach catalog estimates to a profile snapshot: each depth's expected
-/// candidate cardinality from its backward-arm labels (see
-/// [`CardinalityCatalog::estimate_extension`]).
-fn apply_catalog_estimates(p: &mut QueryProfile, cat: &Mutex<CardinalityCatalog>) {
-    let c = lock(cat);
-    p.apply_estimates(|d| {
-        let arms: Vec<(VLabel, ELabel)> = d
-            .backward
-            .iter()
-            .map(|b| (VLabel(b.src_vlabel), ELabel(b.elabel)))
-            .collect();
-        Some(c.estimate_extension(&arms, VLabel(d.vlabel)))
-    });
-}
-
-/// Render the `/profile` JSON aggregate: catalog shape plus one
-/// [`QueryProfile`] document per session (`null` for unprofiled
-/// sessions). Totals reconcile exactly with the shutdown
-/// `ServiceReport`'s per-session `profile` blocks — both read the same
-/// grid (schema documented in DESIGN.md §3.15; `schema_version` 1).
+/// Render the `/profile` JSON aggregate: one [`QueryProfile`] document
+/// per session (`null` for unprofiled sessions). Totals reconcile
+/// exactly with the shutdown `ServiceReport`'s per-session `profile`
+/// blocks — both read the same grid (schema documented in DESIGN.md
+/// §3.15; `schema_version` 1).
 fn render_profile_json(shared: &TelemetryShared) -> String {
     let sessions = lock(&shared.sessions).clone();
-    let catalog = lock(&shared.catalog).clone();
     let mut o = String::with_capacity(1024);
     o.push_str("{\"schema_version\":1");
     o.push_str(&format!(",\"uptime_ns\":{}", shared.now_ns()));
-    match &catalog {
-        Some(cat) => {
-            let c = lock(cat);
-            o.push_str(&format!(
-                ",\"catalog\":{{\"triples\":{},\"two_paths\":{}}}",
-                c.num_triples(),
-                c.num_two_paths()
-            ));
-        }
-        None => o.push_str(",\"catalog\":null"),
-    }
     o.push_str(",\"sessions\":[");
     for (i, s) in sessions.iter().enumerate() {
         if i > 0 {
@@ -1051,12 +1011,7 @@ fn render_profile_json(shared: &TelemetryShared) -> String {
             s.profiler.level().name()
         ));
         match s.profiler.snapshot() {
-            Some(mut p) => {
-                if let Some(cat) = &catalog {
-                    apply_catalog_estimates(&mut p, cat);
-                }
-                o.push_str(&p.to_json());
-            }
+            Some(p) => o.push_str(&p.to_json()),
             None => o.push_str("null"),
         }
         o.push('}');
@@ -1067,7 +1022,7 @@ fn render_profile_json(shared: &TelemetryShared) -> String {
 
 /// Render the `/debug/explain/<session>` EXPLAIN document: the session's
 /// oriented query edges ranked by attributed enumeration cost, each depth
-/// carrying catalog-estimated vs observed cardinality side by side.
+/// carrying its observed cardinality and kernel counters.
 /// `None` when no session has that id (schema documented in DESIGN.md
 /// §3.15; `schema_version` 1).
 fn render_explain_json(shared: &TelemetryShared, id: u64) -> Option<String> {
@@ -1075,7 +1030,6 @@ fn render_explain_json(shared: &TelemetryShared, id: u64) -> Option<String> {
         .iter()
         .find(|s| s.id == id)
         .cloned()?;
-    let catalog = lock(&shared.catalog).clone();
     let mut o = String::with_capacity(1024);
     o.push_str(&format!(
         "{{\"schema_version\":1,\"session\":{},\"label\":\"{}\",\"level\":\"{}\",\"explain\":",
@@ -1084,12 +1038,7 @@ fn render_explain_json(shared: &TelemetryShared, id: u64) -> Option<String> {
         s.profiler.level().name()
     ));
     match s.profiler.snapshot() {
-        Some(mut p) => {
-            if let Some(cat) = &catalog {
-                apply_catalog_estimates(&mut p, cat);
-            }
-            o.push_str(&p.explain_json());
-        }
+        Some(p) => o.push_str(&p.explain_json()),
         None => o.push_str("null"),
     }
     o.push('}');

@@ -15,16 +15,15 @@
 //!   --trace-out PATH   write a Chrome/Perfetto trace JSON (implies --trace full)
 //!   --report-json PATH write a machine-readable run report (implies counters)
 //!   --slow-k N         capture the N slowest updates in the report
-//!   --profile LEVEL    off|counters|on — per-(order, depth) enumeration
+//!   --profile LEVEL    off|counters — per-(order, depth) enumeration
 //!                      profiler (the report's "profile" block)
 //!   --quiet            suppress the end-of-run latency/verdict summary
 //!
 //! paracosm-cli explain --graph G.txt --query Q.txt --stream S.txt [options]
 //!
-//!   Replays the stream with the profiler at level `on`, rebuilds the
-//!   cardinality catalog over the final graph, and prints the query's
-//!   oriented seed edges ranked by attributed enumeration cost — each
-//!   depth showing catalog-estimated vs observed candidate cardinality.
+//!   Replays the stream with the profiler at level `counters` and prints
+//!   the query's oriented seed edges ranked by attributed enumeration
+//!   cost — each depth showing its observed candidate cardinality.
 //!
 //!   --algo NAME        graphflow|turboflux|symbi|calig|newsp   (default: symbi)
 //!   --threads N        worker threads (1 = sequential)         (default: all cores)
@@ -48,10 +47,10 @@
 //!                      telemetry endpoint up) for N ms before shutdown
 //!   --shards N         partition the data graph into N hash shards and
 //!                      run the multi-writer batched drain (default: 1 =
-//!                      monolithic; per-session ΔM is identical)
-//!   --profile LEVEL    off|counters|on — per-session enumeration profiler;
-//!                      `on` additionally maintains the live cardinality
-//!                      catalog and serves GET /profile and
+//!                      monolithic; per-session ΔM is identical; 0 is
+//!                      rejected)
+//!   --profile LEVEL    off|counters — per-session enumeration profiler;
+//!                      `counters` also serves GET /profile and
 //!                      GET /debug/explain/<session>      (default: off)
 //!   --shared-index on|off  cross-session shared-work index (default: on)
 //!   --flight-capacity N  flight-recorder events retained per shard
@@ -72,7 +71,7 @@ fn usage() -> ! {
          [--algo name] [--threads N] [--batch N] [--no-inter] \
          [--timeout-ms N] [--initial] [--per-update] [--trace off|counters|full] \
          [--trace-out PATH] [--report-json PATH] [--slow-k N] \
-         [--profile off|counters|on] [--quiet]\n\
+         [--profile off|counters] [--quiet]\n\
          \x20      paracosm-cli explain --graph G.txt --query Q.txt --stream S.txt \
          [--algo name] [--threads N] [--top N] [--json PATH]\n\
          \x20      paracosm-cli serve --graph G.txt --stream S.txt \
@@ -80,7 +79,7 @@ fn usage() -> ! {
          [--queue N] [--policy block|shed-oldest|reject] [--budget-ms N] \
          [--report-json PATH] [--quiet] [--telemetry-addr ADDR] \
          [--stall-deadline-ms N] [--linger-ms N] [--shards N] \
-         [--profile off|counters|on] [--shared-index on|off] \
+         [--profile off|counters] [--shared-index on|off] \
          [--flight-capacity N] [--dump-flight-on-stall PATH] [--wedge-ms N]"
     );
     std::process::exit(2);
@@ -243,7 +242,9 @@ fn serve_main(args: Vec<String>) {
         wedge,
         profile,
     };
-    if shards > 1 {
+    // Only an explicit 1 is monolithic: 0 must fail shard-config
+    // validation rather than silently serve the monolith.
+    if shards != 1 {
         let sg = ShardedGraph::from_graph(ShardConfig::hash(shards), &g).unwrap_or_else(|e| {
             eprintln!("serve: invalid shard config: {e}");
             std::process::exit(1);
@@ -380,22 +381,8 @@ fn serve_with<G: GraphShard>(g: G, s: &UpdateStream, opts: ServeOpts) {
     }
 }
 
-/// Attach catalog estimates to a profile snapshot (the CLI twin of the
-/// telemetry plane's estimator: same arms, same catalog formulae).
-fn attach_estimates(p: &mut QueryProfile, cat: &CardinalityCatalog) {
-    p.apply_estimates(|d| {
-        let arms: Vec<(VLabel, ELabel)> = d
-            .backward
-            .iter()
-            .map(|b| (VLabel(b.src_vlabel), ELabel(b.elabel)))
-            .collect();
-        Some(cat.estimate_extension(&arms, VLabel(d.vlabel)))
-    });
-}
-
-/// `paracosm-cli explain`: replay the stream with the profiler fully on,
-/// rebuild the cardinality catalog over the final graph, and print the
-/// oriented query edges ranked by attributed enumeration cost.
+/// `paracosm-cli explain`: replay the stream with the profiler on and
+/// print the oriented query edges ranked by attributed enumeration cost.
 fn explain_main(args: Vec<String>) {
     let (mut graph, mut query, mut stream) = (None, None, None);
     let mut kind = AlgoKind::Symbi;
@@ -435,7 +422,7 @@ fn explain_main(args: Vec<String>) {
         std::process::exit(1);
     });
 
-    let cfg = ParaCosmConfig::parallel(threads).profiled(ProfileLevel::Full);
+    let cfg = ParaCosmConfig::parallel(threads).profiled(ProfileLevel::Counters);
     let algo = kind.build(&g, &q);
     let mut engine: ParaCosm<AnyAlgorithm> = ParaCosm::new(g, q, algo, cfg);
     let out = engine.process_stream(&s).unwrap_or_else(|e| {
@@ -443,14 +430,11 @@ fn explain_main(args: Vec<String>) {
         std::process::exit(1);
     });
 
-    let mut cat = CardinalityCatalog::new();
-    cat.rebuild(engine.graph());
     let report = engine.run_report(Some(out));
-    let Some(mut profile) = report.profile else {
+    let Some(profile) = report.profile else {
         eprintln!("explain: profiler produced no profile (internal error)");
         std::process::exit(1);
     };
-    attach_estimates(&mut profile, &cat);
 
     let total = profile.total_cost();
     println!(
@@ -474,12 +458,8 @@ fn explain_main(args: Vec<String>) {
                 .observed_card()
                 .map(|c| format!("{c:.2}"))
                 .unwrap_or_else(|| "-".to_string());
-            let est = d
-                .estimate
-                .map(|e| format!("{e:.2}"))
-                .unwrap_or_else(|| "-".to_string());
             println!(
-                "  depth {}: q{} (vlabel {}) arms={} est={est} observed={obs} cost={}",
+                "  depth {}: q{} (vlabel {}) arms={} observed={obs} cost={}",
                 d.depth,
                 d.qvertex,
                 d.vlabel,
@@ -549,8 +529,6 @@ fn main() {
             "--report-json" => report_json = Some(val()),
             "--slow-k" => slow_k = val().parse().unwrap_or_else(|_| usage()),
             "--quiet" => quiet = true,
-            // Kept for compatibility: latency tracking is now on by default.
-            "--latency" => {}
             _ => usage(),
         }
     }

@@ -79,8 +79,8 @@ pub mod prelude {
     pub use csm_algos::{AlgoKind, AnyAlgorithm, CaLiG, GraphFlow, NewSP, Symbi, TurboFlux};
     pub use csm_datagen::{synth, DatasetKind, Scale, StreamConfig, SynthConfig, WorkloadConfig};
     pub use csm_graph::{
-        io, CardinalityCatalog, DataGraph, ELabel, EdgeUpdate, GraphShard, Partition, QVertexId,
-        QueryGraph, ShardConfig, ShardStats, ShardedGraph, Update, UpdateStream, VLabel, VertexId,
+        io, DataGraph, ELabel, EdgeUpdate, GraphShard, Partition, QVertexId, QueryGraph,
+        ShardConfig, ShardStats, ShardedGraph, Update, UpdateStream, VLabel, VertexId,
     };
     pub use csm_service::{
         AdmissionQueue, Backpressure, CsmService, DegradeLevel, IngestHandle, ServiceConfig,

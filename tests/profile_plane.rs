@@ -1,9 +1,9 @@
-//! Profiler-plane integration tests: the live cardinality catalog must
-//! stay *exact* — bit-identical to a from-scratch rebuild over the final
-//! graph — under every apply path the serving layer has (serial per-op,
-//! sharded batched multi-writer, vertex cascade deletes), and the
-//! `/profile` scrape must reconcile exactly with the shutdown
-//! [`ServiceReport`], because both read the same attribution grid.
+//! Profiler-plane integration tests: a profiled session must report the
+//! same ΔM as an unprofiled one under every apply path the serving layer
+//! has (serial per-op, sharded batched multi-writer, vertex cascade
+//! deletes), and the `/profile` scrape must reconcile exactly with the
+//! shutdown [`ServiceReport`], because both read the same attribution
+//! grid.
 
 #![deny(deprecated)]
 
@@ -42,8 +42,7 @@ fn base_graph(seed: u64) -> DataGraph {
 
 /// Edge-only churn, hub-skewed: long label-safe runs so a sharded
 /// backend batches well past `MIN_PARALLEL_BATCH` through
-/// `apply_edge_batch` (the multi-writer path the catalog's touch
-/// protocol must survive).
+/// `apply_edge_batch` (the multi-writer path).
 fn edge_stream(seed: u64, len: usize) -> Vec<Update> {
     let mut rng = Lcg(seed ^ 0x9E3779B97F4A7C15);
     let mut out = Vec::with_capacity(len);
@@ -68,7 +67,7 @@ fn edge_stream(seed: u64, len: usize) -> Vec<Update> {
 
 /// Full churn: edge ops plus vertex inserts and cascading vertex
 /// deletes, which break batchable runs and exercise the serial apply
-/// path and the `v ∪ N(v)` cascade touch set.
+/// path and vertex cascades.
 fn churn_stream(seed: u64, len: usize) -> Vec<Update> {
     let mut rng = Lcg(seed ^ 0x0DDB1A5E5BAD5EED);
     let mut out = Vec::with_capacity(len);
@@ -96,18 +95,8 @@ fn churn_stream(seed: u64, len: usize) -> Vec<Update> {
     out
 }
 
-/// A query over labels the streams never carry: every edge update is
-/// label-safe for this session, so sharded drains batch whole runs.
-fn absent_label_query() -> QueryGraph {
-    let mut q = QueryGraph::new();
-    let a = q.add_vertex(VLabel(7));
-    let b = q.add_vertex(VLabel(8));
-    q.add_edge(a, b, ELabel(5)).unwrap();
-    q
-}
-
 /// A query over live labels: updates classify unsafe and enumerate, so
-/// the profiler grid fills while the catalog rides the serial path.
+/// the profiler grid fills.
 fn live_label_query() -> QueryGraph {
     let mut q = QueryGraph::new();
     let a = q.add_vertex(VLabel(0));
@@ -118,110 +107,53 @@ fn live_label_query() -> QueryGraph {
     q
 }
 
-/// Drive `stream` through a `Full`-profiled service over `g`; return
-/// the incrementally maintained catalog and a rebuild oracle over the
-/// final graph.
-fn catalog_differential<G: GraphShard>(
-    g: G,
-    q: QueryGraph,
-    stream: &[Update],
-) -> (CardinalityCatalog, CardinalityCatalog) {
+/// Drive `stream` through a fresh service over `g` with one
+/// [`live_label_query`] session at `level`; return its shutdown report.
+/// Each run gets its own service: share groups ignore the profile level,
+/// so a twin session in the same service would absorb cached deltas
+/// instead of enumerating.
+fn run_session<G: GraphShard>(g: G, stream: &[Update], level: ProfileLevel) -> RunReport {
+    let q = live_label_query();
     let mut svc = CsmService::new(g, ServiceConfig::default()).unwrap();
     let algo = Box::new(AlgoKind::GraphFlow.build(svc.graph(), &q));
-    let spec = SessionSpec::new(q, ParaCosmConfig::sequential().profiled(ProfileLevel::Full));
+    let spec = SessionSpec::new(q, ParaCosmConfig::sequential().profiled(level));
     svc.add_session(spec, algo, Box::new(NoopObserver)).unwrap();
     for &u in stream {
         svc.submit(u).unwrap();
     }
-    svc.drain().unwrap();
-    let live = svc
-        .catalog_snapshot()
-        .expect("a Full session activates the catalog");
-    let mut oracle = CardinalityCatalog::new();
-    oracle.rebuild(svc.graph());
-    svc.shutdown().unwrap();
-    (live, oracle)
+    svc.shutdown().unwrap().sessions.remove(0)
 }
 
-/// Acceptance: the incrementally maintained catalog equals a rebuild
-/// oracle after a sharded, batched, multi-writer drain (runs well past
-/// `MIN_PARALLEL_BATCH`, every shard count and partitioner).
+/// Profiling observes and never steers: a `Counters`-profiled session
+/// reports the same ΔM, classifier verdicts and update count as an
+/// unprofiled one, on the monolithic serial path with vertex inserts and
+/// cascades and on the sharded batched multi-writer drain.
 #[test]
-fn catalog_exact_under_sharded_batched_apply() {
-    for shards in [2usize, 4] {
-        for seed in [3u64, 17] {
-            let stream = edge_stream(seed, 300);
-            let sg =
-                ShardedGraph::from_graph(ShardConfig::hash(shards), &base_graph(seed)).unwrap();
-            let (live, oracle) = catalog_differential(sg, absent_label_query(), &stream);
-            assert_eq!(
-                live, oracle,
-                "sharded batched apply drifted the catalog (shards={shards}, seed={seed})"
-            );
-            assert!(oracle.num_triples() > 0, "workload must be non-trivial");
-        }
-    }
-    let stream = edge_stream(5, 300);
-    let sg = ShardedGraph::from_graph(ShardConfig::range_even(3, NV * 2), &base_graph(5)).unwrap();
-    let (live, oracle) = catalog_differential(sg, absent_label_query(), &stream);
-    assert_eq!(live, oracle, "range partitioner drifted the catalog");
-}
-
-/// Same differential on the monolithic serial path, with a session that
-/// actually enumerates and a stream full of vertex inserts and cascade
-/// deletes.
-#[test]
-fn catalog_exact_under_serial_path_and_cascades() {
-    for seed in [1u64, 9, 42] {
-        let stream = churn_stream(seed, 250);
-        let (live, oracle) = catalog_differential(base_graph(seed), live_label_query(), &stream);
+fn profiled_session_matches_unprofiled_on_every_apply_path() {
+    fn check(on: RunReport, off: RunReport, path: &str) {
         assert_eq!(
-            live, oracle,
-            "serial/cascade path drifted the catalog (seed={seed})"
+            (on.stats.positives, on.stats.negatives),
+            (off.stats.positives, off.stats.negatives),
+            "{path}: profiling changed ΔM"
         );
+        assert_eq!(on.stats.classifier, off.stats.classifier, "{path}");
+        assert_eq!(on.stats.updates, off.stats.updates, "{path}");
+        assert!(off.profile.is_none(), "{path}: unprofiled run has no grid");
+        let cost = on.profile.expect("profiled run has a grid").total_cost();
+        assert!(cost > 0, "{path}: profiled run must attribute some work");
     }
-}
+    for seed in [1u64, 9] {
+        let stream = churn_stream(seed, 250);
+        let on = run_session(base_graph(seed), &stream, ProfileLevel::Counters);
+        let off = run_session(base_graph(seed), &stream, ProfileLevel::Off);
+        check(on, off, &format!("serial/cascade seed={seed}"));
 
-/// Mixed sessions (one profiled, one not) over a sharded backend: the
-/// catalog exists once, is maintained once, and stays exact while the
-/// unprofiled session rides along.
-#[test]
-fn catalog_exact_with_mixed_profiled_sessions() {
-    let stream = churn_stream(13, 250);
-    let sg = ShardedGraph::from_graph(ShardConfig::hash(2), &base_graph(13)).unwrap();
-    let mut svc = CsmService::new(sg, ServiceConfig::default()).unwrap();
-    let q0 = live_label_query();
-    let algo0 = Box::new(AlgoKind::GraphFlow.build(svc.graph(), &q0));
-    svc.add_session(
-        SessionSpec::new(q0, ParaCosmConfig::sequential()),
-        algo0,
-        Box::new(NoopObserver),
-    )
-    .unwrap();
-    assert!(
-        svc.catalog_snapshot().is_none(),
-        "no catalog before a Full session registers"
-    );
-    let q1 = absent_label_query();
-    let algo1 = Box::new(AlgoKind::GraphFlow.build(svc.graph(), &q1));
-    svc.add_session(
-        SessionSpec::new(
-            q1,
-            ParaCosmConfig::sequential().profiled(ProfileLevel::Full),
-        ),
-        algo1,
-        Box::new(NoopObserver),
-    )
-    .unwrap();
-    for &u in &stream {
-        svc.submit(u).unwrap();
+        let stream = edge_stream(seed, 300);
+        let sharded = || ShardedGraph::from_graph(ShardConfig::hash(2), &base_graph(seed)).unwrap();
+        let on = run_session(sharded(), &stream, ProfileLevel::Counters);
+        let off = run_session(sharded(), &stream, ProfileLevel::Off);
+        check(on, off, &format!("sharded batched seed={seed}"));
     }
-    svc.drain().unwrap();
-    let live = svc.catalog_snapshot().unwrap();
-    let mut oracle = CardinalityCatalog::new();
-    oracle.rebuild(svc.graph());
-    svc.shutdown().unwrap();
-    assert_eq!(live, oracle, "mixed-session drain drifted the catalog");
 }
 
 fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
@@ -255,8 +187,8 @@ fn totals_object(body: &str) -> String {
 
 /// Acceptance: `GET /profile` reconciles **exactly** with the shutdown
 /// report — same attribution grid, same totals — and
-/// `GET /debug/explain/<id>` ranks the session's query edges with
-/// catalog estimates attached.
+/// `GET /debug/explain/<id>` ranks the session's query edges with their
+/// observed cardinalities.
 #[test]
 fn profile_scrape_reconciles_with_shutdown_report() {
     let g = base_graph(21);
@@ -264,8 +196,11 @@ fn profile_scrape_reconciles_with_shutdown_report() {
     let q = live_label_query();
     let algo = Box::new(AlgoKind::GraphFlow.build(svc.graph(), &q));
     svc.add_session(
-        SessionSpec::new(q, ParaCosmConfig::sequential().profiled(ProfileLevel::Full))
-            .with_label("wedge"),
+        SessionSpec::new(
+            q,
+            ParaCosmConfig::sequential().profiled(ProfileLevel::Counters),
+        )
+        .with_label("wedge"),
         algo,
         Box::new(NoopObserver),
     )
@@ -283,9 +218,8 @@ fn profile_scrape_reconciles_with_shutdown_report() {
     let (code, profile) = http_get(addr, "/profile");
     assert_eq!(code, 200);
     assert!(profile.contains("\"schema_version\":1"));
-    assert!(profile.contains("\"catalog\":{\"triples\":"));
     assert!(profile.contains("\"label\":\"wedge\""));
-    assert!(profile.contains("\"level\":\"on\""));
+    assert!(profile.contains("\"level\":\"counters\""));
     let scraped_totals = totals_object(&profile);
 
     let (code, explain) = http_get(addr, "/debug/explain/0");
@@ -293,7 +227,6 @@ fn profile_scrape_reconciles_with_shutdown_report() {
     assert!(explain.contains("\"session\":0"));
     assert!(explain.contains("\"edges\":["));
     assert!(explain.contains("\"rank\":0"));
-    assert!(explain.contains("\"estimate\":"));
     assert!(explain.contains("\"observed_card\":"));
     assert_eq!(http_get(addr, "/debug/explain/99").0, 404);
     assert_eq!(http_get(addr, "/debug/explain/bogus").0, 400);
