@@ -100,39 +100,29 @@ impl<G: GraphShard> CsmAlgorithm<G> for GraphFlow {
             let u = ctx.order.order[d];
             let last_level = d + 1 == n;
             let mut next = Vec::new();
-            for partial in &frontier {
+            for partial in &mut frontier {
                 if !stats.tick(ctx.deadline, d) {
                     return false;
                 }
-                let overflow = next.len() >= self.frontier_cap;
-                if overflow && !last_level {
-                    // Hybrid fallback: finish this entry depth-first.
-                    let mut e = *partial;
-                    if !kernel::extend(ctx, &NoFilter, &mut e, d, sink, stats) {
+                if last_level {
+                    if !kernel::finish_last_level(ctx, &NoFilter, partial, d, sink) {
                         return false;
                     }
-                    continue;
-                }
-                let keep = wco_candidates(ctx, *partial, d, |v| {
-                    if last_level {
-                        let mut full = *partial;
-                        full.set(u, v);
-                        sink.report(&full, n)
-                    } else {
+                } else if next.len() >= self.frontier_cap {
+                    // Hybrid fallback: finish this entry depth-first.
+                    if !kernel::extend(ctx, &NoFilter, partial, d, sink, stats) {
+                        return false;
+                    }
+                } else {
+                    wco_candidates(ctx, *partial, d, |v| {
                         let mut child = *partial;
                         child.set(u, v);
                         next.push(child);
                         true
-                    }
-                });
-                if !keep {
-                    return false;
+                    });
                 }
             }
-            if last_level {
-                return true;
-            }
-            if next.is_empty() {
+            if last_level || next.is_empty() {
                 return true;
             }
             frontier = next;

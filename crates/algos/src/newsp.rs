@@ -66,15 +66,9 @@ impl NewSP {
         let u = ctx.order.order[depth];
         let filter = NlfFilter(&self.profiles);
 
-        // EXP deferral: stream the last compatible set directly.
+        // EXP deferral: the last compatible set goes straight to the sink.
         if depth + 1 == n {
-            let mut keep = true;
-            return kernel::for_each_candidate(ctx, &filter, *emb, depth, |v| {
-                let mut full = *emb;
-                full.set(u, v);
-                keep = sink.report(&full, n);
-                keep
-            }) && keep;
+            return kernel::finish_last_level(ctx, &filter, emb, depth, sink);
         }
 
         // CPT: materialize the compatible set for this position.

@@ -21,6 +21,15 @@
 //! Every worker runs a god-view check at its exit point: leaving the pool
 //! while undelivered tasks remain is recorded as a quiescence violation in
 //! [`Outcome::quiescence_violations`].
+//!
+//! Tasks may also carry a match weight ([`TaskForest::weight`]), the bulk
+//! count a last-level search hands `WorkerSink::report_count`. Workers
+//! reserve it against a shared cap ([`ProtocolCfg::cap`]) exactly as
+//! `WorkerSink` does — `prev = reported.fetch_add(k)` grants
+//! `min(k, cap − prev)` — and tally the grant locally; the sum of the
+//! tallies is [`Outcome::granted`]. [`ProtocolCfg::count_before_reserve`]
+//! keeps the pre-reservation accounting (count one match locally, then bump
+//! the shared counter), which overshoots the cap under some schedules.
 
 use crate::sync;
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -35,6 +44,8 @@ pub struct TaskForest {
     pub roots: Vec<usize>,
     /// `children[id]` lists the tasks produced by executing `id`.
     pub children: Vec<Vec<usize>>,
+    /// `weight[id]` matches are delivered by executing `id` (0: none).
+    pub weight: Vec<u64>,
 }
 
 impl TaskForest {
@@ -44,7 +55,14 @@ impl TaskForest {
         TaskForest {
             roots: vec![0, 1, 2],
             children: vec![vec![3, 4], vec![], vec![], vec![5], vec![], vec![]],
+            weight: vec![0; 6],
         }
+    }
+
+    /// The same forest with `weight(id)` matches on task `id`.
+    pub fn weighted(mut self, weight: impl Fn(usize) -> u64) -> TaskForest {
+        self.weight = (0..self.children.len()).map(weight).collect();
+        self
     }
 
     /// A wider forest for the real-thread stress test.
@@ -60,6 +78,7 @@ impl TaskForest {
         }
         TaskForest {
             roots: (0..roots).collect(),
+            weight: vec![0; children.len()],
             children,
         }
     }
@@ -83,6 +102,11 @@ pub struct ProtocolCfg {
     /// dependent under abort) — the asserted property becomes "all
     /// workers exit and nothing is delivered twice".
     pub abort_after: Option<u64>,
+    /// Shared match cap the task weights are reserved against; reaching
+    /// it raises the abort flag, like `InnerConfig::cap`.
+    pub cap: Option<u64>,
+    /// Run the pre-reservation cap accounting instead of the fix.
+    pub count_before_reserve: bool,
 }
 
 impl ProtocolCfg {
@@ -92,6 +116,8 @@ impl ProtocolCfg {
             forest,
             lost_wakeup_bug: false,
             abort_after: None,
+            cap: None,
+            count_before_reserve: false,
         }
     }
 }
@@ -106,6 +132,11 @@ pub struct Outcome {
     pub executed: u64,
     /// Times a worker exited the pool while undelivered tasks remained.
     pub quiescence_violations: u64,
+    /// Matches counted, summed over the workers' local tallies.
+    pub granted: u64,
+    /// Reservations that began after the abort flag was raised (god view)
+    /// and still counted matches.
+    pub late_grants: u64,
 }
 
 struct Shared {
@@ -114,13 +145,18 @@ struct Shared {
     /// Buggy protocol: workers currently executing a task, starts at 0.
     active: AtomicUsize,
     aborted: AtomicBool,
+    /// Matches reserved against `cap` (`RunCtx::reported`).
+    reported: AtomicU64,
     delivered: Vec<AtomicU64>,
     executed_total: AtomicU64,
     violations: AtomicU64,
+    late_grants: AtomicU64,
     forest: TaskForest,
     workers: usize,
     expected: u64,
     abort_after: Option<u64>,
+    cap: Option<u64>,
+    count_before_reserve: bool,
 }
 
 impl Shared {
@@ -140,10 +176,11 @@ impl Shared {
     }
 }
 
-/// Execute task `id`: count it, then donate or inline each child exactly
-/// like `parallel_find_matches` (donate only when the queue looks empty
-/// and a peer looks idle).
-fn exec_task(sh: &Shared, id: usize) {
+/// Execute task `id`: count it, deliver its matches into the worker's
+/// `local` tally, then donate or inline each child exactly like
+/// `parallel_find_matches` (donate only when the queue looks empty and a
+/// peer looks idle). A sink that says stop ends the task.
+fn exec_task(sh: &Shared, id: usize, local: &mut u64) {
     sh.delivered[id].fetch_add(1, Ordering::Relaxed);
     if sh.aborted.load(Ordering::Relaxed) {
         return;
@@ -154,21 +191,80 @@ fn exec_task(sh: &Shared, id: usize) {
             sh.aborted.store(true, Ordering::Relaxed);
         }
     }
+    let w = sh.forest.weight[id];
+    if w > 0 && !deliver(sh, w, local) {
+        return;
+    }
     for i in 0..sh.forest.children[id].len() {
         let child = sh.forest.children[id][i];
         if sh.injector.is_empty() && sh.has_idle_workers() {
             sh.injector.push(child);
         } else {
-            exec_task(sh, child);
+            exec_task(sh, child, local);
         }
     }
 }
 
+/// `WorkerSink::report_count(k)`: reserve, then count the grant. The god
+/// view notes a reservation that starts after the abort is up and still
+/// counts.
+fn deliver(sh: &Shared, k: u64, local: &mut u64) -> bool {
+    let abort_seen = sh.aborted.load(Ordering::Acquire);
+    let (granted, keep) = if sh.count_before_reserve {
+        count_then_check(sh, k, local)
+    } else {
+        let (granted, keep) = reserve(sh, k);
+        *local += granted;
+        (granted, keep)
+    };
+    if abort_seen && granted > 0 {
+        sh.late_grants.fetch_add(1, Ordering::Relaxed);
+    }
+    keep
+}
+
+/// The shipped reservation (mirrors `paracosm_core::inner::WorkerSink`).
+fn reserve(sh: &Shared, k: u64) -> (u64, bool) {
+    if sh.aborted.load(Ordering::Relaxed) {
+        return (0, false);
+    }
+    let Some(cap) = sh.cap else {
+        return (k, true);
+    };
+    let prev = sh.reported.fetch_add(k, Ordering::Relaxed);
+    let granted = k.min(cap.saturating_sub(prev));
+    if prev + k >= cap {
+        sh.aborted.store(true, Ordering::Relaxed);
+        return (granted, false);
+    }
+    (granted, true)
+}
+
+/// The pre-reservation accounting: each match is counted locally *before*
+/// the shared counter is bumped, so workers racing past the abort check
+/// together all count.
+fn count_then_check(sh: &Shared, k: u64, local: &mut u64) -> (u64, bool) {
+    for i in 0..k {
+        if sh.aborted.load(Ordering::Relaxed) {
+            return (i, false);
+        }
+        *local += 1;
+        if let Some(cap) = sh.cap {
+            if sh.reported.fetch_add(1, Ordering::Relaxed) + 1 >= cap {
+                sh.aborted.store(true, Ordering::Relaxed);
+                return (i + 1, false);
+            }
+        }
+    }
+    (k, true)
+}
+
 /// The shipped protocol (mirrors `paracosm_core::inner::worker_loop`).
-fn worker_fixed(sh: &Shared) {
+fn worker_fixed(sh: &Shared) -> u64 {
+    let mut local = 0;
     loop {
         match sh.injector.steal() {
-            Steal::Success(id) => exec_task(sh, id),
+            Steal::Success(id) => exec_task(sh, id, &mut local),
             Steal::Retry => sync::thread::yield_now(),
             Steal::Empty => {
                 // Deregister while idle; re-register *before* stealing
@@ -181,7 +277,7 @@ fn worker_fixed(sh: &Shared) {
                     }
                     if sh.active.load(Ordering::Acquire) == 0 {
                         sh.note_exit();
-                        return;
+                        return local;
                     }
                     sync::thread::yield_now();
                 }
@@ -192,19 +288,20 @@ fn worker_fixed(sh: &Shared) {
 
 /// The seed revision's accounting: `active` tracks executing workers only,
 /// so a stolen-but-not-yet-counted task opens an early-exit window.
-fn worker_buggy(sh: &Shared) {
+fn worker_buggy(sh: &Shared) -> u64 {
+    let mut local = 0;
     loop {
         match sh.injector.steal() {
             Steal::Success(id) => {
                 sh.active.fetch_add(1, Ordering::AcqRel);
-                exec_task(sh, id);
+                exec_task(sh, id, &mut local);
                 sh.active.fetch_sub(1, Ordering::AcqRel);
             }
             Steal::Retry => sync::thread::yield_now(),
             Steal::Empty => {
                 if sh.active.load(Ordering::Acquire) == 0 {
                     sh.note_exit();
-                    return;
+                    return local;
                 }
                 sync::thread::yield_now();
             }
@@ -221,13 +318,17 @@ pub fn run(cfg: &ProtocolCfg) -> Outcome {
         injector: Injector::new(),
         active: AtomicUsize::new(if cfg.lost_wakeup_bug { 0 } else { cfg.workers }),
         aborted: AtomicBool::new(false),
+        reported: AtomicU64::new(0),
         delivered: (0..total).map(|_| AtomicU64::new(0)).collect(),
         executed_total: AtomicU64::new(0),
         violations: AtomicU64::new(0),
+        late_grants: AtomicU64::new(0),
         forest: cfg.forest.clone(),
         workers: cfg.workers,
         expected: cfg.forest.total(),
         abort_after: cfg.abort_after,
+        cap: cfg.cap,
+        count_before_reserve: cfg.count_before_reserve,
     });
     for &r in &shared.forest.roots {
         shared.injector.push(r);
@@ -245,9 +346,10 @@ pub fn run(cfg: &ProtocolCfg) -> Outcome {
             })
         })
         .collect();
-    for h in handles {
-        h.join().expect("protocol worker panicked");
-    }
+    let granted = handles
+        .into_iter()
+        .map(|h| h.join().expect("protocol worker panicked"))
+        .sum();
     Outcome {
         delivered: shared
             .delivered
@@ -256,6 +358,8 @@ pub fn run(cfg: &ProtocolCfg) -> Outcome {
             .collect(),
         executed: shared.executed_total.load(Ordering::Acquire),
         quiescence_violations: shared.violations.load(Ordering::Acquire),
+        granted,
+        late_grants: shared.late_grants.load(Ordering::Acquire),
     }
 }
 
@@ -278,5 +382,18 @@ mod tests {
         let out = run(&cfg);
         assert!(out.delivered.iter().all(|&d| d <= 1), "{out:?}");
         assert!(out.executed >= 3.min(cfg.forest.total()));
+    }
+
+    #[test]
+    fn cap_reservation_grants_min_of_weights_and_cap() {
+        let forest = TaskForest::wide(8, 4).weighted(|id| 1 + id as u64 % 5);
+        let total: u64 = forest.weight.iter().sum();
+        for cap in [None, Some(1), Some(total / 2), Some(total), Some(total + 1)] {
+            let mut cfg = ProtocolCfg::new(2, forest.clone());
+            cfg.cap = cap;
+            let out = run(&cfg);
+            assert_eq!(out.granted, cap.map_or(total, |c| c.min(total)), "{out:?}");
+            assert_eq!(out.late_grants, 0, "{out:?}");
+        }
     }
 }

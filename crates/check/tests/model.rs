@@ -159,6 +159,47 @@ fn abort_protocol_terminates_without_double_delivery() {
     .unwrap_or_else(|f| panic!("{f}"));
 }
 
+/// The match-cap reservation port: every task delivers a weighted bulk
+/// count that workers reserve against one shared cap exactly as
+/// `WorkerSink` does. Under every explored schedule the grants sum to
+/// `min(Σ weights, cap)`, no reservation that starts after the abort
+/// counts, and nothing is delivered twice.
+#[test]
+fn cap_reservation_is_exact_under_model() {
+    let forest = TaskForest::small().weighted(|id| 1 + id as u64 % 3);
+    let total: u64 = forest.weight.iter().sum();
+    for cap in [1, 4, total - 1, total, total + 3] {
+        let mut cfg = ProtocolCfg::new(2, forest.clone());
+        cfg.cap = Some(cap);
+        sched::explore(300, || {
+            let out = run(&cfg);
+            assert_eq!(out.granted, total.min(cap), "cap {cap}: {out:?}");
+            assert_eq!(out.late_grants, 0, "counted past an abort: {out:?}");
+            assert!(out.delivered.iter().all(|&d| d <= 1), "{out:?}");
+        })
+        .unwrap_or_else(|f| panic!("{f}"));
+    }
+}
+
+/// The same property against the pre-reservation accounting (count first,
+/// bump the shared counter after): the checker must find a schedule where
+/// two workers both count the last match below the cap, and the failing
+/// seed must replay.
+#[test]
+fn count_before_reserve_overshoot_is_caught() {
+    let mut cfg = ProtocolCfg::new(2, TaskForest::small().weighted(|_| 1));
+    cfg.cap = Some(3);
+    cfg.count_before_reserve = true;
+    let check = |cfg: &ProtocolCfg| {
+        let out = run(cfg);
+        assert_eq!(out.granted, 3, "cap overshoot: {out:?}");
+    };
+    let err = sched::explore(1000, || check(&cfg))
+        .expect_err("1000 schedules failed to catch the cap overshoot");
+    assert!(err.message.contains("cap overshoot"), "{err}");
+    assert!(sched::model(err.seed, || check(&cfg)).is_err());
+}
+
 /// The replay guarantee on the real protocol: one seed, one schedule.
 #[test]
 fn same_seed_replays_identical_protocol_schedule() {

@@ -88,6 +88,21 @@ impl Embedding {
         false
     }
 
+    /// The data vertices the mapping uses (its image), in query-vertex
+    /// order.
+    #[inline]
+    pub fn images(&self) -> impl Iterator<Item = VertexId> + '_ {
+        let mut m = self.mask;
+        std::iter::from_fn(move || {
+            if m == 0 {
+                return None;
+            }
+            let i = m.trailing_zeros() as usize;
+            m &= m - 1;
+            Some(self.map[i])
+        })
+    }
+
     /// Mapped (query, data) pairs in query-vertex order.
     pub fn pairs(&self) -> impl Iterator<Item = (QVertexId, VertexId)> + '_ {
         let mask = self.mask;
@@ -146,12 +161,24 @@ impl From<Vec<VertexId>> for Match {
 
 /// Receiver of complete embeddings during enumeration.
 ///
-/// `report` returns `true` to continue the search and `false` to stop it
-/// (match caps). Sinks are thread-local in parallel runs and merged
-/// afterwards — implementations need not be `Sync`.
+/// `report` and `report_count` return `true` to continue the search and
+/// `false` to stop it (match caps). Sinks are thread-local in parallel runs
+/// and merged afterwards — implementations need not be `Sync`.
 pub trait MatchSink {
     /// Deliver one complete embedding (`n` = `|V(Q)|`).
     fn report(&mut self, emb: &Embedding, n: usize) -> bool;
+
+    /// Does this sink only count? When `true`, the kernel may deliver the
+    /// last order position as one [`MatchSink::report_count`] instead of
+    /// one [`MatchSink::report`] per match.
+    fn counts_only(&self) -> bool {
+        false
+    }
+
+    /// Deliver `k` complete embeddings by count. Called only on sinks whose
+    /// [`MatchSink::counts_only`] is `true`; a cap must grant at most what
+    /// is left of it, exactly as `k` calls of `report` would.
+    fn report_count(&mut self, k: u64) -> bool;
 }
 
 /// Counts matches; optionally collects the embeddings and enforces a cap.
@@ -206,6 +233,26 @@ impl MatchSink for BufferSink {
         match self.cap {
             Some(cap) => self.count < cap,
             None => true,
+        }
+    }
+
+    #[inline]
+    fn counts_only(&self) -> bool {
+        !self.collect
+    }
+
+    #[inline]
+    fn report_count(&mut self, k: u64) -> bool {
+        debug_assert!(!self.collect, "report_count on a collecting sink");
+        match self.cap {
+            Some(cap) => {
+                self.count += k.min(cap.saturating_sub(self.count));
+                self.count < cap
+            }
+            None => {
+                self.count += k;
+                true
+            }
         }
     }
 }
@@ -270,6 +317,30 @@ mod tests {
         assert!(!s.report(&e, 1)); // cap reached
         assert_eq!(s.count, 2);
         assert!(s.matches.is_empty());
+    }
+
+    #[test]
+    fn buffer_sink_bulk_count_stops_exactly_at_cap() {
+        let mut s = BufferSink::counting().with_cap(Some(10));
+        assert!(s.counts_only());
+        assert!(s.report_count(4));
+        assert!(!s.report_count(9)); // only 6 of the 9 fit
+        assert_eq!(s.count, 10);
+        let mut uncapped = BufferSink::counting();
+        assert!(uncapped.report_count(1 << 40));
+        assert_eq!(uncapped.count, 1 << 40);
+        assert!(!BufferSink::collecting().counts_only());
+    }
+
+    #[test]
+    fn images_lists_mapped_vertices() {
+        let mut e = Embedding::empty();
+        e.set(QVertexId(4), VertexId(40));
+        e.set(QVertexId(1), VertexId(10));
+        assert_eq!(e.images().collect::<Vec<_>>(), [VertexId(10), VertexId(40)]);
+        e.unset(QVertexId(1));
+        assert_eq!(e.images().collect::<Vec<_>>(), [VertexId(40)]);
+        assert_eq!(Embedding::empty().images().count(), 0);
     }
 
     #[test]

@@ -5,19 +5,21 @@
 //!
 //! * **Initialization phase** — the seed tasks (one per compatible oriented
 //!   query edge) are expanded breadth-first until the concurrent queue holds
-//!   at least `seed_task_factor × num_threads` subtrees;
+//!   at least `seed_task_factor × num_threads` subtrees. The last order
+//!   position is never expanded into tasks (that would be one task per
+//!   match): such a subtree is finished by the algorithm's own search;
 //! * **Parallel execution phase** — workers pop subtrees and run the
 //!   algorithm's own sequential enumeration on them; while above
 //!   `SPLIT_DEPTH`, a worker that observes idle peers and an empty queue
 //!   donates its children instead of recursing (adaptive task sharing —
 //!   the load-balancing mechanism evaluated in paper Fig. 10).
 //!
-//! Synchronization is deliberately minimal (per the session's atomics
-//! guide): one `crossbeam_deque::Injector` for tasks, one `AtomicUsize`
-//! active-worker count for both idleness detection and termination, one
-//! `AtomicBool` abort flag, and thread-local sinks merged after the scope
-//! joins. The graph, query and ADS are shared immutably — the search phase
-//! takes no locks.
+//! Synchronization is deliberately minimal: one `crossbeam_deque::Injector`
+//! for tasks, one `AtomicUsize` active-worker count for both idleness
+//! detection and termination, one `AtomicBool` abort flag, one `AtomicU64`
+//! match-cap reservation counter, and thread-local sinks merged after the
+//! scope joins. The graph, query and ADS are shared immutably — the search
+//! phase takes no locks.
 
 use crate::algorithm::{AdsCandidates, CsmAlgorithm};
 use crate::embedding::{BufferSink, Embedding, MatchSink};
@@ -169,26 +171,65 @@ struct WorkerSink<'a, G: GraphShard> {
     shared: &'a RunCtx<'a, G>,
 }
 
+impl<'a, G: GraphShard> WorkerSink<'a, G> {
+    fn new(shared: &'a RunCtx<'a, G>) -> Self {
+        WorkerSink {
+            local: if shared.cfg.collect {
+                BufferSink::collecting()
+            } else {
+                BufferSink::counting()
+            },
+            shared,
+        }
+    }
+
+    /// Reserve `k` matches against the global cap *before* counting any:
+    /// `prev = reported.fetch_add(k)` grants `min(k, cap − prev)`, so the
+    /// grants of all workers sum to exactly `min(Σ k, cap)` however their
+    /// reservations interleave, and a bulk count cannot overshoot. Returns
+    /// the grant and whether the search may continue; a worker that sees
+    /// the abort flag grants nothing.
+    #[inline]
+    fn reserve(&self, k: u64) -> (u64, bool) {
+        if self.shared.aborted.load(Ordering::Relaxed) {
+            return (0, false);
+        }
+        let Some(cap) = self.shared.cfg.cap else {
+            return (k, true);
+        };
+        // Relaxed is sufficient: the grant comes from the RMW's own
+        // result, so it is exact under any ordering, and `aborted` is an
+        // advisory brake that only saves work. See LINT.md.
+        let prev = self.shared.reported.fetch_add(k, Ordering::Relaxed);
+        let granted = k.min(cap.saturating_sub(prev));
+        if prev + k >= cap {
+            self.shared.aborted.store(true, Ordering::Relaxed);
+            return (granted, false);
+        }
+        (granted, true)
+    }
+}
+
 impl<G: GraphShard> MatchSink for WorkerSink<'_, G> {
     #[inline]
     fn report(&mut self, emb: &Embedding, n: usize) -> bool {
-        if self.shared.aborted.load(Ordering::Relaxed) {
-            return false;
+        let (granted, keep) = self.reserve(1);
+        if granted == 1 {
+            self.local.report(emb, n);
         }
-        self.local.report(emb, n);
-        if let Some(cap) = self.shared.cfg.cap {
-            // Relaxed is sufficient for the cap: fetch_add is an atomic RMW,
-            // so the count is exact regardless of ordering; `aborted` is an
-            // advisory brake (workers may report a few extra matches past
-            // the cap, which the sink's own cap field truncates), so no
-            // happens-before edge is needed here either. See LINT.md.
-            let total = self.shared.reported.fetch_add(1, Ordering::Relaxed) + 1;
-            if total >= cap {
-                self.shared.aborted.store(true, Ordering::Relaxed);
-                return false;
-            }
-        }
-        true
+        keep
+    }
+
+    #[inline]
+    fn counts_only(&self) -> bool {
+        self.local.counts_only()
+    }
+
+    #[inline]
+    fn report_count(&mut self, k: u64) -> bool {
+        let (granted, keep) = self.reserve(k);
+        self.local.report_count(granted);
+        keep
     }
 }
 
@@ -253,24 +294,35 @@ pub fn run<G: GraphShard>(
     } else {
         0
     };
+    // The init phase's own reports (complete seeds) go through the same
+    // shared cap as every worker's; the sequential path keeps using it.
+    let mut sink = WorkerSink::new(&ctx);
     let mut frontier: std::collections::VecDeque<SeedTask> = seeds.into();
+    // Tasks at the last order position are never expanded into one task
+    // per match: they wait here for the algorithm's own search, which
+    // finishes them through `kernel::finish_last_level`.
+    let mut last_level: Vec<SeedTask> = Vec::new();
     let mut init_stats = SearchStats::default();
     let mut init_trace = tracer.local(0);
     let mut expansions = 0usize;
     let expansion_budget = target * 8;
-    while frontier.len() < target && expansions < expansion_budget {
+    while frontier.len() + last_level.len() < target && expansions < expansion_budget {
         let Some(task) = frontier.pop_front() else {
             break;
         };
-        expansions += 1;
         let sctx = ctx.search_ctx(task.order_idx, init_frame.as_ref());
         let n = sctx.order.len();
         if task.depth as usize == n {
-            if !outcome.sink.report(&task.emb, n) {
-                return finish_init(outcome, init_stats, init_trace, tracer);
+            if !sink.report(&task.emb, n) {
+                return finish_init(outcome, sink.local, init_stats, init_trace, tracer);
             }
             continue;
         }
+        if task.depth as usize + 1 == n {
+            last_level.push(task);
+            continue;
+        }
+        expansions += 1;
         let mut children = Vec::new();
         if !kernel::expand_one_layer(
             &sctx,
@@ -281,7 +333,7 @@ pub fn run<G: GraphShard>(
             &mut init_stats,
         ) {
             outcome.timed_out = true;
-            return finish_init(outcome, init_stats, init_trace, tracer);
+            return finish_init(outcome, sink.local, init_stats, init_trace, tracer);
         }
         init_trace.count(Counter::SeedExpansions, 1);
         init_trace.event(
@@ -297,21 +349,13 @@ pub fn run<G: GraphShard>(
             });
         }
     }
+    frontier.extend(last_level);
     if frontier.is_empty() {
-        return finish_init(outcome, init_stats, init_trace, tracer);
+        return finish_init(outcome, sink.local, init_stats, init_trace, tracer);
     }
 
     // Sequential fast path: no pool to coordinate.
     if cfg.num_threads <= 1 {
-        let local = if cfg.collect {
-            BufferSink::collecting()
-        } else {
-            BufferSink::counting()
-        };
-        let mut sink = WorkerSink {
-            local,
-            shared: &ctx,
-        };
         let mut stats = init_stats;
         for task in frontier {
             init_trace.count(Counter::TasksPopped, 1);
@@ -354,6 +398,7 @@ pub fn run<G: GraphShard>(
 
     init_trace.count(Counter::Nodes, init_stats.nodes);
     tracer.merge(init_trace);
+    outcome.sink.absorb(sink.local);
     outcome.nodes += init_stats.nodes;
     outcome.deadline_hits += init_stats.deadline_hits;
     for (sink, stats, busy, executed, split) in locals {
@@ -370,10 +415,12 @@ pub fn run<G: GraphShard>(
 
 fn finish_init(
     mut outcome: InnerOutcome,
+    reported: BufferSink,
     stats: SearchStats,
     mut lt: LocalTrace,
     tracer: &Tracer,
 ) -> InnerOutcome {
+    outcome.sink.absorb(reported);
     lt.count(Counter::Nodes, stats.nodes);
     finish_trace(lt, &stats, tracer);
     outcome.nodes += stats.nodes;
@@ -396,14 +443,7 @@ fn worker_loop<G: GraphShard>(
     wid: usize,
     tracer: &Tracer,
 ) -> (BufferSink, SearchStats, Duration, u64, u64) {
-    let mut sink = WorkerSink {
-        local: if ctx.cfg.collect {
-            BufferSink::collecting()
-        } else {
-            BufferSink::counting()
-        },
-        shared: ctx,
-    };
+    let mut sink = WorkerSink::new(ctx);
     let mut stats = SearchStats::default();
     let mut lt = tracer.local(wid + 1);
     // One frame per worker, merged into the shared grid on order switches
@@ -468,7 +508,9 @@ fn worker_loop<G: GraphShard>(
 /// `Parallel_Find_Matches` from paper Algorithm 2: above `SPLIT_DEPTH`,
 /// expand one layer at a time and donate children when idle peers are
 /// observed with an empty queue; otherwise recurse. At or below
-/// `SPLIT_DEPTH`, hand the subtree to the algorithm's own sequential search.
+/// `SPLIT_DEPTH`, and always at the last order position (whose children
+/// would be one task per match), hand the subtree to the algorithm's own
+/// sequential search.
 fn parallel_find_matches<G: GraphShard>(
     ctx: &RunCtx<'_, G>,
     sctx: &SearchCtx<'_, G>,
@@ -487,7 +529,7 @@ fn parallel_find_matches<G: GraphShard>(
         sink.report(&task.emb, n);
         return;
     }
-    let may_split = ctx.cfg.load_balance && depth < ctx.cfg.split_depth;
+    let may_split = ctx.cfg.load_balance && depth < ctx.cfg.split_depth && depth + 1 < n;
     if !may_split {
         let mut emb = task.emb;
         ctx.algo.search(sctx, &mut emb, depth, sink, stats);
@@ -655,7 +697,7 @@ pub fn run_simulated<G: GraphShard>(
             }
             continue;
         }
-        let deep_enough = task.depth as usize >= cfg.split_depth;
+        let deep_enough = task.depth as usize >= cfg.split_depth || task.depth as usize + 1 == n;
         let have_enough =
             ready.len() + frontier.len() + 1 >= fine_target || expansions >= expansion_budget;
         if deep_enough || have_enough {
@@ -794,6 +836,38 @@ mod tests {
         }
     }
 
+    /// `Plain` searched without an ADS filter, so a counting sink takes
+    /// the kernel's count-at-the-last-level path.
+    struct Unfiltered;
+    impl CsmAlgorithm for Unfiltered {
+        fn name(&self) -> &'static str {
+            "unfiltered"
+        }
+        fn rebuild(&mut self, _: &DataGraph, _: &QueryGraph) {}
+        fn update_ads(
+            &mut self,
+            _: &DataGraph,
+            _: &QueryGraph,
+            _: EdgeUpdate,
+            _: bool,
+        ) -> AdsChange {
+            AdsChange::Unchanged
+        }
+        fn is_candidate(&self, _: &DataGraph, _: &QueryGraph, _: QVertexId, _: VertexId) -> bool {
+            true
+        }
+        fn search(
+            &self,
+            ctx: &SearchCtx<'_>,
+            emb: &mut Embedding,
+            depth: usize,
+            sink: &mut dyn MatchSink,
+            stats: &mut SearchStats,
+        ) -> bool {
+            kernel::extend(ctx, &kernel::NoFilter, emb, depth, sink, stats)
+        }
+    }
+
     /// Dense bipartite-ish graph where a triangle query fans out widely.
     fn big_graph() -> (DataGraph, QueryGraph) {
         let mut g = DataGraph::new();
@@ -864,21 +938,25 @@ mod tests {
             expected > 0,
             "test graph must have matches through the edge"
         );
-        for threads in [1, 2, 4, 8] {
-            let seeds = seeds_for_edge(&q, &orders, &g, a, b);
-            let out = run(
-                &g,
-                &q,
-                &orders,
-                &Plain,
-                None,
-                seeds,
-                cfg(threads),
-                &Tracer::off(),
-                &Profiler::off(),
-            );
-            assert_eq!(out.sink.count, expected, "threads={threads}");
-            assert!(!out.timed_out);
+        let algos: [&dyn CsmAlgorithm; 2] = [&Plain, &Unfiltered];
+        for algo in algos {
+            for threads in [1, 2, 4, 8] {
+                let seeds = seeds_for_edge(&q, &orders, &g, a, b);
+                let out = run(
+                    &g,
+                    &q,
+                    &orders,
+                    algo,
+                    None,
+                    seeds,
+                    cfg(threads),
+                    &Tracer::off(),
+                    &Profiler::off(),
+                );
+                let name = algo.name();
+                assert_eq!(out.sink.count, expected, "{name} threads={threads}");
+                assert!(!out.timed_out);
+            }
         }
     }
 
@@ -928,23 +1006,117 @@ mod tests {
     fn cap_stops_enumeration_early() {
         let (g, q) = big_graph();
         let orders = MatchingOrders::build(&q);
-        let seeds = seeds_for_edge(&q, &orders, &g, VertexId(0), VertexId(1));
-        let mut c = cfg(4);
-        c.cap = Some(10);
-        let out = run(
-            &g,
-            &q,
-            &orders,
-            &Plain,
-            None,
-            seeds,
-            c,
-            &Tracer::off(),
-            &Profiler::off(),
-        );
-        // Worker-local pre-abort reports can slightly exceed the cap, but
-        // never by more than one per worker.
-        assert!(out.sink.count >= 10 && out.sink.count <= 10 + 4);
+        let algos: [&dyn CsmAlgorithm; 2] = [&Plain, &Unfiltered];
+        for algo in algos {
+            let seeds = seeds_for_edge(&q, &orders, &g, VertexId(0), VertexId(1));
+            let mut c = cfg(4);
+            c.cap = Some(10);
+            let out = run(
+                &g,
+                &q,
+                &orders,
+                algo,
+                None,
+                seeds,
+                c,
+                &Tracer::off(),
+                &Profiler::off(),
+            );
+            // Reservation before counting makes the global cap exact.
+            assert_eq!(out.sink.count, 10);
+        }
+    }
+
+    /// A run context for driving `WorkerSink`s directly.
+    fn sink_ctx<'a>(
+        g: &'a DataGraph,
+        q: &'a QueryGraph,
+        orders: &'a MatchingOrders,
+        profiler: &'a Profiler,
+        c: InnerConfig,
+    ) -> RunCtx<'a, DataGraph> {
+        RunCtx {
+            g,
+            q,
+            orders,
+            algo: &Plain,
+            deadline: None,
+            injector: Injector::new(),
+            active: AtomicUsize::new(c.num_threads),
+            aborted: AtomicBool::new(false),
+            reported: AtomicU64::new(0),
+            cfg: c,
+            profiler,
+        }
+    }
+
+    /// Four real threads reserve mixed single reports and bulk counts
+    /// against one cap: the grants sum to exactly `min(Σ weights, cap)`,
+    /// whether or not the cap is reached.
+    #[test]
+    fn worker_sink_grants_sum_to_capped_total_under_real_threads() {
+        let (g, q) = big_graph();
+        let orders = MatchingOrders::build(&q);
+        let profiler = Profiler::off();
+        let mut emb = Embedding::empty();
+        emb.set(QVertexId(0), VertexId(0));
+        // Per thread: 100 steps of weight 1..=7 (Σ = 400 per thread).
+        let weight = |t: u64, i: u64| 1 + (t * 31 + i * 17) % 7;
+        let offered: u64 = (0..4)
+            .flat_map(|t| (0..100).map(move |i| weight(t, i)))
+            .sum();
+        for cap in [1, 250, offered - 1, offered, offered + 50] {
+            let mut c = cfg(4);
+            c.cap = Some(cap);
+            let ctx = sink_ctx(&g, &q, &orders, &profiler, c);
+            let granted: u64 = std::thread::scope(|s| {
+                let hs: Vec<_> = (0..4u64)
+                    .map(|t| {
+                        let ctx = &ctx;
+                        s.spawn(move || {
+                            let mut sink = WorkerSink::new(ctx);
+                            for i in 0..100 {
+                                let w = weight(t, i);
+                                let keep = if w == 1 {
+                                    sink.report(&emb, 1)
+                                } else {
+                                    sink.report_count(w)
+                                };
+                                if !keep {
+                                    break;
+                                }
+                            }
+                            sink.local.count
+                        })
+                    })
+                    .collect();
+                hs.into_iter().map(|h| h.join().unwrap()).sum()
+            });
+            assert_eq!(granted, offered.min(cap), "cap={cap}");
+            assert_eq!(ctx.aborted.load(Ordering::Relaxed), cap <= offered);
+        }
+    }
+
+    /// Once the abort flag is up a worker counts nothing more, by report
+    /// or by count, and says stop.
+    #[test]
+    fn worker_sink_counts_nothing_past_an_abort() {
+        let (g, q) = big_graph();
+        let orders = MatchingOrders::build(&q);
+        let profiler = Profiler::off();
+        let ctx = sink_ctx(&g, &q, &orders, &profiler, cfg(2));
+        let mut sink = WorkerSink::new(&ctx);
+        assert!(sink.counts_only());
+        assert!(sink.report_count(3));
+        ctx.aborted.store(true, Ordering::Relaxed);
+        assert!(!sink.report_count(5));
+        assert!(!sink.report(&Embedding::empty(), 0));
+        assert_eq!(sink.local.count, 3);
+
+        let mut c = cfg(2);
+        c.collect = true;
+        let ctx = sink_ctx(&g, &q, &orders, &profiler, c);
+        assert!(!WorkerSink::new(&ctx).counts_only());
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! verification, injectivity — so filters only add pruning, never
 //! correctness.
 //!
+//! The last order position has one routine, [`finish_last_level`], which
+//! every traversal calls instead of recursing into leaves. For a counting
+//! sink with no ADS filter and exact edge labels it delivers `|C(u, M)|` as
+//! one count (paper Algorithm 1 emits `M ∪ {(u, v)}` per `v`; nothing
+//! obliges a counting sink to see them one at a time); otherwise it streams
+//! full embeddings like any inner level.
+//!
 //! Everything here is allocation-free per search node: candidates are
 //! streamed from adjacency slices, and the embedding is a fixed-size inline
 //! array mutated in place.
@@ -25,6 +32,13 @@ use std::time::Instant;
 pub trait CandidateFilter<G: GraphShard = DataGraph>: Sync {
     /// May data vertex `v` be matched to query vertex `u`?
     fn is_candidate(&self, g: &G, q: &QueryGraph, u: QVertexId, v: VertexId) -> bool;
+
+    /// Does [`CandidateFilter::is_candidate`] return `true` for every
+    /// input? Lets [`finish_last_level`] count a candidate set without
+    /// asking about each member.
+    fn admits_all(&self) -> bool {
+        false
+    }
 }
 
 /// The trivial filter: every label/degree-feasible vertex is a candidate.
@@ -33,6 +47,11 @@ pub struct NoFilter;
 impl<G: GraphShard> CandidateFilter<G> for NoFilter {
     #[inline]
     fn is_candidate(&self, _: &G, _: &QueryGraph, _: QVertexId, _: VertexId) -> bool {
+        true
+    }
+
+    #[inline]
+    fn admits_all(&self) -> bool {
         true
     }
 }
@@ -219,16 +238,10 @@ where
         return true;
     }
 
-    // Exact mode: one id-sorted partition slice per backward edge.
-    let mut slices: [&[(VertexId, ELabel)]; MAX_PATTERN_VERTICES] = [&[]; MAX_PATTERN_VERTICES];
-    for (i, &(nb, el)) in backward.iter().enumerate() {
-        let s = ctx.g.neighbors_with(emb.get_unchecked(nb), ulabel, el);
-        if s.is_empty() {
-            return true;
-        }
-        slices[i] = s;
-    }
-    let slices = &slices[..backward.len()];
+    let mut buf = [&[][..]; MAX_PATTERN_VERTICES];
+    let Some(slices) = backward_slices(ctx, &emb, depth, &mut buf) else {
+        return true;
+    };
 
     if slices.len() == 1 {
         // Branch-free stream: every entry already has the right vertex and
@@ -250,64 +263,220 @@ where
         return true;
     }
 
-    let (min_idx, min_slice) = slices
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, s)| s.len())
-        .expect("at least two slices");
+    let min_idx = shortest(slices);
     if let Some(p) = prof {
-        p.add(depth, ProfileCounter::SliceWidth, min_slice.len() as u64);
+        p.add(
+            depth,
+            ProfileCounter::SliceWidth,
+            slices[min_idx].len() as u64,
+        );
     }
-    if min_slice.len() <= PROBE_THRESHOLD {
-        // Tiny driver: probing each other slice directly is cheaper than
-        // the galloping merge's setup.
-        'probe: for &(v, _) in *min_slice {
-            if ctx.g.degree(v) < udeg || emb.uses(v) {
-                continue;
-            }
-            for (j, s) in slices.iter().enumerate() {
-                if j != min_idx {
-                    if let Some(p) = prof {
-                        p.add(depth, ProfileCounter::ProbeSteps, 1);
-                    }
-                    if s.binary_search_by_key(&v, |&(w, _)| w).is_err() {
-                        continue 'probe;
-                    }
-                }
-            }
+    let admit = |v: VertexId| ctx.g.degree(v) >= udeg && !emb.uses(v);
+    if slices[min_idx].len() <= PROBE_THRESHOLD {
+        return probe_each(ctx, depth, slices, min_idx, admit, |v| {
             if !filter.is_candidate(ctx.g, ctx.q, u, v) {
-                continue;
+                return true;
             }
             if let Some(p) = prof {
                 p.add(depth, ProfileCounter::Extensions, 1);
             }
-            if !f(v) {
-                return false;
-            }
-        }
-        return true;
+            f(v)
+        });
     }
-
-    let mut body = |v: VertexId| {
-        if ctx.g.degree(v) < udeg || emb.uses(v) || !filter.is_candidate(ctx.g, ctx.q, u, v) {
+    merge_each(ctx, depth, slices, |v| {
+        if !admit(v) || !filter.is_candidate(ctx.g, ctx.q, u, v) {
             return true;
         }
         if let Some(p) = prof {
             p.add(depth, ProfileCounter::Extensions, 1);
         }
         f(v)
-    };
-    match prof {
-        None => intersect::intersect_foreach(slices, &mut body),
+    })
+}
+
+/// Exact mode: fetch one id-sorted `(L(u), el)` partition slice per
+/// backward edge of `depth` into `buf`. `None` when some slice is empty:
+/// then `C(u, M)` is empty and the node is pruned.
+#[inline]
+fn backward_slices<'s, 'g, G: GraphShard>(
+    ctx: &SearchCtx<'g, G>,
+    emb: &Embedding,
+    depth: usize,
+    buf: &'s mut [&'g [(VertexId, ELabel)]; MAX_PATTERN_VERTICES],
+) -> Option<&'s [&'g [(VertexId, ELabel)]]> {
+    let ulabel = ctx.order.target_label[depth];
+    let backward = &ctx.order.backward[depth];
+    for (i, &(nb, el)) in backward.iter().enumerate() {
+        let s = ctx.g.neighbors_with(emb.get_unchecked(nb), ulabel, el);
+        if s.is_empty() {
+            return None;
+        }
+        buf[i] = s;
+    }
+    Some(&buf[..backward.len()])
+}
+
+/// Index of the shortest slice (the first one on ties).
+#[inline]
+fn shortest(slices: &[&[(VertexId, ELabel)]]) -> usize {
+    let mut best = 0;
+    for (i, s) in slices.iter().enumerate().skip(1) {
+        if s.len() < slices[best].len() {
+            best = i;
+        }
+    }
+    best
+}
+
+/// Tiny driver (at most [`PROBE_THRESHOLD`] entries): binary-search every
+/// other slice per driver entry, which beats the galloping merge's setup.
+/// `admit` rejects a driver entry before it is probed; `f` sees every
+/// admitted entry present in all slices and returns `false` to stop.
+#[inline]
+fn probe_each<G: GraphShard>(
+    ctx: &SearchCtx<'_, G>,
+    depth: usize,
+    slices: &[&[(VertexId, ELabel)]],
+    min_idx: usize,
+    admit: impl Fn(VertexId) -> bool,
+    mut f: impl FnMut(VertexId) -> bool,
+) -> bool {
+    'probe: for &(v, _) in slices[min_idx] {
+        if !admit(v) {
+            continue;
+        }
+        for (j, s) in slices.iter().enumerate() {
+            if j != min_idx {
+                if let Some(p) = ctx.profile {
+                    p.add(depth, ProfileCounter::ProbeSteps, 1);
+                }
+                if s.binary_search_by_key(&v, |&(w, _)| w).is_err() {
+                    continue 'probe;
+                }
+            }
+        }
+        if !f(v) {
+            return false;
+        }
+    }
+    true
+}
+
+/// Smallest-first galloping merge of the slices ([`csm_graph::intersect`]).
+/// Profiled, the merge is the counted twin: identical traversal plus a
+/// gallop-step tally folded into the frame once per candidate set.
+#[inline]
+fn merge_each<G: GraphShard>(
+    ctx: &SearchCtx<'_, G>,
+    depth: usize,
+    slices: &[&[(VertexId, ELabel)]],
+    f: impl FnMut(VertexId) -> bool,
+) -> bool {
+    match ctx.profile {
+        None => intersect::intersect_foreach(slices, f),
         Some(p) => {
-            // Counted merge: identical traversal, plus a gallop-step tally
-            // folded into the frame once per candidate set.
             let mut steps = 0u64;
-            let done = intersect::intersect_foreach_counted(slices, &mut steps, &mut body);
+            let done = intersect::intersect_foreach_counted(slices, &mut steps, f);
             p.add(depth, ProfileCounter::GallopSteps, steps);
             done
         }
     }
+}
+
+/// Finish the last order position (`depth + 1 == |V(Q)|`): deliver every
+/// completion `M ∪ {(u, v)}`, `v ∈ C(u, M)`, of `emb` to `sink` — the final
+/// step of paper Algorithm 1. Every last-level site (the kernel's
+/// recursion, GraphFlow, NewSP and, through them, the inner executor) ends
+/// here. Returns `false` iff the sink stopped the search; `emb` is left as
+/// it came in.
+///
+/// When the sink only counts, the filter admits everything and edge labels
+/// are exact, the candidate set is counted rather than streamed and
+/// delivered as one [`MatchSink::report_count`]. Otherwise each candidate
+/// is reported as a full embedding, exactly like an inner level.
+pub fn finish_last_level<G: GraphShard>(
+    ctx: &SearchCtx<'_, G>,
+    filter: &(impl CandidateFilter<G> + ?Sized),
+    emb: &mut Embedding,
+    depth: usize,
+    sink: &mut dyn MatchSink,
+) -> bool {
+    let n = ctx.order.len();
+    debug_assert_eq!(depth + 1, n, "finish_last_level below the last position");
+    if sink.counts_only()
+        && filter.admits_all()
+        && !ctx.ignore_elabels
+        && !ctx.order.backward[depth].is_empty()
+    {
+        let k = count_last_level(ctx, emb, depth);
+        return k == 0 || sink.report_count(k);
+    }
+    let u = ctx.order.order[depth];
+    let done = for_each_candidate(ctx, filter, *emb, depth, |v| {
+        emb.set(u, v);
+        sink.report(emb, n)
+    });
+    emb.unset(u);
+    done
+}
+
+/// `|C(u, M)|` at the last order position, with exact edge labels and no
+/// ADS filter, without visiting candidates one by one where avoidable.
+///
+/// At the last position every query neighbour of `u` is already mapped,
+/// and mapped injectively, so `u` has exactly `deg_Q(u)` backward edges
+/// whose images are distinct data vertices. A vertex present in every
+/// backward slice is adjacent to all of them, so its degree is at least
+/// `deg_Q(u)`: the degree prune is implied, and the label is implied by the
+/// partition. What is left is injectivity:
+/// * one backward slice — the count is its length minus the mapped
+///   vertices found in it by binary search (≤ `|V(Q)|` probes);
+/// * several — the same probe/gallop intersection as
+///   [`for_each_candidate`], counting the outputs the mapping does not use.
+///
+/// The profile frame sees exactly what the per-candidate path would have
+/// recorded: one invocation, the driver's slice width, the same probe and
+/// gallop steps, and `k` extensions.
+fn count_last_level<G: GraphShard>(ctx: &SearchCtx<'_, G>, emb: &Embedding, depth: usize) -> u64 {
+    if let Some(p) = ctx.profile {
+        p.add(depth, ProfileCounter::Invocations, 1);
+    }
+    let mut buf = [&[][..]; MAX_PATTERN_VERTICES];
+    let Some(slices) = backward_slices(ctx, emb, depth, &mut buf) else {
+        return 0;
+    };
+    let min_idx = shortest(slices);
+    let driver = slices[min_idx];
+    if let Some(p) = ctx.profile {
+        p.add(depth, ProfileCounter::SliceWidth, driver.len() as u64);
+    }
+    let mut k = 0u64;
+    if slices.len() == 1 {
+        let used = emb
+            .images()
+            .filter(|&w| driver.binary_search_by_key(&w, |&(v, _)| v).is_ok())
+            .count();
+        k = (driver.len() - used) as u64;
+    } else if driver.len() <= PROBE_THRESHOLD {
+        // The degree test is implied for a vertex in every slice; it stays
+        // as the cheap reject before probing so `ProbeSteps` matches the
+        // per-candidate path.
+        let udeg = ctx.order.target_degree[depth];
+        let admit = |v: VertexId| ctx.g.degree(v) >= udeg && !emb.uses(v);
+        probe_each(ctx, depth, slices, min_idx, admit, |_| {
+            k += 1;
+            true
+        });
+    } else {
+        merge_each(ctx, depth, slices, |v| {
+            k += u64::from(!emb.uses(v));
+            true
+        });
+    }
+    if let Some(p) = ctx.profile {
+        p.add(depth, ProfileCounter::Extensions, k);
+    }
+    k
 }
 
 /// The pre-partition-index candidate generator, retained verbatim as the
@@ -379,6 +548,9 @@ where
 }
 
 /// Recursive backtracking from `depth` to full matches (paper `Traverse`).
+/// Every node above the last order position counts one search node; the
+/// last position is finished by [`finish_last_level`], so leaves are not
+/// nodes.
 ///
 /// Returns `false` iff the search was stopped (deadline or sink); a `false`
 /// propagates all the way out so callers can distinguish complete from
@@ -391,6 +563,10 @@ pub fn extend<G: GraphShard>(
     sink: &mut dyn MatchSink,
     stats: &mut SearchStats,
 ) -> bool {
+    let n = ctx.order.len();
+    if depth == n {
+        return sink.report(emb, n);
+    }
     let hits_before = stats.deadline_hits;
     if !stats.tick(ctx.deadline, depth) {
         if stats.deadline_hits > hits_before {
@@ -404,9 +580,8 @@ pub fn extend<G: GraphShard>(
         }
         return false;
     }
-    let n = ctx.order.len();
-    if depth == n {
-        return sink.report(emb, n);
+    if depth + 1 == n {
+        return finish_last_level(ctx, filter, emb, depth, sink);
     }
     let u = ctx.order.order[depth];
     let mut keep_going = true;
@@ -420,7 +595,9 @@ pub fn extend<G: GraphShard>(
 
 /// Expand a partial embedding by exactly one order level, materializing the
 /// child tasks (paper Algorithm 2, `Traverse_Next_Layer`). Used by the
-/// inner-update executor's BFS decomposition and adaptive splitting.
+/// inner-update executor's BFS decomposition and adaptive splitting, never
+/// at the last order position: its children would be one task per match,
+/// and [`finish_last_level`] delivers them instead.
 ///
 /// Counts one node per materialized child and honors the cooperative
 /// deadline like [`extend`]: a dense level (a hub image with thousands of
@@ -436,7 +613,10 @@ pub fn expand_one_layer<G: GraphShard>(
     out: &mut Vec<Embedding>,
     stats: &mut SearchStats,
 ) -> bool {
-    debug_assert!(depth < ctx.order.len());
+    debug_assert!(
+        depth + 1 < ctx.order.len(),
+        "expand_one_layer at the last position"
+    );
     let hits_before = stats.deadline_hits;
     if !stats.tick(ctx.deadline, depth) {
         if stats.deadline_hits > hits_before {
@@ -681,6 +861,90 @@ mod tests {
                 assert_eq!(new_c, old_c, "seed {seed:?} ignore {ignore}");
             }
         }
+    }
+
+    /// Counting the last level and streaming it agree on the match count
+    /// and on every profile cell, across one-slice, probe and gallop last
+    /// levels (two hubs adjacent to everything make slices longer than
+    /// [`PROBE_THRESHOLD`]).
+    #[test]
+    fn last_level_count_matches_streaming_cell_for_cell() {
+        use crate::order::MatchingOrders;
+        use crate::trace::profile::{ProfileLevel, Profiler};
+        let mut g = DataGraph::new();
+        let v: Vec<_> = (0..20).map(|_| g.add_vertex(VLabel(0))).collect();
+        for i in 0..20 {
+            for j in [i + 1, i + 2] {
+                let _ = g.insert_edge(v[i], v[j % 20], ELabel(0));
+            }
+            for hub in [0, 1] {
+                if i != hub {
+                    let _ = g.insert_edge(v[hub], v[i], ELabel(0));
+                }
+            }
+        }
+        let shape = |edges: &[(u8, u8)]| {
+            let mut q = QueryGraph::new();
+            let n = edges.iter().map(|&(a, b)| a.max(b)).max().unwrap() + 1;
+            for _ in 0..n {
+                q.add_vertex(VLabel(0));
+            }
+            for &(a, b) in edges {
+                q.add_edge(QVertexId(a), QVertexId(b), ELabel(0)).unwrap();
+            }
+            q
+        };
+        let queries = [
+            shape(&[(0, 1), (1, 2)]),
+            shape(&[(0, 1), (1, 2), (0, 2)]),
+            shape(&[(0, 1), (1, 2), (2, 3), (3, 0)]),
+            shape(&[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        ];
+        let (mut probe_steps, mut gallop_steps) = (0, 0);
+        for q in &queries {
+            let orders = MatchingOrders::build(q);
+            let mut run = |collect: bool| {
+                let profiler = Profiler::new(ProfileLevel::Counters, q, &orders);
+                let frame = profiler.frame();
+                let mut sink = if collect {
+                    BufferSink::collecting()
+                } else {
+                    BufferSink::counting()
+                };
+                let mut stats = SearchStats::default();
+                for i in 0..orders.len() {
+                    frame.as_ref().unwrap().set_order(i as u16);
+                    let ctx = SearchCtx {
+                        g: &g,
+                        q,
+                        order: orders.by_index(i as u16),
+                        ignore_elabels: false,
+                        deadline: None,
+                        profile: frame.as_ref(),
+                    };
+                    let mut emb = Embedding::empty();
+                    assert!(extend(&ctx, &NoFilter, &mut emb, 0, &mut sink, &mut stats));
+                    assert!(emb.is_empty());
+                }
+                drop(frame);
+                let profile = profiler.snapshot().unwrap();
+                let cells: Vec<_> = profile
+                    .orders
+                    .iter()
+                    .flat_map(|o| o.depths.iter().map(|d| d.counters))
+                    .collect();
+                for o in &profile.orders {
+                    let last = o.depths.last().unwrap();
+                    probe_steps += last.get(ProfileCounter::ProbeSteps);
+                    gallop_steps += last.get(ProfileCounter::GallopSteps);
+                }
+                (sink.count, stats.nodes, cells)
+            };
+            let (counted, streamed) = (run(false), run(true));
+            assert!(counted.0 > 0);
+            assert_eq!(counted, streamed, "{} query vertices", q.num_vertices());
+        }
+        assert!(probe_steps > 0 && gallop_steps > 0, "both branches reached");
     }
 
     #[test]

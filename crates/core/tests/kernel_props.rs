@@ -3,6 +3,14 @@
 //! sharing no code with the kernel (guards against shared-bug blindness in
 //! the workspace's other differential tests, which reuse the kernel as
 //! their oracle).
+//!
+//! Three counts must agree: the kernel counting the last order position in
+//! bulk (a counting sink), the kernel reporting it one embedding at a time
+//! (a collecting sink), and the naive mapper. Data graphs carry a hub
+//! adjacent to every vertex, and label alphabets are skewed (often a single
+//! label), so last-level slices exceed `PROBE_THRESHOLD` and the last level
+//! sees one, two and three or more backward slices on both the probe and
+//! the galloping branch.
 
 use csm_graph::{DataGraph, ELabel, QVertexId, QueryGraph, VLabel, VertexId};
 use paracosm_core::static_match;
@@ -47,56 +55,70 @@ fn naive_count(g: &DataGraph, q: &QueryGraph) -> u64 {
     rec(g, q, &verts, &mut assignment)
 }
 
+/// A label drawn from `0..4` folded into an alphabet of `size` (1 or 2)
+/// labels, skewed 3:1 towards label 0 so partition slices stay long.
+fn skewed(x: u32, size: u32) -> u32 {
+    u32::from(size > 1 && x == 3)
+}
+
 fn small_graph() -> impl Strategy<Value = (DataGraph, QueryGraph)> {
     (
-        3u32..9,
-        proptest::collection::vec((0u32..9, 0u32..9, 0u32..2), 2..20),
-        2usize..4,
-        proptest::collection::vec((0u32..4, 0u32..4, 0u32..2), 1..6),
+        (6u32..13, 1u32..3, 1u32..3),
+        proptest::collection::vec(0u32..4, 12..13),
+        proptest::collection::vec(0u32..4, 11..12),
+        (0u32..100, proptest::collection::vec(0u32..400, 66..67)),
+        (2u8..6, proptest::collection::vec(0u32..4, 5..6)),
+        (0u32..100, proptest::collection::vec(0u32..400, 10..11)),
     )
-        .prop_map(|(n, edges, qn, qedges)| {
-            let mut g = DataGraph::new();
-            for i in 0..n {
-                g.add_vertex(VLabel(i % 2));
-            }
-            for (a, b, l) in edges {
-                let (a, b) = (a % n, b % n);
-                if a != b {
-                    let _ = g.insert_edge(VertexId(a), VertexId(b), ELabel(l));
+        .prop_map(
+            |((n, vl, el), labels, hub_el, (density, pairs), (qn, qlabels), (qdensity, qpairs))| {
+                // Pair `(a, b)`, `a < b`, is an edge iff its draw `d` has
+                // `d % 100 < density`; `d / 100` picks the edge label.
+                let unordered = |n: u32| (0..n).flat_map(move |b| (0..b).map(move |a| (a, b)));
+                let mut g = DataGraph::new();
+                for &x in &labels[..n as usize] {
+                    g.add_vertex(VLabel(skewed(x, vl)));
                 }
-            }
-            let qn = qn as u32;
-            let mut q = QueryGraph::new();
-            for i in 0..qn {
-                q.add_vertex(VLabel(i % 2));
-            }
-            for (a, b, l) in qedges {
-                let (a, b) = (a % qn, b % qn);
-                if a != b {
-                    let _ = q.add_edge(
-                        QVertexId::from(a as usize),
-                        QVertexId::from(b as usize),
-                        ELabel(l),
-                    );
+                // Vertex 0 is the hub: adjacent to every other vertex.
+                for i in 1..n {
+                    let l = ELabel(skewed(hub_el[i as usize - 1], el));
+                    g.insert_edge(VertexId(0), VertexId(i), l).unwrap();
                 }
-            }
-            // Guarantee at least one query edge (seeded kernels need one).
-            if q.num_edges() == 0 && qn >= 2 {
-                let _ = q.add_edge(QVertexId(0), QVertexId(1), ELabel(0));
-            }
-            (g, q)
-        })
-        .prop_filter("connected query", |(_, q)| {
-            q.num_vertices() > 0 && q.is_connected()
-        })
+                for ((a, b), &d) in unordered(n).zip(&pairs) {
+                    if a != 0 && d % 100 < density {
+                        let l = ELabel(skewed(d / 100, el));
+                        g.insert_edge(VertexId(a), VertexId(b), l).unwrap();
+                    }
+                }
+                let mut q = QueryGraph::new();
+                for &x in &qlabels[..qn as usize] {
+                    q.add_vertex(VLabel(skewed(x, vl)));
+                }
+                // A path keeps the query connected; dense draws close
+                // cycles and raise the last vertex's backward degree.
+                for ((a, b), &d) in unordered(u32::from(qn)).zip(&qpairs) {
+                    if b == a + 1 || d % 100 < qdensity {
+                        let l = ELabel(skewed(d / 100, el));
+                        q.add_edge(QVertexId(a as u8), QVertexId(b as u8), l)
+                            .unwrap();
+                    }
+                }
+                (g, q)
+            },
+        )
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// The order-driven kernel equals the independent naive mapper.
+    /// Bulk last-level counting, per-embedding reporting and the
+    /// independent naive mapper agree.
     #[test]
     fn kernel_equals_naive_oracle((g, q) in small_graph()) {
-        prop_assert_eq!(static_match::count_all(&g, &q), naive_count(&g, &q));
+        let counted = static_match::count_all(&g, &q);
+        let streamed = static_match::enumerate_all(&g, &q, true);
+        prop_assert_eq!(streamed.matches.len() as u64, streamed.count);
+        prop_assert_eq!(counted, streamed.count);
+        prop_assert_eq!(counted, naive_count(&g, &q));
     }
 }

@@ -84,19 +84,15 @@ fn match_cap_bounds_enumeration() {
     let out = e.process_stream(&stream).unwrap();
     assert_eq!(out.positives, 100);
 
-    // Parallel cap is approximate (workers may overshoot by up to one
-    // report each) but must stay tightly bounded.
+    // Workers reserve against the shared cap before counting, so the
+    // parallel cap is exact too.
     let mut cfg = ParaCosmConfig::parallel(4);
     cfg.match_cap = Some(100);
     cfg.inter_update = false;
     let algo = AlgoKind::GraphFlow.build(&g, &q);
     let mut e: ParaCosm<AnyAlgorithm> = ParaCosm::new(g, q, algo, cfg);
     let out = e.process_stream(&stream).unwrap();
-    assert!(
-        out.positives >= 100 && out.positives <= 104,
-        "got {}",
-        out.positives
-    );
+    assert_eq!(out.positives, 100, "got {}", out.positives);
 }
 
 #[test]
