@@ -18,6 +18,11 @@
 //!   worker observes `Empty && active == 0` and exits while work remains —
 //!   the lost-wakeup/early-exit bug the model tests must catch.
 //!
+//! [`ProtocolCfg::lazy_after`] ports the executor's helper admission: the
+//! caller is worker 0 and starts alone with `active = 1`; once it has
+//! executed `k` tasks and still sees work queued, it registers the other
+//! workers in one `fetch_add` and only then spawns them.
+//!
 //! Every worker runs a god-view check at its exit point: leaving the pool
 //! while undelivered tasks remain is recorded as a quiescence violation in
 //! [`Outcome::quiescence_violations`].
@@ -65,6 +70,22 @@ impl TaskForest {
         self
     }
 
+    /// A chain of fan-outs: working alone, worker 0 donates the first
+    /// child of each task it runs (the queue is empty, a peer looks idle)
+    /// and inlines the second, so work is still queued for lazily
+    /// admitted helpers after 0, 1, 2 or 3 executed tasks.
+    pub fn chain() -> TaskForest {
+        let mut children = vec![Vec::new(); 9];
+        for (parent, kids) in [(0, [1, 2]), (1, [3, 4]), (3, [5, 6]), (5, [7, 8])] {
+            children[parent] = kids.to_vec();
+        }
+        TaskForest {
+            roots: vec![0],
+            children,
+            weight: vec![0; 9],
+        }
+    }
+
     /// A wider forest for the real-thread stress test.
     pub fn wide(roots: usize, fanout: usize) -> TaskForest {
         let mut children = vec![Vec::new(); roots];
@@ -107,6 +128,11 @@ pub struct ProtocolCfg {
     pub cap: Option<u64>,
     /// Run the pre-reservation cap accounting instead of the fix.
     pub count_before_reserve: bool,
+    /// Port of helper admission: the caller runs worker 0 alone and,
+    /// at the first task boundary after `k` executed tasks with work
+    /// still queued, registers then spawns the other workers. `None`:
+    /// every worker starts at once.
+    pub lazy_after: Option<u64>,
 }
 
 impl ProtocolCfg {
@@ -118,6 +144,7 @@ impl ProtocolCfg {
             abort_after: None,
             cap: None,
             count_before_reserve: false,
+            lazy_after: None,
         }
     }
 }
@@ -137,12 +164,15 @@ pub struct Outcome {
     /// Reservations that began after the abort flag was raised (god view)
     /// and still counted matches.
     pub late_grants: u64,
+    /// Workers that ran, the caller's worker 0 included.
+    pub workers_run: usize,
 }
 
 struct Shared {
     injector: Injector<usize>,
-    /// Fixed protocol: workers not (yet) proven idle, starts at `workers`.
-    /// Buggy protocol: workers currently executing a task, starts at 0.
+    /// Fixed protocol: workers not (yet) proven idle, starts at `workers`
+    /// (at 1 under lazy admission). Buggy protocol: workers currently
+    /// executing a task, starts at 0.
     active: AtomicUsize,
     aborted: AtomicBool,
     /// Matches reserved against `cap` (`RunCtx::reported`).
@@ -260,11 +290,17 @@ fn count_then_check(sh: &Shared, k: u64, local: &mut u64) -> (u64, bool) {
 }
 
 /// The shipped protocol (mirrors `paracosm_core::inner::worker_loop`).
-fn worker_fixed(sh: &Shared) -> u64 {
-    let mut local = 0;
+/// `admit` runs at every task boundary with the count of tasks this
+/// worker has executed: the caller's helper admission, a no-op otherwise.
+fn worker_fixed(sh: &Shared, mut admit: impl FnMut(u64)) -> u64 {
+    let (mut local, mut executed) = (0, 0);
     loop {
+        admit(executed);
         match sh.injector.steal() {
-            Steal::Success(id) => exec_task(sh, id, &mut local),
+            Steal::Success(id) => {
+                exec_task(sh, id, &mut local);
+                executed += 1;
+            }
             Steal::Retry => sync::thread::yield_now(),
             Steal::Empty => {
                 // Deregister while idle; re-register *before* stealing
@@ -314,9 +350,14 @@ fn worker_buggy(sh: &Shared) -> u64 {
 /// return the god-view observations.
 pub fn run(cfg: &ProtocolCfg) -> Outcome {
     let total = cfg.forest.total() as usize;
+    let active = match (cfg.lost_wakeup_bug, cfg.lazy_after) {
+        (true, _) => 0,
+        (false, Some(_)) => 1,
+        (false, None) => cfg.workers,
+    };
     let shared = Arc::new(Shared {
         injector: Injector::new(),
-        active: AtomicUsize::new(if cfg.lost_wakeup_bug { 0 } else { cfg.workers }),
+        active: AtomicUsize::new(active),
         aborted: AtomicBool::new(false),
         reported: AtomicU64::new(0),
         delivered: (0..total).map(|_| AtomicU64::new(0)).collect(),
@@ -333,23 +374,44 @@ pub fn run(cfg: &ProtocolCfg) -> Outcome {
     for &r in &shared.forest.roots {
         shared.injector.push(r);
     }
-    let handles: Vec<_> = (0..cfg.workers)
-        .map(|_| {
-            let sh = Arc::clone(&shared);
-            let buggy = cfg.lost_wakeup_bug;
-            sync::thread::spawn(move || {
-                if buggy {
-                    worker_buggy(&sh)
-                } else {
-                    worker_fixed(&sh)
-                }
+    let spawn = |n: usize| -> Vec<_> {
+        (0..n)
+            .map(|_| {
+                let sh = Arc::clone(&shared);
+                let buggy = cfg.lost_wakeup_bug;
+                sync::thread::spawn(move || {
+                    if buggy {
+                        worker_buggy(&sh)
+                    } else {
+                        worker_fixed(&sh, |_| {})
+                    }
+                })
             })
-        })
-        .collect();
-    let granted = handles
+            .collect()
+    };
+    let (mut handles, mut granted) = (Vec::new(), 0);
+    match cfg.lazy_after {
+        None => handles = spawn(cfg.workers),
+        Some(k) => {
+            // Worker 0 is this thread; register the helpers *before*
+            // spawning them, as `inner::run` does.
+            granted = worker_fixed(&shared, |executed| {
+                if handles.is_empty()
+                    && cfg.workers > 1
+                    && executed >= k
+                    && !shared.injector.is_empty()
+                {
+                    shared.active.fetch_add(cfg.workers - 1, Ordering::AcqRel);
+                    handles = spawn(cfg.workers - 1);
+                }
+            });
+        }
+    }
+    let workers_run = handles.len() + cfg.lazy_after.is_some() as usize;
+    granted += handles
         .into_iter()
         .map(|h| h.join().expect("protocol worker panicked"))
-        .sum();
+        .sum::<u64>();
     Outcome {
         delivered: shared
             .delivered
@@ -360,6 +422,7 @@ pub fn run(cfg: &ProtocolCfg) -> Outcome {
         quiescence_violations: shared.violations.load(Ordering::Acquire),
         granted,
         late_grants: shared.late_grants.load(Ordering::Acquire),
+        workers_run,
     }
 }
 
@@ -373,6 +436,16 @@ mod tests {
         assert!(out.delivered.iter().all(|&d| d == 1), "{out:?}");
         assert_eq!(out.executed, TaskForest::small().total());
         assert_eq!(out.quiescence_violations, 0);
+    }
+
+    #[test]
+    fn lazy_admission_delivers_exactly_once_single_worker() {
+        let mut cfg = ProtocolCfg::new(1, TaskForest::chain());
+        cfg.lazy_after = Some(0);
+        let out = run(&cfg);
+        assert!(out.delivered.iter().all(|&d| d == 1), "{out:?}");
+        assert_eq!(out.quiescence_violations, 0);
+        assert_eq!(out.workers_run, 1);
     }
 
     #[test]

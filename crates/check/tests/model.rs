@@ -18,6 +18,23 @@ fn fixed_cfg() -> ProtocolCfg {
     ProtocolCfg::new(2, TaskForest::small())
 }
 
+/// Lazy helper admission on the `chain` forest: worker 0 starts alone and
+/// registers, then spawns, its peer after 0, 1 and 3 executed tasks.
+fn lazy_cfgs(forest: TaskForest) -> impl Iterator<Item = ProtocolCfg> {
+    [0, 1, 3].into_iter().map(move |k| {
+        let mut cfg = ProtocolCfg::new(2, forest.clone());
+        cfg.lazy_after = Some(k);
+        cfg
+    })
+}
+
+fn iters() -> u64 {
+    std::env::var("PARACOSM_CHECK_ITERS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1000)
+}
+
 /// The acceptance-criteria sweep: ≥ 1000 seeded schedules of the
 /// inner-executor protocol, asserting exactly-once delivery and quiescence
 /// under every one, and checking the schedules really are distinct
@@ -27,10 +44,7 @@ fn executor_protocol_exactly_once_and_quiescent_over_1000_schedules() {
     let cfg = fixed_cfg();
     let expected = cfg.forest.total();
     let mut distinct = HashSet::new();
-    let seeds = std::env::var("PARACOSM_CHECK_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1000u64);
+    let seeds = iters();
     for seed in 0..seeds {
         let info = sched::model(seed, || {
             let out = run(&cfg);
@@ -57,6 +71,33 @@ fn executor_protocol_exactly_once_and_quiescent_over_1000_schedules() {
         "only {} distinct schedules out of {seeds}",
         distinct.len()
     );
+}
+
+/// Lazy helper admission: worker 0 runs alone with `active = 1` and
+/// registers its peer *before* spawning it. Under ≥ 1000 seeded schedules
+/// for each k, every task is delivered exactly once, no worker exits while
+/// work remains, and the helper really ran.
+#[test]
+fn lazy_admission_exactly_once_and_quiescent_over_1000_schedules() {
+    for cfg in lazy_cfgs(TaskForest::chain()) {
+        let (k, expected) = (cfg.lazy_after, cfg.forest.total());
+        for seed in 0..iters() {
+            sched::model(seed, || {
+                let out = run(&cfg);
+                assert!(
+                    out.delivered.iter().all(|&d| d == 1),
+                    "k={k:?}: lost or double delivery: {out:?}"
+                );
+                assert_eq!(out.executed, expected, "k={k:?}: tasks lost: {out:?}");
+                assert_eq!(
+                    out.quiescence_violations, 0,
+                    "k={k:?}: a worker exited while tasks remained"
+                );
+                assert_eq!(out.workers_run, 2, "k={k:?}: helper never admitted");
+            })
+            .unwrap_or_else(|f| panic!("{f}"));
+        }
+    }
 }
 
 /// The injector shim itself: concurrent stealers (plus a racing producer)
@@ -146,38 +187,44 @@ fn metrics_and_event_merge_lose_nothing_under_model() {
 }
 
 /// The abort-protocol port: once the abort flag is raised, the pool still
-/// quiesces (every worker exits) and nothing is delivered twice.
+/// quiesces (every worker exits) and nothing is delivered twice — with
+/// every worker started at once and with lazily admitted helpers.
 #[test]
 fn abort_protocol_terminates_without_double_delivery() {
-    sched::explore(200, || {
-        let mut cfg = ProtocolCfg::new(2, TaskForest::small());
+    for mut cfg in std::iter::once(fixed_cfg()).chain(lazy_cfgs(TaskForest::chain())) {
         cfg.abort_after = Some(2);
-        let out = run(&cfg);
-        assert!(out.delivered.iter().all(|&d| d <= 1), "{out:?}");
-        assert!(out.executed >= 2, "{out:?}");
-    })
-    .unwrap_or_else(|f| panic!("{f}"));
+        sched::explore(200, || {
+            let out = run(&cfg);
+            assert!(out.delivered.iter().all(|&d| d <= 1), "{out:?}");
+            assert!(out.executed >= 2, "{out:?}");
+        })
+        .unwrap_or_else(|f| panic!("{f}"));
+    }
 }
 
 /// The match-cap reservation port: every task delivers a weighted bulk
 /// count that workers reserve against one shared cap exactly as
 /// `WorkerSink` does. Under every explored schedule the grants sum to
 /// `min(Σ weights, cap)`, no reservation that starts after the abort
-/// counts, and nothing is delivered twice.
+/// counts, and nothing is delivered twice — with every worker started at
+/// once and with lazily admitted helpers.
 #[test]
 fn cap_reservation_is_exact_under_model() {
-    let forest = TaskForest::small().weighted(|id| 1 + id as u64 % 3);
-    let total: u64 = forest.weight.iter().sum();
-    for cap in [1, 4, total - 1, total, total + 3] {
-        let mut cfg = ProtocolCfg::new(2, forest.clone());
-        cfg.cap = Some(cap);
-        sched::explore(300, || {
-            let out = run(&cfg);
-            assert_eq!(out.granted, total.min(cap), "cap {cap}: {out:?}");
-            assert_eq!(out.late_grants, 0, "counted past an abort: {out:?}");
-            assert!(out.delivered.iter().all(|&d| d <= 1), "{out:?}");
-        })
-        .unwrap_or_else(|f| panic!("{f}"));
+    let weight = |id: usize| 1 + id as u64 % 3;
+    let eager = ProtocolCfg::new(2, TaskForest::small().weighted(weight));
+    for base in std::iter::once(eager).chain(lazy_cfgs(TaskForest::chain().weighted(weight))) {
+        let total: u64 = base.forest.weight.iter().sum();
+        for cap in [1, 4, total - 1, total, total + 3] {
+            let mut cfg = base.clone();
+            cfg.cap = Some(cap);
+            sched::explore(300, || {
+                let out = run(&cfg);
+                assert_eq!(out.granted, total.min(cap), "cap {cap}: {out:?}");
+                assert_eq!(out.late_grants, 0, "counted past an abort: {out:?}");
+                assert!(out.delivered.iter().all(|&d| d <= 1), "{out:?}");
+            })
+            .unwrap_or_else(|f| panic!("{f}"));
+        }
     }
 }
 

@@ -128,6 +128,28 @@ fn fixed_protocol_stress_real_threads() {
     }
 }
 
+/// Lazy helper admission under real threads: worker 0 runs on the test
+/// thread, registers the three helpers after 0, 1 or 3 tasks and then
+/// spawns them; delivery stays exactly-once and the pool quiescent.
+#[test]
+fn lazy_protocol_stress_real_threads() {
+    let rounds = (stress_scale() / 500).clamp(1, 8);
+    for _ in 0..rounds {
+        for k in [0, 1, 3] {
+            let mut cfg = ProtocolCfg::new(4, TaskForest::wide(16, 8));
+            cfg.lazy_after = Some(k);
+            let out = run(&cfg);
+            assert!(
+                out.delivered.iter().all(|&d| d == 1),
+                "k={k}: lost or double delivery: {out:?}"
+            );
+            assert_eq!(out.executed, cfg.forest.total());
+            assert_eq!(out.quiescence_violations, 0);
+            assert_eq!(out.workers_run, 4);
+        }
+    }
+}
+
 /// Abort under real threads: the pool always winds down and never
 /// delivers a task twice.
 #[test]

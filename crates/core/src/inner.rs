@@ -8,11 +8,16 @@
 //!   at least `seed_task_factor × num_threads` subtrees. The last order
 //!   position is never expanded into tasks (that would be one task per
 //!   match): such a subtree is finished by the algorithm's own search;
-//! * **Parallel execution phase** — workers pop subtrees and run the
-//!   algorithm's own sequential enumeration on them; while above
-//!   `SPLIT_DEPTH`, a worker that observes idle peers and an empty queue
-//!   donates its children instead of recursing (adaptive task sharing —
-//!   the load-balancing mechanism evaluated in paper Fig. 10).
+//! * **Parallel execution phase** — the calling thread is worker 0.
+//!   Workers pop subtrees and run the algorithm's own sequential
+//!   enumeration on them; while above `SPLIT_DEPTH`, a worker that
+//!   observes idle peers and an empty queue donates its children instead
+//!   of recursing (adaptive task sharing — the load-balancing mechanism
+//!   evaluated in paper Fig. 10). Helpers are admitted by measured work:
+//!   the caller spawns the other `num_threads − 1` workers only at a
+//!   subtree boundary reached after [`SPAWN_AFTER`] of searching with tasks
+//!   still queued. Until then peers look idle, so the caller donates and
+//!   reaches boundaries often; a search that finishes sooner spawns nothing.
 //!
 //! Synchronization is deliberately minimal: one `crossbeam_deque::Injector`
 //! for tasks, one `AtomicUsize` active-worker count for both idleness
@@ -32,6 +37,12 @@ use crossbeam_utils::Backoff;
 use csm_check::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use csm_graph::{GraphShard, QueryGraph};
 use std::time::{Duration, Instant};
+
+/// How long the caller searches alone before it spawns helpers. A scoped
+/// spawn costs 15–17 µs per thread (30–42 µs for a 2-thread run on a
+/// 2-vCPU host), and half of `enum_amazon`'s searches finish in under
+/// 50 µs; chosen from a sweep of 50, 100 and 200 µs over that workload.
+const SPAWN_AFTER: Duration = Duration::from_micros(100);
 
 /// A search-tree subtree: a partial embedding plus the order it extends.
 #[derive(Clone, Copy, Debug)]
@@ -101,7 +112,9 @@ pub struct InnerOutcome {
     /// Any worker hit the deadline.
     pub timed_out: bool,
     /// Busy time per worker thread (paper Fig. 10's per-thread execution
-    /// time distribution).
+    /// time distribution). Index 0 is the caller; helper entries appear
+    /// only when helpers were spawned, so the length is 1 or
+    /// `num_threads` (0 when the init phase finished the search).
     pub thread_busy: Vec<Duration>,
     /// Subtree tasks executed by workers.
     pub tasks_executed: u64,
@@ -119,10 +132,12 @@ struct RunCtx<'a, G: GraphShard> {
     algo: &'a dyn CsmAlgorithm<G>,
     deadline: Option<Instant>,
     injector: Injector<SeedTask>,
-    /// Workers not (yet) proven idle. Starts at `num_threads`; a worker
-    /// decrements only after observing the queue empty and re-increments
-    /// *before* stealing again, so `Empty && active == 0` can only be
-    /// observed at quiescence — never while a stolen task is in flight.
+    /// Workers not (yet) proven idle. Starts at 1 (the caller), which
+    /// registers all helpers in one `fetch_add` *before* spawning them; a
+    /// worker decrements only after observing the queue empty and
+    /// re-increments *before* stealing again, so `Empty && active == 0`
+    /// can only be observed at quiescence — never while a stolen task is
+    /// in flight.
     /// (The seed revision counted *executing* workers instead, opening an
     /// early-exit window between a peer's `Steal::Success` and its
     /// `fetch_add`; `csm-check`'s model tests keep that bug reproducible
@@ -156,9 +171,10 @@ impl<'a, G: GraphShard> RunCtx<'a, G> {
         }
     }
 
-    /// Donation heuristic: does some worker currently look idle? Relaxed
-    /// is deliberate — a stale answer only skews the donate-vs-recurse
-    /// choice, never correctness (see LINT.md ordering allowlist).
+    /// Donation heuristic: does some worker currently look idle? True
+    /// until helpers exist. Relaxed is deliberate — a stale answer only
+    /// skews the donate-vs-recurse choice, never correctness (see LINT.md
+    /// ordering allowlist).
     #[inline]
     fn has_idle_threads(&self) -> bool {
         self.active.load(Ordering::Relaxed) < self.cfg.num_threads
@@ -233,6 +249,48 @@ impl<G: GraphShard> MatchSink for WorkerSink<'_, G> {
     }
 }
 
+/// One worker's private state, folded into the outcome after the join.
+/// The caller's worker 0 is built before the init phase, so the BFS and
+/// its later tasks share one sink, trace shard and profile frame.
+struct Worker<'a, G: GraphShard> {
+    sink: WorkerSink<'a, G>,
+    stats: SearchStats,
+    lt: LocalTrace,
+    /// `None` when profiling is off; merged into the shared grid on order
+    /// switches and on drop.
+    frame: Option<ProfileFrame>,
+    busy: Duration,
+    executed: u64,
+    split: u64,
+}
+
+impl<'a, G: GraphShard> Worker<'a, G> {
+    fn new(ctx: &'a RunCtx<'a, G>, lt: LocalTrace) -> Self {
+        Worker {
+            sink: WorkerSink::new(ctx),
+            stats: SearchStats::default(),
+            lt,
+            frame: ctx.profiler.frame(),
+            busy: Duration::ZERO,
+            executed: 0,
+            split: 0,
+        }
+    }
+
+    /// Merge the trace shard and add everything else to `outcome`.
+    fn finish(mut self, mut outcome: InnerOutcome, tracer: &Tracer) -> InnerOutcome {
+        self.lt.count(Counter::Nodes, self.stats.nodes);
+        finish_trace(self.lt, &self.stats, tracer);
+        outcome.sink.absorb(self.sink.local);
+        outcome.nodes += self.stats.nodes;
+        outcome.timed_out |= self.stats.timed_out;
+        outcome.deadline_hits += self.stats.deadline_hits;
+        outcome.tasks_executed += self.executed;
+        outcome.tasks_split += self.split;
+        outcome
+    }
+}
+
 /// Run the inner-update executor over the given seed tasks.
 ///
 /// `seeds` are the root-level tasks of the update's search tree — one per
@@ -240,10 +298,11 @@ impl<G: GraphShard> MatchSink for WorkerSink<'_, G> {
 /// deeper partial state when resuming). Completed embeddings among the
 /// seeds are reported directly.
 ///
-/// `tracer` records per-worker counters/events (shard 0 = this thread's
-/// init phase, shard `w + 1` = worker `w`); pass [`Tracer::off`] for an
-/// untraced run. Workers accumulate into [`LocalTrace`]s and merge once
-/// before joining, so tracing adds no shared-state traffic to the search.
+/// `tracer` records per-worker counters/events (shard 0 = this thread,
+/// worker 0, including its init phase; shard `w + 1` = helper `w`); pass
+/// [`Tracer::off`] for an untraced run. Workers accumulate into
+/// [`LocalTrace`]s merged once after the join, so tracing adds no
+/// shared-state traffic to the search.
 #[allow(clippy::too_many_arguments)]
 pub fn run<G: GraphShard>(
     g: &G,
@@ -268,6 +327,7 @@ pub fn run<G: GraphShard>(
         return outcome;
     }
     outcome.sink.cap = cfg.cap;
+    let start = Instant::now();
 
     let ctx = RunCtx {
         g,
@@ -276,15 +336,15 @@ pub fn run<G: GraphShard>(
         algo,
         deadline,
         injector: Injector::new(),
-        active: AtomicUsize::new(cfg.num_threads),
+        active: AtomicUsize::new(1),
         aborted: AtomicBool::new(false),
         reported: AtomicU64::new(0),
         cfg,
         profiler,
     };
-    // One frame for everything this (the init/sequential) thread runs;
-    // `None` when profiling is off. Flushes residue on drop.
-    let init_frame = profiler.frame();
+    // This thread is worker 0: its init-phase reports (complete seeds) go
+    // through the same shared cap as every helper's.
+    let mut w0 = Worker::new(&ctx, tracer.local(0));
 
     // ---- Initialization phase (main thread): BFS-decompose until the queue
     // holds enough independent subtrees for the pool. The coarse baseline
@@ -294,27 +354,22 @@ pub fn run<G: GraphShard>(
     } else {
         0
     };
-    // The init phase's own reports (complete seeds) go through the same
-    // shared cap as every worker's; the sequential path keeps using it.
-    let mut sink = WorkerSink::new(&ctx);
     let mut frontier: std::collections::VecDeque<SeedTask> = seeds.into();
     // Tasks at the last order position are never expanded into one task
     // per match: they wait here for the algorithm's own search, which
     // finishes them through `kernel::finish_last_level`.
     let mut last_level: Vec<SeedTask> = Vec::new();
-    let mut init_stats = SearchStats::default();
-    let mut init_trace = tracer.local(0);
     let mut expansions = 0usize;
     let expansion_budget = target * 8;
     while frontier.len() + last_level.len() < target && expansions < expansion_budget {
         let Some(task) = frontier.pop_front() else {
             break;
         };
-        let sctx = ctx.search_ctx(task.order_idx, init_frame.as_ref());
+        let sctx = ctx.search_ctx(task.order_idx, w0.frame.as_ref());
         let n = sctx.order.len();
         if task.depth as usize == n {
-            if !sink.report(&task.emb, n) {
-                return finish_init(outcome, sink.local, init_stats, init_trace, tracer);
+            if !w0.sink.report(&task.emb, n) {
+                return w0.finish(outcome, tracer);
             }
             continue;
         }
@@ -330,13 +385,13 @@ pub fn run<G: GraphShard>(
             &task.emb,
             task.depth as usize,
             &mut children,
-            &mut init_stats,
+            &mut w0.stats,
         ) {
             outcome.timed_out = true;
-            return finish_init(outcome, sink.local, init_stats, init_trace, tracer);
+            return w0.finish(outcome, tracer);
         }
-        init_trace.count(Counter::SeedExpansions, 1);
-        init_trace.event(
+        w0.lt.count(Counter::SeedExpansions, 1);
+        w0.lt.event(
             EventKind::SeedExpand,
             task.depth as u64,
             children.len() as u64,
@@ -351,81 +406,43 @@ pub fn run<G: GraphShard>(
     }
     frontier.extend(last_level);
     if frontier.is_empty() {
-        return finish_init(outcome, sink.local, init_stats, init_trace, tracer);
+        return w0.finish(outcome, tracer);
     }
-
-    // Sequential fast path: no pool to coordinate.
-    if cfg.num_threads <= 1 {
-        let mut stats = init_stats;
-        for task in frontier {
-            init_trace.count(Counter::TasksPopped, 1);
-            init_trace.event(EventKind::TaskPop, task.order_idx as u64, task.depth as u64);
-            let (n0, m0) = (stats.nodes, sink.local.count);
-            let sctx = ctx.search_ctx(task.order_idx, init_frame.as_ref());
-            let keep = run_task_sequential(&sctx, algo, task, &mut sink, &mut stats);
-            init_trace.count(Counter::TasksCompleted, 1);
-            init_trace.event(EventKind::TaskDone, stats.nodes - n0, sink.local.count - m0);
-            if !keep {
-                break;
-            }
-        }
-        init_trace.count(Counter::Nodes, stats.nodes - init_stats.nodes);
-        outcome.sink.absorb(sink.local);
-        outcome.nodes += stats.nodes;
-        outcome.timed_out |= stats.timed_out;
-        outcome.deadline_hits += stats.deadline_hits;
-        outcome.tasks_executed += 1;
-        finish_trace(init_trace, &stats, tracer);
-        return outcome;
-    }
-
     for task in frontier {
         ctx.injector.push(task);
     }
 
-    // ---- Parallel execution phase.
-    let nthreads = cfg.num_threads;
-    let mut locals: Vec<(BufferSink, SearchStats, Duration, u64, u64)> = Vec::new();
-    let ctx_ref = &ctx;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..nthreads)
-            .map(|wid| scope.spawn(move || worker_loop(ctx_ref, wid, tracer)))
-            .collect();
-        for h in handles {
-            locals.push(h.join().expect("inner-update worker panicked"));
-        }
+    // ---- Parallel execution phase: this thread runs worker 0's loop and
+    // admits the helpers at the first subtree boundary past `SPAWN_AFTER`
+    // with work still queued and the deadline not yet passed. They are
+    // registered *before* they are spawned, so `Empty && active == 0`
+    // still implies quiescence.
+    let (ctx, nthreads) = (&ctx, cfg.num_threads);
+    let due = |now: Instant| now - start >= SPAWN_AFTER && deadline.is_none_or(|d| now < d);
+    let helpers: Vec<Worker<'_, G>> = std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        worker_loop(ctx, &mut w0, &mut || {
+            if handles.is_empty() && nthreads > 1 && due(Instant::now()) && !ctx.injector.is_empty()
+            {
+                ctx.active.fetch_add(nthreads - 1, Ordering::AcqRel);
+                handles.extend((1..nthreads).map(|wid| {
+                    scope.spawn(move || {
+                        let mut w = Worker::new(ctx, tracer.local(wid + 1));
+                        worker_loop(ctx, &mut w, &mut || {});
+                        w
+                    })
+                }));
+            }
+        });
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("inner-update worker panicked"))
+            .collect()
     });
-
-    init_trace.count(Counter::Nodes, init_stats.nodes);
-    tracer.merge(init_trace);
-    outcome.sink.absorb(sink.local);
-    outcome.nodes += init_stats.nodes;
-    outcome.deadline_hits += init_stats.deadline_hits;
-    for (sink, stats, busy, executed, split) in locals {
-        outcome.sink.absorb(sink);
-        outcome.nodes += stats.nodes;
-        outcome.timed_out |= stats.timed_out;
-        outcome.deadline_hits += stats.deadline_hits;
-        outcome.thread_busy.push(busy);
-        outcome.tasks_executed += executed;
-        outcome.tasks_split += split;
+    for w in std::iter::once(w0).chain(helpers) {
+        outcome.thread_busy.push(w.busy);
+        outcome = w.finish(outcome, tracer);
     }
-    outcome
-}
-
-fn finish_init(
-    mut outcome: InnerOutcome,
-    reported: BufferSink,
-    stats: SearchStats,
-    mut lt: LocalTrace,
-    tracer: &Tracer,
-) -> InnerOutcome {
-    outcome.sink.absorb(reported);
-    lt.count(Counter::Nodes, stats.nodes);
-    finish_trace(lt, &stats, tracer);
-    outcome.nodes += stats.nodes;
-    outcome.timed_out |= stats.timed_out;
-    outcome.deadline_hits += stats.deadline_hits;
     outcome
 }
 
@@ -438,20 +455,14 @@ fn finish_trace(mut lt: LocalTrace, stats: &SearchStats, tracer: &Tracer) {
     tracer.merge(lt);
 }
 
+/// One worker's steal loop. `admit` runs at every subtree boundary —
+/// after each task, and after each child a task recurses into above
+/// `SPLIT_DEPTH`: the caller's helper admission, a no-op for helpers.
 fn worker_loop<G: GraphShard>(
     ctx: &RunCtx<'_, G>,
-    wid: usize,
-    tracer: &Tracer,
-) -> (BufferSink, SearchStats, Duration, u64, u64) {
-    let mut sink = WorkerSink::new(ctx);
-    let mut stats = SearchStats::default();
-    let mut lt = tracer.local(wid + 1);
-    // One frame per worker, merged into the shared grid on order switches
-    // and on drop — the profiler's `LocalTrace` analogue.
-    let frame = ctx.profiler.frame();
-    let mut busy = Duration::ZERO;
-    let mut executed = 0u64;
-    let mut split = 0u64;
+    w: &mut Worker<'_, G>,
+    admit: &mut impl FnMut(),
+) {
     let backoff = Backoff::new();
     'work: loop {
         match ctx.injector.steal() {
@@ -459,25 +470,27 @@ fn worker_loop<G: GraphShard>(
                 backoff.reset();
                 let t0 = Instant::now();
                 if !ctx.aborted.load(Ordering::Relaxed) {
-                    executed += 1;
-                    lt.count(Counter::TasksPopped, 1);
-                    lt.event(EventKind::TaskPop, task.order_idx as u64, task.depth as u64);
-                    let (n0, m0) = (stats.nodes, sink.local.count);
-                    let sctx = ctx.search_ctx(task.order_idx, frame.as_ref());
-                    parallel_find_matches(
-                        ctx, &sctx, task, &mut sink, &mut stats, &mut split, &mut lt,
+                    w.executed += 1;
+                    w.lt.count(Counter::TasksPopped, 1);
+                    w.lt.event(EventKind::TaskPop, task.order_idx as u64, task.depth as u64);
+                    let (n0, m0) = (w.stats.nodes, w.sink.local.count);
+                    parallel_find_matches(ctx, task, w, admit);
+                    w.lt.count(Counter::TasksCompleted, 1);
+                    w.lt.event(
+                        EventKind::TaskDone,
+                        w.stats.nodes - n0,
+                        w.sink.local.count - m0,
                     );
-                    lt.count(Counter::TasksCompleted, 1);
-                    lt.event(EventKind::TaskDone, stats.nodes - n0, sink.local.count - m0);
-                    if stats.timed_out {
+                    if w.stats.timed_out {
                         ctx.aborted.store(true, Ordering::Relaxed);
                     }
                 }
-                busy += t0.elapsed();
+                w.busy += t0.elapsed();
+                admit();
             }
             Steal::Retry => {
-                lt.count(Counter::StealRetries, 1);
-                lt.event(EventKind::StealRetry, 0, 0);
+                w.lt.count(Counter::StealRetries, 1);
+                w.lt.event(EventKind::StealRetry, 0, 0);
             }
             Steal::Empty => {
                 // Deregister while demonstrably idle; re-register *before*
@@ -500,9 +513,6 @@ fn worker_loop<G: GraphShard>(
             }
         }
     }
-    lt.count(Counter::Nodes, stats.nodes);
-    finish_trace(lt, &stats, tracer);
-    (sink.local, stats, busy, executed, split)
 }
 
 /// `Parallel_Find_Matches` from paper Algorithm 2: above `SPLIT_DEPTH`,
@@ -513,44 +523,43 @@ fn worker_loop<G: GraphShard>(
 /// sequential search.
 fn parallel_find_matches<G: GraphShard>(
     ctx: &RunCtx<'_, G>,
-    sctx: &SearchCtx<'_, G>,
     task: SeedTask,
-    sink: &mut WorkerSink<'_, G>,
-    stats: &mut SearchStats,
-    split: &mut u64,
-    lt: &mut LocalTrace,
+    w: &mut Worker<'_, G>,
+    admit: &mut impl FnMut(),
 ) {
     if ctx.aborted.load(Ordering::Relaxed) {
         return;
     }
+    let sctx = ctx.search_ctx(task.order_idx, w.frame.as_ref());
     let n = sctx.order.len();
     let depth = task.depth as usize;
     if depth == n {
-        sink.report(&task.emb, n);
+        w.sink.report(&task.emb, n);
         return;
     }
     let may_split = ctx.cfg.load_balance && depth < ctx.cfg.split_depth && depth + 1 < n;
     if !may_split {
         let mut emb = task.emb;
-        ctx.algo.search(sctx, &mut emb, depth, sink, stats);
+        ctx.algo
+            .search(&sctx, &mut emb, depth, &mut w.sink, &mut w.stats);
         return;
     }
     let mut children = Vec::new();
     if !kernel::expand_one_layer(
-        sctx,
+        &sctx,
         &AdsCandidates(ctx.algo),
         &task.emb,
         depth,
         &mut children,
-        stats,
+        &mut w.stats,
     ) {
         return;
     }
     let donate = ctx.injector.is_empty() && ctx.has_idle_threads();
     if donate {
-        *split += 1;
-        lt.count(Counter::TasksSplit, 1);
-        lt.event(EventKind::Split, children.len() as u64, depth as u64);
+        w.split += 1;
+        w.lt.count(Counter::TasksSplit, 1);
+        w.lt.event(EventKind::Split, children.len() as u64, depth as u64);
         for child in children {
             ctx.injector.push(SeedTask {
                 order_idx: task.order_idx,
@@ -560,22 +569,21 @@ fn parallel_find_matches<G: GraphShard>(
         }
     } else {
         for child in children {
+            let (order_idx, depth) = (task.order_idx, task.depth + 1);
             parallel_find_matches(
                 ctx,
-                sctx,
                 SeedTask {
-                    order_idx: task.order_idx,
-                    depth: task.depth + 1,
+                    order_idx,
+                    depth,
                     emb: child,
                 },
-                sink,
-                stats,
-                split,
-                lt,
+                w,
+                admit,
             );
             if ctx.aborted.load(Ordering::Relaxed) {
                 return;
             }
+            admit();
         }
     }
 }
@@ -793,21 +801,6 @@ pub fn run_simulated<G: GraphShard>(
     out
 }
 
-fn run_task_sequential<G: GraphShard>(
-    sctx: &SearchCtx<'_, G>,
-    algo: &dyn CsmAlgorithm<G>,
-    task: SeedTask,
-    sink: &mut WorkerSink<'_, G>,
-    stats: &mut SearchStats,
-) -> bool {
-    let n = sctx.order.len();
-    if task.depth as usize == n {
-        return sink.report(&task.emb, n);
-    }
-    let mut emb = task.emb;
-    algo.search(sctx, &mut emb, task.depth as usize, sink, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -870,12 +863,17 @@ mod tests {
 
     /// Dense bipartite-ish graph where a triangle query fans out widely.
     fn big_graph() -> (DataGraph, QueryGraph) {
+        dense_graph(60, |i, j| (i + j) % 3 != 0)
+    }
+
+    /// A 4-cycle query over a single-label graph on `n` vertices holding
+    /// the pairs `keep` admits.
+    fn dense_graph(n: usize, keep: fn(usize, usize) -> bool) -> (DataGraph, QueryGraph) {
         let mut g = DataGraph::new();
-        let n = 60;
         let vs: Vec<_> = (0..n).map(|_| g.add_vertex(VLabel(0))).collect();
         for i in 0..n {
             for j in i + 1..n {
-                if (i + j) % 3 != 0 {
+                if keep(i, j) {
                     g.insert_edge(vs[i], vs[j], ELabel(0)).unwrap();
                 }
             }
@@ -1313,7 +1311,148 @@ mod tests {
             &Tracer::off(),
             &Profiler::off(),
         );
-        assert_eq!(out.thread_busy.len(), 4);
+        assert!((1..=4).contains(&out.thread_busy.len()));
         assert!(out.tasks_executed > 0);
+    }
+
+    /// The registry and the outcome agree on nodes and completed tasks at
+    /// every width. A generous seeding target makes the init phase expand
+    /// nodes of its own even at one thread.
+    #[test]
+    fn registry_counts_match_outcome_across_thread_counts() {
+        let (g, q) = big_graph();
+        let orders = MatchingOrders::build(&q);
+        for threads in [1, 2, 4] {
+            let tracer = Tracer::new(crate::trace::TraceLevel::Counters, threads);
+            let seeds = seeds_for_edge(&q, &orders, &g, VertexId(0), VertexId(1));
+            let c = InnerConfig {
+                seed_task_factor: 16,
+                ..cfg(threads)
+            };
+            let out = run(
+                &g,
+                &q,
+                &orders,
+                &Plain,
+                None,
+                seeds,
+                c,
+                &tracer,
+                &Profiler::off(),
+            );
+            let snap = tracer.metrics();
+            assert!(snap.total(Counter::SeedExpansions) > 0, "threads={threads}");
+            assert_eq!(snap.total(Counter::Nodes), out.nodes, "threads={threads}");
+            assert_eq!(
+                snap.total(Counter::TasksCompleted),
+                out.tasks_executed,
+                "threads={threads}"
+            );
+        }
+    }
+
+    /// A search that ends before `SPAWN_AFTER` runs on the caller alone.
+    /// One seed at the last order position leaves nothing queued at any
+    /// boundary, so it never admits helpers whatever the clock says; a
+    /// few-task search is held to the same whenever its own wall time
+    /// stayed below `SPAWN_AFTER`.
+    #[test]
+    fn short_search_spawns_no_helpers() {
+        // u0(0) – u1(1) – u2(2) through edge a–b, and b has five label-2
+        // neighbours: one seed, five matches.
+        let mut g = DataGraph::new();
+        let (a, b) = (g.add_vertex(VLabel(0)), g.add_vertex(VLabel(1)));
+        g.insert_edge(a, b, ELabel(0)).unwrap();
+        for _ in 0..5 {
+            let c = g.add_vertex(VLabel(2));
+            g.insert_edge(b, c, ELabel(0)).unwrap();
+        }
+        let mut q = QueryGraph::new();
+        let u: Vec<_> = (0..3).map(|l| q.add_vertex(VLabel(l))).collect();
+        q.add_edge(u[0], u[1], ELabel(0)).unwrap();
+        q.add_edge(u[1], u[2], ELabel(0)).unwrap();
+        let orders = MatchingOrders::build(&q);
+        let (mut small, small_q) = dense_graph(8, |i, j| (i + j) % 3 != 0);
+        let small_orders = MatchingOrders::build(&small_q);
+        let small_expected = oracle_through_edge(&mut small, &small_q, VertexId(0), VertexId(1));
+        for threads in [2, 4] {
+            let seeds = seeds_for_edge(&q, &orders, &g, a, b);
+            assert_eq!(seeds.len(), 1);
+            let out = run(
+                &g,
+                &q,
+                &orders,
+                &Plain,
+                None,
+                seeds,
+                cfg(threads),
+                &Tracer::off(),
+                &Profiler::off(),
+            );
+            assert_eq!(out.sink.count, 5);
+            assert_eq!(out.thread_busy.len(), 1, "threads={threads}");
+
+            let seeds = seeds_for_edge(&small_q, &small_orders, &small, VertexId(0), VertexId(1));
+            assert!(seeds.len() > 1);
+            let t0 = Instant::now();
+            let out = run(
+                &small,
+                &small_q,
+                &small_orders,
+                &Plain,
+                None,
+                seeds,
+                cfg(threads),
+                &Tracer::off(),
+                &Profiler::off(),
+            );
+            let wall = t0.elapsed();
+            assert_eq!(out.sink.count, small_expected);
+            let len = out.thread_busy.len();
+            assert!(len == 1 || len == threads, "threads={threads} len={len}");
+            assert!(wall >= SPAWN_AFTER || len == 1, "spawned after {wall:?}");
+        }
+    }
+
+    /// A search the test times on one thread at ≥ 20 × `SPAWN_AFTER`
+    /// admits every helper, and still counts exactly. On the complete
+    /// graph K_n a 4-cycle meets edge a–b in 8 (n − 2)(n − 3) embeddings
+    /// (4 query edges × 2 orientations × ordered pairs of other vertices);
+    /// the brute-force oracle confirms the formula on K_8.
+    #[test]
+    fn long_search_admits_every_helper() {
+        let (a, b) = (VertexId(0), VertexId(1));
+        let through_ab = |n: u64| 8 * (n - 2) * (n - 3);
+        let (mut k8, q) = dense_graph(8, |_, _| true);
+        assert_eq!(oracle_through_edge(&mut k8, &q, a, b), through_ab(8));
+        let (g, q) = dense_graph(220, |_, _| true);
+        let orders = MatchingOrders::build(&q);
+        let expected = through_ab(220);
+        let solo = |threads| {
+            let seeds = seeds_for_edge(&q, &orders, &g, a, b);
+            run(
+                &g,
+                &q,
+                &orders,
+                &Plain,
+                None,
+                seeds,
+                cfg(threads),
+                &Tracer::off(),
+                &Profiler::off(),
+            )
+        };
+        let t0 = Instant::now();
+        assert_eq!(solo(1).sink.count, expected);
+        let wall = t0.elapsed();
+        assert!(
+            wall >= SPAWN_AFTER * 20,
+            "search too short to admit: {wall:?}"
+        );
+        for threads in [2, 4] {
+            let out = solo(threads);
+            assert_eq!(out.sink.count, expected, "threads={threads}");
+            assert_eq!(out.thread_busy.len(), threads, "threads={threads}");
+        }
     }
 }

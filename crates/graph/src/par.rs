@@ -39,9 +39,9 @@ pub fn map_slice<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> V
 }
 
 /// Parallel ordered map: `items.iter().map(f).collect()`, fanned out over
-/// at most `nthreads` scoped threads in contiguous chunks (order
-/// preserved). Falls back to the sequential loop for small inputs or
-/// `nthreads <= 1`.
+/// at most `nthreads` contiguous chunks through [`run_jobs`] (order
+/// preserved; the first chunk runs on the calling thread). Falls back to
+/// the sequential loop for small inputs or `nthreads <= 1`.
 pub fn map_slice_with<T: Sync, R: Send>(
     items: &[T],
     nthreads: usize,
@@ -51,41 +51,38 @@ pub fn map_slice_with<T: Sync, R: Send>(
     if nthreads <= 1 {
         return items.iter().map(f).collect();
     }
-    let chunk = items.len().div_ceil(nthreads);
-    let mut out: Vec<R> = Vec::with_capacity(items.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| s.spawn(|| c.iter().map(&f).collect::<Vec<R>>()))
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("parallel map worker panicked"));
-        }
-    });
-    out
+    let f = &f;
+    let jobs: Vec<_> = items
+        .chunks(items.len().div_ceil(nthreads))
+        .map(|c| move || c.iter().map(f).collect::<Vec<R>>())
+        .collect();
+    run_jobs(jobs).into_iter().flatten().collect()
 }
 
-/// Fork-join a set of prepared jobs (one scoped thread each) and return
-/// their results in job order. This is the only spawning primitive
-/// callers outside this module and the inner executor should use — the
-/// project linter (`csm-analyze`) confines raw `std::thread::{spawn, scope}`
-/// to `par.rs`/`inner.rs` so every fork-join site stays auditable.
+/// Fork-join a set of prepared jobs and return their results in job
+/// order. Job 0 runs on the calling thread and each other job on a scoped
+/// thread of its own, so `n` jobs cost `n − 1` spawns. This is the only
+/// spawning primitive callers outside this module and the inner executor
+/// should use — the project linter (`csm-analyze`) confines raw
+/// `std::thread::{spawn, scope}` to `par.rs`/`inner.rs` so every
+/// fork-join site stays auditable.
 ///
 /// Jobs may borrow from the caller's stack (including disjoint `&mut`
-/// sub-slices carved with `split_at_mut`); a single job runs inline
-/// without spawning.
+/// sub-slices carved with `split_at_mut`).
 pub fn run_jobs<R: Send, J: FnOnce() -> R + Send>(jobs: Vec<J>) -> Vec<R> {
-    if jobs.len() <= 1 {
-        return jobs.into_iter().map(|j| j()).collect();
-    }
-    let mut out = Vec::with_capacity(jobs.len());
+    let mut jobs = jobs.into_iter();
+    let Some(first) = jobs.next() else {
+        return Vec::new();
+    };
     std::thread::scope(|s| {
-        let handles: Vec<_> = jobs.into_iter().map(|j| s.spawn(j)).collect();
+        let handles: Vec<_> = jobs.map(|j| s.spawn(j)).collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(first());
         for h in handles {
             out.push(h.join().expect("fork-join worker panicked"));
         }
-    });
-    out
+        out
+    })
 }
 
 #[cfg(test)]
@@ -126,6 +123,20 @@ mod tests {
         let jobs: Vec<_> = data.iter().map(|&x| move || x * 2).collect();
         assert_eq!(run_jobs(jobs), vec![20, 40, 60]);
         assert_eq!(run_jobs(Vec::<fn() -> u8>::new()), Vec::<u8>::new());
+    }
+
+    /// Job 0 runs on the caller; every other job gets a thread of its own.
+    #[test]
+    fn run_jobs_runs_the_first_job_on_the_caller() {
+        let caller = std::thread::current().id();
+        let jobs: Vec<_> = (0..3).map(|_| || std::thread::current().id()).collect();
+        let ids = run_jobs(jobs);
+        assert_eq!(ids[0], caller);
+        assert!(ids[1..].iter().all(|&id| id != caller), "{ids:?}");
+        assert_ne!(ids[1], ids[2]);
+        let ids = map_slice_with(&[(); 64], 4, |_| std::thread::current().id());
+        assert!(ids[..16].iter().all(|&id| id == caller));
+        assert!(ids[16..].iter().all(|&id| id != caller));
     }
 
     #[test]
