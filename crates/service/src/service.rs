@@ -11,6 +11,11 @@
 //! of that query over the same stream would report — the workspace's
 //! differential tests enforce exactly this.
 //!
+//! The cross-session [`crate::shared`] index is the classifier on every
+//! backend: one union lookup judges stage 1 for all sessions, stage 2 and
+//! ΔM run once per share group, and stage-3 probes share one memo. Debug
+//! builds re-check each of its verdicts against the session's own scan.
+//!
 //! Per-update call conventions mirror the standalone engine (paper
 //! Algorithm 1): inserts apply the edge, maintain each non-label-safe
 //! session's ADS, then enumerate; deletions classify and enumerate on the
@@ -20,12 +25,12 @@ use crate::queue::{AdmissionQueue, Backpressure, IngestHandle};
 use crate::session::{Session, SessionFind, SessionSpec};
 use crate::shared::{SharedIndex, SharedIndexStats};
 use crate::telemetry::{ServiceTelemetry, TelemetryConfig, TelemetryHandle};
-use csm_graph::{DataGraph, EdgeUpdate, GraphShard, ShardStats, Update, VertexId};
+use csm_graph::{DataGraph, EdgeUpdate, GraphShard, ShardStats, Update};
 use paracosm_core::{
-    Classified, CsmAlgorithm, CsmError, CsmResult, FanKind, FlightConfig, FlightRecorder,
-    FlightStage, RunReport, SafeStage, SpanId, StageSnapshot, StreamObserver, UpdateObservation,
+    AdsChange, Classified, CsmAlgorithm, CsmError, CsmResult, FanKind, FlightConfig,
+    FlightRecorder, FlightStage, RunReport, SafeStage, SpanId, StageSnapshot, StreamObserver,
+    UpdateObservation,
 };
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,12 +41,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Full-queue behavior.
     pub policy: Backpressure,
-    /// Cross-session shared-work index (see [`crate::shared`]): classify
-    /// each update once against the union of registered sub-patterns and
-    /// fan cached ΔM deltas out to duplicate queries. Per-session results
-    /// are bit-identical either way; `off` exists for differential testing
-    /// and as an escape hatch.
-    pub shared_index: bool,
     /// Per-shard slot capacity of the always-on flight recorder (see
     /// [`paracosm_core::FlightRecorder`]); the recorder keeps the last
     /// `capacity` span events per shard for stall forensics and the
@@ -54,24 +53,20 @@ impl Default for ServiceConfig {
         ServiceConfig {
             queue_capacity: 1024,
             policy: Backpressure::Block,
-            shared_index: true,
             flight_capacity: 1024,
         }
     }
 }
 
-/// Pre-removal disposition of one edge deletion for one session.
+/// Pre-removal disposition of one edge deletion for one session that
+/// does not defer it.
 enum DeleteStage {
     /// Label-safe: no ADS maintenance, no enumeration.
     LabelSafe,
-    /// Label-safe on the deferred fast path (shared index on, session has
-    /// no per-update consumers): bookkeeping accumulates in the session
-    /// ([`Session::fan_label_safe`]) instead of running here.
-    Deferred,
     /// Safe at stage 2 or 3: maintain the ADS after removal, no search.
     Maintain(Classified),
-    /// Unsafe: matches were enumerated pre-removal.
-    Found(SessionFind),
+    /// Unsafe: matches were enumerated (or absorbed) pre-removal.
+    Found(SessionFind, FanKind),
 }
 
 /// Per-session accumulator for a vertex-deletion cascade.
@@ -80,20 +75,6 @@ struct VertexAcc {
     negatives: u64,
     skipped: bool,
     elapsed: Duration,
-}
-
-/// One admitted update held in the sharded drain's current run (see
-/// [`CsmService::drain`]): the original update for observer callbacks,
-/// plus its slot in the run's graph-apply ops vector.
-struct RunEntry {
-    u: Update,
-    /// Invalid at admission (dead endpoint / self-loop): fans out as a
-    /// no-op without ever reaching the graph. Sound to judge at admission
-    /// because liveness cannot change during an edge-only run.
-    invalid: bool,
-    /// Index into the ops vector handed to
-    /// [`GraphShard::apply_edge_batch`] (`None` when `invalid`).
-    op: Option<usize>,
 }
 
 /// A long-lived continuous-subgraph-matching server: one evolving data
@@ -145,15 +126,15 @@ pub struct CsmService<G: GraphShard = DataGraph> {
     noops: u64,
     invalid: u64,
     telemetry: Option<ServiceTelemetry>,
-    shared: Option<SharedIndex>,
+    shared: SharedIndex,
     flight: Arc<FlightRecorder>,
 }
 
 impl<G: GraphShard> CsmService<G> {
     /// Stand up a service over `g` with an empty session registry — any
-    /// [`GraphShard`] backend: a [`DataGraph`] serves updates exactly as
-    /// before, a [`csm_graph::ShardedGraph`] additionally unlocks the
-    /// multi-writer batched drain (see [`CsmService::drain`]).
+    /// [`GraphShard`] backend: a [`DataGraph`] or a
+    /// [`csm_graph::ShardedGraph`], which routes each half-edge to its
+    /// owner store under the same pipeline.
     pub fn new(g: G, cfg: ServiceConfig) -> CsmResult<CsmService<G>> {
         let queue = Arc::new(AdmissionQueue::new(cfg.queue_capacity, cfg.policy)?);
         Ok(CsmService {
@@ -167,7 +148,7 @@ impl<G: GraphShard> CsmService<G> {
             noops: 0,
             invalid: 0,
             telemetry: None,
-            shared: cfg.shared_index.then(SharedIndex::new),
+            shared: SharedIndex::new(),
             flight: Arc::new(FlightRecorder::new(FlightConfig::with_capacity(
                 cfg.flight_capacity,
             ))),
@@ -236,9 +217,7 @@ impl<G: GraphShard> CsmService<G> {
             t.register_session(&mut session);
         }
         self.next_id += 1;
-        if let Some(ix) = &mut self.shared {
-            ix.register(&session);
-        }
+        self.shared.register(&session);
         self.sessions.push(session);
         Ok(id)
     }
@@ -255,10 +234,8 @@ impl<G: GraphShard> CsmService<G> {
             .position(|s| s.id == id)
             .ok_or(CsmError::SessionNotFound(id))?;
         let mut session = self.sessions.remove(pos);
-        if let Some(ix) = &mut self.shared {
-            ix.unregister(pos);
-            debug_assert_eq!(ix.len(), self.sessions.len());
-        }
+        self.shared.unregister(pos);
+        debug_assert_eq!(self.shared.len(), self.sessions.len());
         if let Some(t) = &mut self.telemetry {
             t.unregister_session(id);
         }
@@ -269,10 +246,9 @@ impl<G: GraphShard> CsmService<G> {
         Ok(session.report())
     }
 
-    /// Lifetime effectiveness counters of the shared-work index (`None`
-    /// when the service runs with `shared_index: false`).
-    pub fn shared_stats(&self) -> Option<SharedIndexStats> {
-        self.shared.as_ref().map(SharedIndex::stats)
+    /// Lifetime effectiveness counters of the shared-work index.
+    pub fn shared_stats(&self) -> SharedIndexStats {
+        self.shared.stats()
     }
 
     /// Live session count.
@@ -326,239 +302,15 @@ impl<G: GraphShard> CsmService<G> {
     }
 
     /// Process every currently admitted update through all sessions, in
-    /// admission order. Returns how many updates were processed.
-    ///
-    /// On a sharded backend (`num_shards() > 1`) the drain runs in
-    /// *batched multi-writer* mode: maximal runs of edge updates that are
-    /// label-safe for every session are applied as one
-    /// [`GraphShard::apply_edge_batch`] call — one single-writer applier
-    /// per shard, no shard locks — and then fanned out per update in
-    /// admission order. Updates that cannot join a run (vertex updates, a
-    /// non-label-safe session, a deletion on a pair the run already
-    /// touched) flush the run and take the serial path. Per-session
-    /// results are bit-identical to the serial drain either way; the
-    /// sharded differential tests assert exactly this.
+    /// admission order, one update at a time on every backend. Returns
+    /// how many updates were processed.
     pub fn drain(&mut self) -> CsmResult<u64> {
-        if self.g.num_shards() > 1 {
-            return self.drain_sharded();
-        }
         let mut n = 0;
         while let Some(u) = self.queue.pop() {
             self.process_one(u)?;
             n += 1;
         }
         Ok(n)
-    }
-
-    /// The batched drain behind [`CsmService::drain`] for sharded
-    /// backends.
-    fn drain_sharded(&mut self) -> CsmResult<u64> {
-        let mut n = 0u64;
-        let mut run: Vec<RunEntry> = Vec::new();
-        let mut ops: Vec<(EdgeUpdate, bool)> = Vec::new();
-        let mut touched: HashSet<(VertexId, VertexId)> = HashSet::new();
-        while let Some(u) = self.queue.pop() {
-            n += 1;
-            match self.admit_to_run(&u, &touched) {
-                Some((e, insert, invalid)) => {
-                    let op = (!invalid).then(|| {
-                        touched.insert((e.src.min(e.dst), e.src.max(e.dst)));
-                        ops.push((e, insert));
-                        ops.len() - 1
-                    });
-                    run.push(RunEntry { u, invalid, op });
-                }
-                None => {
-                    self.flush_run(&mut run, &mut ops, &mut touched);
-                    self.process_one(u)?;
-                }
-            }
-        }
-        self.flush_run(&mut run, &mut ops, &mut touched);
-        Ok(n)
-    }
-
-    /// May `u` join the current run of the sharded drain? Only edge
-    /// updates qualify, and only when label-safe for *every* session.
-    /// Stage 1 is state-independent within an edge-only run (it reads
-    /// endpoint vertex labels, which edge ops never change), so the
-    /// admission-time verdict still holds at fan-out time. Deletions must
-    /// name a pair the run has not touched, so the stored edge label
-    /// resolved here is still the label removed at apply time. Invalid
-    /// updates (dead endpoint / self-loop) always join: liveness is
-    /// constant during the run and they fan out as no-ops.
-    ///
-    /// Returns `(edge, is_insert, invalid)`, or `None` when the update
-    /// must flush the run and go through the serial path.
-    fn admit_to_run(
-        &self,
-        u: &Update,
-        touched: &HashSet<(VertexId, VertexId)>,
-    ) -> Option<(EdgeUpdate, bool, bool)> {
-        let (e, insert) = match *u {
-            Update::InsertEdge(e) => (e, true),
-            Update::DeleteEdge(e) => (e, false),
-            _ => return None,
-        };
-        if !self.g.is_alive(e.src) || !self.g.is_alive(e.dst) || e.src == e.dst {
-            return Some((e, insert, true));
-        }
-        let e = if insert {
-            e
-        } else {
-            if touched.contains(&(e.src.min(e.dst), e.src.max(e.dst))) {
-                return None;
-            }
-            match self.g.edge_label(e.src, e.dst) {
-                Some(l) => EdgeUpdate::new(e.src, e.dst, l),
-                // Absent pair: a structural no-op whatever the label
-                // claims, so the stage-1 probe below is immaterial —
-                // admit and let `changed` come back false.
-                None => return Some((e, insert, false)),
-            }
-        };
-        self.sessions
-            .iter()
-            .all(|s| s.eng.label_safe(&self.g, &e))
-            .then_some((e, insert, false))
-    }
-
-    /// Apply the collected run as one batch through the shard appliers
-    /// and fan out per update, in admission order. Clears `run`, `ops`
-    /// and `touched` for the next run.
-    fn flush_run(
-        &mut self,
-        run: &mut Vec<RunEntry>,
-        ops: &mut Vec<(EdgeUpdate, bool)>,
-        touched: &mut HashSet<(VertexId, VertexId)>,
-    ) {
-        touched.clear();
-        if run.is_empty() {
-            return;
-        }
-        let mut changed = Vec::with_capacity(ops.len());
-        let apply = if ops.is_empty() {
-            Duration::ZERO
-        } else {
-            // One real Apply span for the whole run (arg: op count), then
-            // one zero-width Apply tag pair per shard — arg on `begin` is
-            // the shard id, on `end` its routed half-op count. The cold
-            // reader pairs sequential same-stage records within one span,
-            // so the tag pairs stay well-formed.
-            let bspan = self.flight.begin_span();
-            let t0 = Instant::now();
-            self.flight
-                .begin(0, bspan, FlightStage::Apply, ops.len() as u64);
-            self.g.apply_edge_batch(ops, &mut changed);
-            self.flight
-                .end(0, bspan, FlightStage::Apply, ops.len() as u64);
-            let dt = t0.elapsed();
-            let mut per_shard = vec![0u64; self.g.num_shards()];
-            for &(e, _) in ops.iter() {
-                per_shard[self.g.shard_of(e.src)] += 1;
-                per_shard[self.g.shard_of(e.dst)] += 1;
-            }
-            for (shard, &half_ops) in per_shard.iter().enumerate() {
-                if half_ops > 0 {
-                    self.flight
-                        .begin(0, bspan, FlightStage::Apply, shard as u64);
-                    self.flight.end(0, bspan, FlightStage::Apply, half_ops);
-                }
-            }
-            // Each fan-out is attributed its per-op share of the batch
-            // apply, so engine apply totals stay comparable to a serial
-            // run's.
-            dt / ops.len() as u32
-        };
-        for entry in run.drain(..) {
-            let idx = self.update_idx;
-            self.update_idx += 1;
-            self.processed += 1;
-            let span = self.flight.begin_span();
-            self.flight.begin(0, span, FlightStage::Admit, idx);
-            if let Some(t) = &self.telemetry {
-                t.begin_update(idx, self.queue.len() as u64, span);
-            }
-            let did_change = entry.op.map(|i| changed[i]).unwrap_or(false);
-            if entry.invalid {
-                self.invalid += 1;
-                self.fan_noop(entry.u, idx, span);
-            } else if !did_change {
-                self.noops += 1;
-                self.fan_noop(entry.u, idx, span);
-            } else {
-                self.fan_label_safe_all(entry.u, idx, span, apply);
-            }
-            self.flight.end(0, span, FlightStage::Admit, idx);
-            if let Some(t) = &self.telemetry {
-                let shared_stats = self.shared.as_ref().map(SharedIndex::stats);
-                t.end_update(
-                    self.processed,
-                    self.noops,
-                    self.invalid,
-                    &self.sessions,
-                    shared_stats,
-                    self.g.shard_stats(),
-                );
-            }
-        }
-        ops.clear();
-    }
-
-    /// Fan one batched label-safe edge update across all sessions: the
-    /// observer-visible outcome is identical to the serial path's
-    /// label-safe arm (verdict `Safe(Label)`, no ΔM), with the run's
-    /// per-op apply share attributed to each engine.
-    fn fan_label_safe_all(&mut self, u: Update, idx: u64, span: SpanId, apply: Duration) {
-        let shared_on = self.shared.is_some();
-        let mut agg = 0u64;
-        for s in self.sessions.iter_mut() {
-            // Same fast-path split as the serial insert arm: with the
-            // shared index on, a deferring session skips the engine until
-            // the next flush point; index-off, it still books the update
-            // but joins the per-update aggregate flight record.
-            if shared_on && s.defers() {
-                agg += 1;
-                s.fan_label_safe(idx, apply, span);
-                continue;
-            }
-            let metered = !s.defers();
-            if metered {
-                self.flight
-                    .fan_begin(span, FanKind::Engine, s.id as u32, idx);
-            } else {
-                agg += 1;
-            }
-            s.eng.note_update();
-            s.eng.note_apply(apply);
-            let pre = s.eng.stage_snapshot();
-            s.eng
-                .record_verdict(Classified::Safe(SafeStage::Label), idx);
-            let sid = s.id as u32;
-            s.finish(
-                u,
-                UpdateObservation {
-                    index: idx,
-                    verdict: Some(Classified::Safe(SafeStage::Label)),
-                    noop: false,
-                    latency: Duration::ZERO,
-                    positives: 0,
-                    negatives: 0,
-                    skipped: false,
-                    span,
-                },
-                pre,
-            );
-            if metered {
-                self.flight.fan_end(span, FanKind::Engine, sid, 0);
-            }
-        }
-        let agg_kind = if shared_on {
-            FanKind::Deferred
-        } else {
-            FanKind::Engine
-        };
-        self.flight.fan_aggregate(span, agg_kind, agg, idx);
     }
 
     /// Shut down: close the queue to producers, drain everything already
@@ -583,7 +335,7 @@ impl<G: GraphShard> CsmService<G> {
         Ok(ServiceReport {
             stalls,
             shards: self.g.shard_stats(),
-            shared: self.shared.as_ref().map(SharedIndex::stats),
+            shared: Some(self.shared.stats()),
             policy: self.queue.policy(),
             queue_capacity: self.queue.capacity(),
             admitted: self.queue.admitted(),
@@ -628,13 +380,12 @@ impl<G: GraphShard> CsmService<G> {
         let result = self.process_one_inner(u, idx, span);
         self.flight.end(0, span, FlightStage::Admit, idx);
         if let Some(t) = &self.telemetry {
-            let shared_stats = self.shared.as_ref().map(SharedIndex::stats);
             t.end_update(
                 self.processed,
                 self.noops,
                 self.invalid,
                 &self.sessions,
-                shared_stats,
+                self.shared.stats(),
                 self.g.shard_stats(),
             );
         }
@@ -774,6 +525,15 @@ impl<G: GraphShard> CsmService<G> {
         }
     }
 
+    /// Open an update-edge phase of the shared index: the union stage-1
+    /// lookup for `e`, bracketed as a `SharedProbe` flight stage.
+    fn probe_edge(&mut self, e: &EdgeUpdate, span: SpanId, idx: u64) {
+        self.flight.begin(0, span, FlightStage::SharedProbe, idx);
+        self.shared
+            .begin_edge(self.g.label(e.src), self.g.label(e.dst), e.label);
+        self.flight.end(0, span, FlightStage::SharedProbe, 0);
+    }
+
     /// One edge update through classification, single graph application,
     /// and per-session ADS/enumeration fan-out.
     fn process_edge(
@@ -798,334 +558,196 @@ impl<G: GraphShard> CsmService<G> {
             self.fan_noop(u, idx, span);
             return Ok(());
         }
-
         if is_insert {
-            // Stages 1-2 are judged on the pre-insertion graph. With the
-            // shared index, stage 1 is one union lookup (two hash probes)
-            // instead of a per-session label scan and stage 2 runs once
-            // per share group; debug builds re-check both per session.
-            let g = &self.g;
-            self.flight.begin(0, span, FlightStage::Classify, idx);
-            let stages: Vec<Option<SafeStage>> = match &mut self.shared {
-                Some(ix) => {
-                    self.flight.begin(0, span, FlightStage::SharedProbe, idx);
-                    ix.begin_edge(g.label(e.src), g.label(e.dst), e.label);
-                    self.flight.end(0, span, FlightStage::SharedProbe, 0);
-                    self.sessions
-                        .iter()
-                        .enumerate()
-                        .map(|(pos, s)| {
-                            if !ix.involved(pos) {
-                                debug_assert!(s.eng.label_safe(g, &e));
-                                Some(SafeStage::Label)
-                            } else {
-                                debug_assert!(!s.eng.label_safe(g, &e));
-                                let safe =
-                                    ix.degree_safe_for(pos, || s.eng.degree_safe(g, &e, true));
-                                debug_assert_eq!(safe, s.eng.degree_safe(g, &e, true));
-                                safe.then_some(SafeStage::Degree)
-                            }
-                        })
-                        .collect()
-                }
-                None => self
-                    .sessions
-                    .iter()
-                    .map(|s| {
-                        if s.eng.label_safe(g, &e) {
-                            Some(SafeStage::Label)
-                        } else if s.eng.degree_safe(g, &e, true) {
-                            Some(SafeStage::Degree)
-                        } else {
-                            None
-                        }
-                    })
-                    .collect(),
-            };
-            self.flight.end(0, span, FlightStage::Classify, 0);
-            // Apply args carry the owning shard of each endpoint (both 0
-            // on monolithic backends), so flight forensics can attribute
-            // single-update applies to shards.
-            let t0 = Instant::now();
-            self.flight
-                .begin(0, span, FlightStage::Apply, self.g.shard_of(e.src) as u64);
-            self.g.insert_edge(e.src, e.dst, e.label)?;
-            self.flight
-                .end(0, span, FlightStage::Apply, self.g.shard_of(e.dst) as u64);
-            let apply = t0.elapsed();
-            let g = &self.g;
-            let shared_on = self.shared.is_some();
-            let mut agg = 0u64;
-            for (pos, (s, stage)) in self.sessions.iter_mut().zip(stages).enumerate() {
-                // With the index on and no per-update consumer (rolling
-                // window / event tracing), label-safe fan-out defers its
-                // bookkeeping: the observer fires now, the commutative
-                // stats/counter totals fold in at the next flush point.
-                if shared_on && stage == Some(SafeStage::Label) && s.defers() {
-                    agg += 1;
-                    s.fan_label_safe(idx, apply, span);
-                    continue;
-                }
-                // Label-safe fan-out for a deferring session shares ONE
-                // aggregate flight record per update (written after the
-                // loop): nothing consumes its per-update state, and
-                // per-session pairs here would reintroduce the
-                // per-session metering cost the deferred fast path
-                // exists to avoid. With a window or tracer installed
-                // (`!defers()`) every session keeps its own pair.
-                let metered = !(stage == Some(SafeStage::Label) && s.defers());
-                if metered {
-                    self.flight
-                        .fan_begin(span, FanKind::Engine, s.id as u32, idx);
-                } else {
-                    agg += 1;
-                }
-                let mut fan_kind = FanKind::Engine;
-                s.eng.note_update();
-                s.eng.note_apply(apply);
-                let pre = s.eng.stage_snapshot();
-                // With the index on, label-safe fan-out is pure bookkeeping
-                // too cheap to meter per session — its latency reports as
-                // zero instead of paying two clock reads per session.
-                let t = (!(shared_on && stage == Some(SafeStage::Label))).then(Instant::now);
-                let (verdict, found) = match stage {
-                    // Label-safe updates skip both ADS maintenance and
-                    // search (batch-executor convention).
-                    Some(SafeStage::Label) => (Classified::Safe(SafeStage::Label), None),
-                    Some(stage) => {
-                        s.eng.ads_update(g, e, true);
-                        (Classified::Safe(stage), None)
-                    }
-                    None => {
-                        // Stage 3 is judged post-insertion, post-ADS; the
-                        // structural probes come from the cross-session
-                        // memo when the index is on (same verdicts).
-                        let change = s.eng.ads_update(g, e, true);
-                        let safe3 = change == paracosm_core::AdsChange::Unchanged
-                            && match &mut self.shared {
-                                Some(ix) => {
-                                    let v = s.eng.candidates_safe_memo(g, &e, ix.memo());
-                                    debug_assert_eq!(v, s.eng.candidates_safe(g, &e));
-                                    v
-                                }
-                                None => s.eng.candidates_safe(g, &e),
-                            };
-                        if safe3 {
-                            (Classified::Safe(SafeStage::Ads), None)
-                        } else {
-                            let f = match &mut self.shared {
-                                Some(ix) if ix.eligible(pos) => match ix.reuse(pos) {
-                                    Some(count) => {
-                                        fan_kind = FanKind::SharedHit;
-                                        s.absorb_shared(count, true)
-                                    }
-                                    None => {
-                                        let f = s.enumerate(g, &e, true);
-                                        if !f.skipped {
-                                            fan_kind = FanKind::SharedMiss;
-                                            ix.publish(pos, f.count);
-                                            s.eng.note_shared_publish();
-                                        }
-                                        f
-                                    }
-                                },
-                                _ => s.enumerate(g, &e, true),
-                            };
-                            (Classified::Unsafe, Some(f))
-                        }
-                    }
-                };
-                s.eng.record_verdict(verdict, idx);
-                let f = found.unwrap_or_default();
-                let sid = s.id as u32;
-                s.finish(
-                    u,
-                    UpdateObservation {
-                        index: idx,
-                        verdict: Some(verdict),
-                        noop: false,
-                        latency: t.map(|t| t.elapsed()).unwrap_or(Duration::ZERO),
-                        positives: f.count,
-                        negatives: 0,
-                        skipped: f.skipped,
-                        span,
-                    },
-                    pre,
-                );
-                if metered {
-                    self.flight.fan_end(span, fan_kind, sid, f.count);
-                }
-            }
-            let agg_kind = if shared_on {
-                FanKind::Deferred
-            } else {
-                FanKind::Engine
-            };
-            self.flight.fan_aggregate(span, agg_kind, agg, idx);
+            self.insert_edge(u, e, idx, span)
         } else {
             // Deletions classify and enumerate on the pre-removal graph.
             let e = EdgeUpdate::new(e.src, e.dst, self.g.edge_label(e.src, e.dst).unwrap());
-            let g = &self.g;
-            if let Some(ix) = &mut self.shared {
-                self.flight.begin(0, span, FlightStage::SharedProbe, idx);
-                ix.begin_edge(g.label(e.src), g.label(e.dst), e.label);
-                self.flight.end(0, span, FlightStage::SharedProbe, 0);
+            self.delete_edge(u, e, idx, span)
+        }
+    }
+
+    fn insert_edge(&mut self, u: Update, e: EdgeUpdate, idx: u64, span: SpanId) -> CsmResult<()> {
+        // Stages 1-2 are judged on the pre-insertion graph: stage 1 is one
+        // union lookup (two hash probes), stage 2 runs once per share group.
+        self.flight.begin(0, span, FlightStage::Classify, idx);
+        self.probe_edge(&e, span, idx);
+        let (g, ix) = (&self.g, &mut self.shared);
+        let stages: Vec<Option<SafeStage>> = self
+            .sessions
+            .iter()
+            .enumerate()
+            .map(|(pos, s)| {
+                if ix.label_safe(pos, s, g, &e) {
+                    Some(SafeStage::Label)
+                } else {
+                    ix.degree_safe(pos, s, g, &e, true)
+                        .then_some(SafeStage::Degree)
+                }
+            })
+            .collect();
+        self.flight.end(0, span, FlightStage::Classify, 0);
+        // Apply args carry the owning shard of each endpoint (both 0 on
+        // monolithic backends), so flight forensics can attribute applies
+        // to shards.
+        let t0 = Instant::now();
+        self.flight
+            .begin(0, span, FlightStage::Apply, self.g.shard_of(e.src) as u64);
+        self.g.insert_edge(e.src, e.dst, e.label)?;
+        self.flight
+            .end(0, span, FlightStage::Apply, self.g.shard_of(e.dst) as u64);
+        let apply = t0.elapsed();
+        let (g, ix) = (&self.g, &mut self.shared);
+        let mut agg = 0u64;
+        for (pos, (s, stage)) in self.sessions.iter_mut().zip(stages).enumerate() {
+            // Label-safe fan-out to a session with no per-update consumer
+            // (rolling window / event tracing) defers its bookkeeping: the
+            // observer fires now, the commutative stats/counter totals fold
+            // in at the next flush point, and the update shares ONE
+            // aggregate flight record (written after the loop) instead of
+            // paying a per-session pair.
+            if stage == Some(SafeStage::Label) && s.defers() {
+                agg += 1;
+                s.fan_label_safe(idx, apply, span);
+                continue;
             }
-            self.flight.begin(0, span, FlightStage::Classify, idx);
-            let mut pres = Vec::with_capacity(self.sessions.len());
-            for (pos, s) in self.sessions.iter_mut().enumerate() {
-                // Deferred fast path, as on inserts: label-safe fan-out for
-                // a session with no per-update consumers skips the engine
-                // entirely until the next flush point.
-                if let Some(ix) = &self.shared {
-                    if !ix.involved(pos) && s.defers() {
-                        debug_assert!(s.eng.label_safe(g, &e));
-                        pres.push((
-                            StageSnapshot::default(),
-                            Duration::ZERO,
-                            DeleteStage::Deferred,
-                            FanKind::Deferred,
-                            false,
-                        ));
-                        continue;
-                    }
+            self.flight
+                .fan_begin(span, FanKind::Engine, s.id as u32, idx);
+            let mut fan_kind = FanKind::Engine;
+            s.eng.note_update();
+            s.eng.note_apply(apply);
+            let pre = s.eng.stage_snapshot();
+            // Label-safe fan-out is pure bookkeeping too cheap to meter per
+            // session: its latency reports as zero instead of paying two
+            // clock reads per session.
+            let t = (stage != Some(SafeStage::Label)).then(Instant::now);
+            let (verdict, found) = match stage {
+                // Label-safe updates skip both ADS maintenance and search
+                // (batch-executor convention).
+                Some(SafeStage::Label) => (Classified::Safe(SafeStage::Label), None),
+                Some(stage) => {
+                    s.eng.ads_update(g, e, true);
+                    (Classified::Safe(stage), None)
                 }
-                // Index-off mirror of the deferred rule (see the insert
-                // path): a label-safe fan-out for a deferring session
-                // joins the per-update aggregate flight record instead
-                // of paying a per-session pair. The label probe runs
-                // ahead of the span so the metering decision can
-                // precede it; the classification arm below reuses the
-                // verdict instead of re-scanning.
-                let metered = self.shared.is_some() || !s.defers() || !s.eng.label_safe(g, &e);
-                if metered {
-                    self.flight
-                        .fan_begin(span, FanKind::Engine, s.id as u32, idx);
-                }
-                let mut fan_kind = FanKind::Engine;
-                s.eng.note_update();
-                let pre = s.eng.stage_snapshot();
-                let (dt, stage) = match &mut self.shared {
-                    Some(ix) => {
-                        if !ix.involved(pos) {
-                            debug_assert!(s.eng.label_safe(g, &e));
-                            // Untimed fan-out bookkeeping, as on inserts.
-                            (Duration::ZERO, DeleteStage::LabelSafe)
-                        } else {
-                            debug_assert!(!s.eng.label_safe(g, &e));
-                            let t = Instant::now();
-                            let deg = ix.degree_safe_for(pos, || s.eng.degree_safe(g, &e, false));
-                            debug_assert_eq!(deg, s.eng.degree_safe(g, &e, false));
-                            let ads_safe = !deg && {
-                                let v = s.eng.candidates_safe_memo(g, &e, ix.memo());
-                                debug_assert_eq!(v, s.eng.candidates_safe(g, &e));
-                                v
-                            };
-                            let stage = if deg {
-                                DeleteStage::Maintain(Classified::Safe(SafeStage::Degree))
-                            } else if ads_safe {
-                                DeleteStage::Maintain(Classified::Safe(SafeStage::Ads))
-                            } else if ix.eligible(pos) {
-                                match ix.reuse(pos) {
-                                    Some(count) => {
-                                        fan_kind = FanKind::SharedHit;
-                                        DeleteStage::Found(s.absorb_shared(count, false))
-                                    }
-                                    None => {
-                                        let f = s.enumerate(g, &e, false);
-                                        if !f.skipped {
-                                            fan_kind = FanKind::SharedMiss;
-                                            ix.publish(pos, f.count);
-                                            s.eng.note_shared_publish();
-                                        }
-                                        DeleteStage::Found(f)
-                                    }
-                                }
-                            } else {
-                                DeleteStage::Found(s.enumerate(g, &e, false))
-                            };
-                            (t.elapsed(), stage)
+                None => {
+                    // Stage 3 is judged post-insertion, post-ADS.
+                    let unchanged = s.eng.ads_update(g, e, true) == AdsChange::Unchanged;
+                    match ix.find_or_reuse(pos, s, g, &e, true, unchanged) {
+                        None => (Classified::Safe(SafeStage::Ads), None),
+                        Some((f, kind)) => {
+                            fan_kind = kind;
+                            (Classified::Unsafe, Some(f))
                         }
                     }
-                    None => {
-                        let t = Instant::now();
-                        let stage = if !metered || s.eng.label_safe(g, &e) {
-                            DeleteStage::LabelSafe
-                        } else if s.eng.degree_safe(g, &e, false) {
-                            DeleteStage::Maintain(Classified::Safe(SafeStage::Degree))
-                        } else if s.eng.candidates_safe(g, &e) {
-                            DeleteStage::Maintain(Classified::Safe(SafeStage::Ads))
-                        } else {
-                            DeleteStage::Found(s.enumerate(g, &e, false))
-                        };
-                        (t.elapsed(), stage)
-                    }
-                };
-                pres.push((pre, dt, stage, fan_kind, metered));
-            }
-            self.flight.end(0, span, FlightStage::Classify, 0);
-            let t0 = Instant::now();
-            self.flight
-                .begin(0, span, FlightStage::Apply, self.g.shard_of(e.src) as u64);
-            self.g.remove_edge(e.src, e.dst)?;
-            self.flight
-                .end(0, span, FlightStage::Apply, self.g.shard_of(e.dst) as u64);
-            let apply = t0.elapsed();
-            let g = &self.g;
-            let mut agg = 0u64;
-            for (s, (pre, dt, stage, fan_kind, metered)) in self.sessions.iter_mut().zip(pres) {
-                // One aggregate flight record per update for the deferred
-                // fast path, as on inserts.
-                if matches!(stage, DeleteStage::Deferred) {
-                    agg += 1;
-                    s.fan_label_safe(idx, apply, span);
-                    continue;
                 }
-                if !metered {
-                    agg += 1;
-                }
-                s.eng.note_apply(apply);
-                let t = Instant::now();
-                let (verdict, found) = match stage {
-                    DeleteStage::Deferred => unreachable!("deferred fan-out handled above"),
-                    DeleteStage::LabelSafe => (Classified::Safe(SafeStage::Label), None),
-                    DeleteStage::Maintain(v) => {
-                        s.eng.ads_update(g, e, false);
-                        (v, None)
-                    }
-                    DeleteStage::Found(f) => {
-                        s.eng.ads_update(g, e, false);
-                        (Classified::Unsafe, Some(f))
-                    }
-                };
-                s.eng.record_verdict(verdict, idx);
-                let f = found.unwrap_or_default();
-                let sid = s.id as u32;
-                s.finish(
-                    u,
-                    UpdateObservation {
-                        index: idx,
-                        verdict: Some(verdict),
-                        noop: false,
-                        latency: dt + t.elapsed(),
-                        positives: 0,
-                        negatives: f.count,
-                        skipped: f.skipped,
-                        span,
-                    },
-                    pre,
-                );
-                if metered {
-                    self.flight.fan_end(span, fan_kind, sid, f.count);
-                }
-            }
-            let agg_kind = if self.shared.is_some() {
-                FanKind::Deferred
-            } else {
-                FanKind::Engine
             };
-            self.flight.fan_aggregate(span, agg_kind, agg, idx);
+            s.eng.record_verdict(verdict, idx);
+            let f = found.unwrap_or_default();
+            let sid = s.id as u32;
+            s.finish(
+                u,
+                UpdateObservation {
+                    index: idx,
+                    verdict: Some(verdict),
+                    noop: false,
+                    latency: t.map(|t| t.elapsed()).unwrap_or(Duration::ZERO),
+                    positives: f.count,
+                    negatives: 0,
+                    skipped: f.skipped,
+                    span,
+                },
+                pre,
+            );
+            self.flight.fan_end(span, fan_kind, sid, f.count);
         }
+        self.flight.fan_aggregate(span, FanKind::Deferred, agg, idx);
+        Ok(())
+    }
+
+    fn delete_edge(&mut self, u: Update, e: EdgeUpdate, idx: u64, span: SpanId) -> CsmResult<()> {
+        self.flight.begin(0, span, FlightStage::Classify, idx);
+        self.probe_edge(&e, span, idx);
+        let (g, ix) = (&self.g, &mut self.shared);
+        // `None` marks a deferred fan-out (see the insert path).
+        let mut pres: Vec<Option<(StageSnapshot, Duration, DeleteStage)>> =
+            Vec::with_capacity(self.sessions.len());
+        for (pos, s) in self.sessions.iter_mut().enumerate() {
+            let label_safe = ix.label_safe(pos, s, g, &e);
+            if label_safe && s.defers() {
+                pres.push(None);
+                continue;
+            }
+            self.flight
+                .fan_begin(span, FanKind::Engine, s.id as u32, idx);
+            s.eng.note_update();
+            let pre = s.eng.stage_snapshot();
+            if label_safe {
+                // Untimed fan-out bookkeeping, as on inserts.
+                pres.push(Some((pre, Duration::ZERO, DeleteStage::LabelSafe)));
+                continue;
+            }
+            let t = Instant::now();
+            let stage = if ix.degree_safe(pos, s, g, &e, false) {
+                DeleteStage::Maintain(Classified::Safe(SafeStage::Degree))
+            } else {
+                match ix.find_or_reuse(pos, s, g, &e, false, true) {
+                    None => DeleteStage::Maintain(Classified::Safe(SafeStage::Ads)),
+                    Some((f, kind)) => DeleteStage::Found(f, kind),
+                }
+            };
+            pres.push(Some((pre, t.elapsed(), stage)));
+        }
+        self.flight.end(0, span, FlightStage::Classify, 0);
+        let t0 = Instant::now();
+        self.flight
+            .begin(0, span, FlightStage::Apply, self.g.shard_of(e.src) as u64);
+        self.g.remove_edge(e.src, e.dst)?;
+        self.flight
+            .end(0, span, FlightStage::Apply, self.g.shard_of(e.dst) as u64);
+        let apply = t0.elapsed();
+        let g = &self.g;
+        let mut agg = 0u64;
+        for (s, pre) in self.sessions.iter_mut().zip(pres) {
+            let Some((pre, dt, stage)) = pre else {
+                agg += 1;
+                s.fan_label_safe(idx, apply, span);
+                continue;
+            };
+            s.eng.note_apply(apply);
+            let t = Instant::now();
+            let (verdict, found, fan_kind) = match stage {
+                DeleteStage::LabelSafe => {
+                    (Classified::Safe(SafeStage::Label), None, FanKind::Engine)
+                }
+                DeleteStage::Maintain(v) => {
+                    s.eng.ads_update(g, e, false);
+                    (v, None, FanKind::Engine)
+                }
+                DeleteStage::Found(f, kind) => {
+                    s.eng.ads_update(g, e, false);
+                    (Classified::Unsafe, Some(f), kind)
+                }
+            };
+            s.eng.record_verdict(verdict, idx);
+            let f = found.unwrap_or_default();
+            let sid = s.id as u32;
+            s.finish(
+                u,
+                UpdateObservation {
+                    index: idx,
+                    verdict: Some(verdict),
+                    noop: false,
+                    latency: dt + t.elapsed(),
+                    positives: 0,
+                    negatives: f.count,
+                    skipped: f.skipped,
+                    span,
+                },
+                pre,
+            );
+            self.flight.fan_end(span, fan_kind, sid, f.count);
+        }
+        self.flight.fan_aggregate(span, FanKind::Deferred, agg, idx);
         Ok(())
     }
 
@@ -1138,60 +760,24 @@ impl<G: GraphShard> CsmService<G> {
             return Ok(());
         };
         let e = EdgeUpdate::new(e.src, e.dst, label);
-        let g = &self.g;
-        if let Some(ix) = &mut self.shared {
-            // Each cascaded edge is its own phase: fresh stage-1 flags,
-            // fresh probe memo, fresh delta cache.
-            ix.begin_edge(g.label(e.src), g.label(e.dst), e.label);
-        }
+        let (g, ix) = (&self.g, &mut self.shared);
+        // Each cascaded edge is its own phase: fresh stage-1 flags, fresh
+        // probe memo, fresh delta cache.
+        ix.begin_edge(g.label(e.src), g.label(e.dst), e.label);
         let mut label_safe = Vec::with_capacity(self.sessions.len());
         for (pos, (s, a)) in self.sessions.iter_mut().zip(acc.iter_mut()).enumerate() {
-            match &mut self.shared {
-                Some(ix) => {
-                    let is_label_safe = !ix.involved(pos);
-                    debug_assert_eq!(is_label_safe, s.eng.label_safe(g, &e));
-                    if !is_label_safe {
-                        let t = Instant::now();
-                        let deg = ix.degree_safe_for(pos, || s.eng.degree_safe(g, &e, false));
-                        debug_assert_eq!(deg, s.eng.degree_safe(g, &e, false));
-                        if !deg && !s.eng.candidates_safe_memo(g, &e, ix.memo()) {
-                            let f = if ix.eligible(pos) {
-                                match ix.reuse(pos) {
-                                    Some(count) => s.absorb_shared(count, false),
-                                    None => {
-                                        let f = s.enumerate(g, &e, false);
-                                        if !f.skipped {
-                                            ix.publish(pos, f.count);
-                                            s.eng.note_shared_publish();
-                                        }
-                                        f
-                                    }
-                                }
-                            } else {
-                                s.enumerate(g, &e, false)
-                            };
-                            a.negatives += f.count;
-                            a.skipped |= f.skipped;
-                        }
-                        a.elapsed += t.elapsed();
-                    }
-                    label_safe.push(is_label_safe);
-                }
-                None => {
-                    let t = Instant::now();
-                    let is_label_safe = s.eng.label_safe(g, &e);
-                    if !is_label_safe
-                        && !s.eng.degree_safe(g, &e, false)
-                        && !s.eng.candidates_safe(g, &e)
-                    {
-                        let f = s.enumerate(g, &e, false);
+            let safe = ix.label_safe(pos, s, g, &e);
+            if !safe {
+                let t = Instant::now();
+                if !ix.degree_safe(pos, s, g, &e, false) {
+                    if let Some((f, _)) = ix.find_or_reuse(pos, s, g, &e, false, true) {
                         a.negatives += f.count;
                         a.skipped |= f.skipped;
                     }
-                    a.elapsed += t.elapsed();
-                    label_safe.push(is_label_safe);
                 }
+                a.elapsed += t.elapsed();
             }
+            label_safe.push(safe);
         }
         self.g.remove_edge(e.src, e.dst)?;
         let g = &self.g;
@@ -1229,8 +815,9 @@ pub struct ServiceReport {
     /// Watchdog-flagged stalls over the service lifetime (always 0 when
     /// telemetry was never started).
     pub stalls: u64,
-    /// Shared-index effectiveness counters (`None` when the index was
-    /// disabled).
+    /// Shared-index effectiveness counters. Always `Some` from
+    /// [`CsmService::shutdown`]: the index is the service's only
+    /// classifier path.
     pub shared: Option<SharedIndexStats>,
     /// Final per-shard occupancy and applier counters (one entry for
     /// monolithic backends).

@@ -311,7 +311,7 @@ impl<G: GraphShard> Session<G> {
     /// May this session exchange ΔM deltas through the service's shared
     /// index? Only sessions with no per-update budget and no deadline
     /// qualify: a budgeted session must run its own enumeration so the
-    /// degradation ladder observes the same timings as an index-off run,
+    /// degradation ladder observes the same timings as it would alone,
     /// and a deadline could truncate a count mid-search.
     pub(crate) fn shared_eligible(&self) -> bool {
         self.budget.is_none() && self.eng.deadline().is_none()

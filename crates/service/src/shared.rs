@@ -1,8 +1,9 @@
-//! The cross-session shared-work index (DESIGN.md §3.11).
+//! The cross-session shared-work index (DESIGN.md §3.11): the service's
+//! classifier.
 //!
-//! `CsmService` without this module fans every admitted update out to N
-//! independent classifier passes and N independent `Find_Matches` calls —
-//! sessions with overlapping queries pay N times for identical work. The
+//! Fanned out naively, every admitted update costs N independent
+//! classifier passes and N independent `Find_Matches` calls — sessions
+//! with overlapping queries pay N times for identical work. The
 //! [`SharedIndex`] recovers that overlap in three tiers:
 //!
 //! 1. **Union stage-1 classification** — at registration every query is
@@ -33,12 +34,12 @@
 //! Budgeted sessions opt out of delta exchange entirely (they must run
 //! their own enumerations so the degradation ladder sees real timings);
 //! every other observable — per-session ΔM, verdict sequences, observer
-//! callbacks — is bit-identical to an index-off run, which
+//! callbacks — is bit-identical to the same session served alone, which
 //! `tests/service_sessions.rs` enforces differentially.
 
-use crate::session::Session;
-use csm_graph::{ELabel, EdgePatternKey, QEdge, TwoPathKey, VLabel};
-use paracosm_core::ProbeMemo;
+use crate::session::{Session, SessionFind};
+use csm_graph::{ELabel, EdgePatternKey, EdgeUpdate, GraphShard, QEdge, TwoPathKey, VLabel};
+use paracosm_core::{FanKind, ProbeMemo};
 use std::collections::HashMap;
 
 /// Share-group identity: two sessions exchange cached ΔM counts only when
@@ -115,7 +116,7 @@ impl SharedIndex {
     /// Register the session just pushed onto the service's session vector
     /// (its position is `metas.len()`): decompose its query into canonical
     /// keys, subscribe it, and assign its share group.
-    pub(crate) fn register<G: csm_graph::GraphShard>(&mut self, s: &Session<G>) {
+    pub(crate) fn register<G: GraphShard>(&mut self, s: &Session<G>) {
         let pos = self.metas.len();
         let q = s.eng.query();
         let ignore = s.eng.ignores_edge_labels();
@@ -192,48 +193,87 @@ impl SharedIndex {
         self.memo.reset();
     }
 
-    /// Stage-1 verdict from the last [`SharedIndex::begin_edge`]: is the
-    /// session at `pos` label-compatible with (not label-safe for) the
-    /// current edge?
-    pub(crate) fn involved(&self, pos: usize) -> bool {
-        self.involved[pos]
+    /// Stage 1 for the session at `pos`, from the last
+    /// [`SharedIndex::begin_edge`]: label-safe ⇔ not subscribed to the
+    /// edge's key. Debug builds re-check it against the session's own
+    /// label scan.
+    pub(crate) fn label_safe<G: GraphShard>(
+        &self,
+        pos: usize,
+        s: &Session<G>,
+        g: &G,
+        e: &EdgeUpdate,
+    ) -> bool {
+        let safe = !self.involved[pos];
+        debug_assert_eq!(safe, s.eng.label_safe(g, e));
+        safe
     }
 
-    /// Stage-2 verdict for the session at `pos`, computed once per share
-    /// group per edge: the closure runs only on the group's first visitor.
-    pub(crate) fn degree_safe_for(&mut self, pos: usize, judge: impl FnOnce() -> bool) -> bool {
+    /// Stage 2 for the session at `pos`, judged once per share group per
+    /// edge (the group's first visitor runs the degree filter). Debug
+    /// builds re-check it per session.
+    pub(crate) fn degree_safe<G: GraphShard>(
+        &mut self,
+        pos: usize,
+        s: &Session<G>,
+        g: &G,
+        e: &EdgeUpdate,
+        is_insert: bool,
+    ) -> bool {
         let group = self.metas[pos].group;
-        *self.degree_cache.entry(group).or_insert_with(judge)
+        let safe = *self
+            .degree_cache
+            .entry(group)
+            .or_insert_with(|| s.eng.degree_safe(g, e, is_insert));
+        debug_assert_eq!(safe, s.eng.degree_safe(g, e, is_insert));
+        safe
     }
 
-    /// May the session at `pos` exchange deltas? (Registered as eligible
-    /// *and* in a group — always true for unbudgeted sessions.)
-    pub(crate) fn eligible(&self, pos: usize) -> bool {
-        self.metas[pos].eligible
-    }
-
-    /// Absorb the current edge phase's cached ΔM for `pos`'s group, if a
-    /// same-group session already enumerated it. Counts a hit.
-    pub(crate) fn reuse(&mut self, pos: usize) -> Option<u64> {
-        let group = self.metas[pos].group;
-        let count = self.delta_cache.get(&group).copied();
-        if count.is_some() {
-            self.hits += 1;
+    /// The tail of every session that is neither label- nor degree-safe,
+    /// on inserts, deletions and cascaded deletions alike: stage 3
+    /// through the cross-session probe memo, then the session's ΔM —
+    /// absorbed from a same-group session that already enumerated this
+    /// edge phase (a hit), or enumerated here and published for the rest
+    /// of the group (a miss). Stage 3 only applies while the session's
+    /// ADS is unchanged (`ads_unchanged`): always before a removal, and
+    /// after an insert's ADS update reported no change.
+    ///
+    /// Returns `None` when safe at stage 3, else the find and the
+    /// fan-out kind the flight recorder logs for it.
+    pub(crate) fn find_or_reuse<G: GraphShard>(
+        &mut self,
+        pos: usize,
+        s: &mut Session<G>,
+        g: &G,
+        e: &EdgeUpdate,
+        positive: bool,
+        ads_unchanged: bool,
+    ) -> Option<(SessionFind, FanKind)> {
+        if ads_unchanged {
+            let safe = s.eng.candidates_safe_memo(g, e, &mut self.memo);
+            debug_assert_eq!(safe, s.eng.candidates_safe(g, e));
+            if safe {
+                return None;
+            }
         }
-        count
-    }
-
-    /// Publish a freshly enumerated ΔM for `pos`'s group to reuse within
-    /// the current edge phase. Counts a miss.
-    pub(crate) fn publish(&mut self, pos: usize, count: u64) {
-        let group = self.metas[pos].group;
-        self.delta_cache.insert(group, count);
+        let Meta {
+            group, eligible, ..
+        } = self.metas[pos];
+        if !eligible {
+            return Some((s.enumerate(g, e, positive), FanKind::Engine));
+        }
+        if let Some(&count) = self.delta_cache.get(&group) {
+            self.hits += 1;
+            return Some((s.absorb_shared(count, positive), FanKind::SharedHit));
+        }
+        // Eligible sessions have no budget, so they never degrade and
+        // never skip: the count is exact and safe to share.
+        let f = s.enumerate(g, e, positive);
+        debug_assert!(!f.skipped);
+        self.delta_cache.insert(group, f.count);
         self.misses += 1;
-    }
-
-    /// The cross-session stage-3 probe memo for the current edge phase.
-    pub(crate) fn memo(&mut self) -> &mut ProbeMemo {
-        &mut self.memo
+        s.eng.note_shared_publish();
+        Some((f, FanKind::SharedMiss))
     }
 
     /// Lifetime counters plus the current distinct sub-pattern count.

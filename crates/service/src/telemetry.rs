@@ -260,8 +260,8 @@ struct TelemetryShared {
     inflight_span: AtomicU64,
     /// Flight span of the last completed update (0 = none yet).
     last_done_span: AtomicU64,
-    /// Shared-index mirror (zero / absent when the index is off):
-    /// distinct sub-patterns, delta-cache hits, delta-cache misses.
+    /// Shared-index mirror: distinct sub-patterns, delta-cache hits,
+    /// delta-cache misses.
     shared_subpatterns: AtomicU64,
     shared_hits: AtomicU64,
     shared_misses: AtomicU64,
@@ -512,7 +512,7 @@ impl ServiceTelemetry {
         noops: u64,
         invalid: u64,
         sessions: &[Session<G>],
-        shared_stats: Option<SharedIndexStats>,
+        shared_stats: SharedIndexStats,
         shard_stats: Vec<ShardStats>,
     ) {
         st(&self.shared.last_progress_ns, self.shared.now_ns().max(1));
@@ -522,11 +522,9 @@ impl ServiceTelemetry {
         st(&self.shared.processed, processed);
         st(&self.shared.noops, noops);
         st(&self.shared.invalid, invalid);
-        if let Some(sh) = shared_stats {
-            st(&self.shared.shared_subpatterns, sh.subpatterns);
-            st(&self.shared.shared_hits, sh.hits);
-            st(&self.shared.shared_misses, sh.misses);
-        }
+        st(&self.shared.shared_subpatterns, shared_stats.subpatterns);
+        st(&self.shared.shared_hits, shared_stats.hits);
+        st(&self.shared.shared_misses, shared_stats.misses);
         *lock(&self.shared.shards) = shard_stats;
         for (s, m) in sessions.iter().zip(self.mirror.iter()) {
             let (level, overruns, degraded, skipped, reuses) = s.telemetry_counters();
@@ -818,7 +816,7 @@ fn render_prometheus(shared: &TelemetryShared) -> String {
 
     o.push_str(
         "# HELP paracosm_shared_subpatterns Distinct canonical sub-patterns across \
-         registered sessions (0 when the shared index is off).\n",
+         registered sessions.\n",
     );
     o.push_str("# TYPE paracosm_shared_subpatterns gauge\n");
     o.push_str(&format!(

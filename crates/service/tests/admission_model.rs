@@ -208,7 +208,7 @@ fn registration_races_admission_under_schedules() {
                 ServiceConfig {
                     queue_capacity: 2,
                     policy: Backpressure::ShedOldest,
-                    shared_index: true,
+                    ..ServiceConfig::default()
                 },
             )
             .unwrap();
@@ -293,7 +293,7 @@ fn service_remove_and_shutdown_drain_under_schedules() {
                 ServiceConfig {
                     queue_capacity: 2,
                     policy: Backpressure::ShedOldest,
-                    shared_index: true,
+                    ..ServiceConfig::default()
                 },
             )
             .unwrap();

@@ -90,7 +90,6 @@ fn main() {
         ServiceConfig {
             queue_capacity: 256,
             policy: Backpressure::Block,
-            shared_index: true,
             flight_capacity: 1024,
         },
     )

@@ -45,14 +45,12 @@
 //!   --stall-deadline-ms N  watchdog no-progress deadline  (default: 5000)
 //!   --linger-ms N      after draining the stream, keep serving (and the
 //!                      telemetry endpoint up) for N ms before shutdown
-//!   --shards N         partition the data graph into N hash shards and
-//!                      run the multi-writer batched drain (default: 1 =
-//!                      monolithic; per-session ΔM is identical; 0 is
-//!                      rejected)
+//!   --shards N         partition the data graph into N hash shards
+//!                      (default: 1 = monolithic; per-session ΔM is
+//!                      identical; 0 is rejected)
 //!   --profile LEVEL    off|counters — per-session enumeration profiler;
 //!                      `counters` also serves GET /profile and
 //!                      GET /debug/explain/<session>      (default: off)
-//!   --shared-index on|off  cross-session shared-work index (default: on)
 //!   --flight-capacity N  flight-recorder events retained per shard
 //!                      (default: 1024; the recorder is always on)
 //!   --dump-flight-on-stall PATH  if any stall was flagged, write the
@@ -79,8 +77,8 @@ fn usage() -> ! {
          [--queue N] [--policy block|shed-oldest|reject] [--budget-ms N] \
          [--report-json PATH] [--quiet] [--telemetry-addr ADDR] \
          [--stall-deadline-ms N] [--linger-ms N] [--shards N] \
-         [--profile off|counters] [--shared-index on|off] \
-         [--flight-capacity N] [--dump-flight-on-stall PATH] [--wedge-ms N]"
+         [--profile off|counters] [--flight-capacity N] \
+         [--dump-flight-on-stall PATH] [--wedge-ms N]"
     );
     std::process::exit(2);
 }
@@ -132,7 +130,6 @@ struct ServeOpts {
     telemetry_addr: Option<String>,
     stall_deadline: Duration,
     linger: Duration,
-    shared_index: bool,
     flight_capacity: usize,
     dump_flight: Option<String>,
     wedge: Duration,
@@ -152,7 +149,6 @@ fn serve_main(args: Vec<String>) {
     let mut stall_deadline = Duration::from_secs(5);
     let mut linger = Duration::ZERO;
     let mut shards = 1usize;
-    let mut shared_index = true;
     let mut flight_capacity = 1024usize;
     let mut dump_flight: Option<String> = None;
     let mut wedge = Duration::ZERO;
@@ -185,13 +181,6 @@ fn serve_main(args: Vec<String>) {
                 linger = Duration::from_millis(val().parse().unwrap_or_else(|_| usage()))
             }
             "--shards" => shards = val().parse().unwrap_or_else(|_| usage()),
-            "--shared-index" => {
-                shared_index = match val().as_str() {
-                    "on" => true,
-                    "off" => false,
-                    _ => usage(),
-                }
-            }
             "--flight-capacity" => flight_capacity = val().parse().unwrap_or_else(|_| usage()),
             "--dump-flight-on-stall" => dump_flight = Some(val()),
             "--wedge-ms" => {
@@ -236,7 +225,6 @@ fn serve_main(args: Vec<String>) {
         telemetry_addr,
         stall_deadline,
         linger,
-        shared_index,
         flight_capacity,
         dump_flight,
         wedge,
@@ -256,15 +244,13 @@ fn serve_main(args: Vec<String>) {
 }
 
 /// The graph-generic tail of `serve`: identical over a monolithic
-/// [`DataGraph`] and a [`ShardedGraph`] (where the service drains in
-/// batched multi-writer mode).
+/// [`DataGraph`] and a [`ShardedGraph`].
 fn serve_with<G: GraphShard>(g: G, s: &UpdateStream, opts: ServeOpts) {
     let mut svc = CsmService::new(
         g,
         ServiceConfig {
             queue_capacity: opts.queue,
             policy: opts.policy,
-            shared_index: opts.shared_index,
             flight_capacity: opts.flight_capacity,
         },
     )

@@ -274,7 +274,6 @@ fn served_stream_leaves_complete_span_record() {
         ServiceConfig {
             queue_capacity: 1024,
             policy: Backpressure::Block,
-            shared_index: true,
             flight_capacity: 4096,
         },
     )

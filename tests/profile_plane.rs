@@ -1,6 +1,6 @@
 //! Profiler-plane integration tests: a profiled session must report the
-//! same ΔM as an unprofiled one under every apply path the serving layer
-//! has (serial per-op, sharded batched multi-writer, vertex cascade
+//! same ΔM as an unprofiled one on every backend and apply path the
+//! serving layer has (monolithic and sharded stores, vertex cascade
 //! deletes), and the `/profile` scrape must reconcile exactly with the
 //! shutdown [`ServiceReport`], because both read the same attribution
 //! grid.
@@ -40,9 +40,7 @@ fn base_graph(seed: u64) -> DataGraph {
     g
 }
 
-/// Edge-only churn, hub-skewed: long label-safe runs so a sharded
-/// backend batches well past `MIN_PARALLEL_BATCH` through
-/// `apply_edge_batch` (the multi-writer path).
+/// Edge-only churn, hub-skewed, with long label-safe runs.
 fn edge_stream(seed: u64, len: usize) -> Vec<Update> {
     let mut rng = Lcg(seed ^ 0x9E3779B97F4A7C15);
     let mut out = Vec::with_capacity(len);
@@ -66,8 +64,7 @@ fn edge_stream(seed: u64, len: usize) -> Vec<Update> {
 }
 
 /// Full churn: edge ops plus vertex inserts and cascading vertex
-/// deletes, which break batchable runs and exercise the serial apply
-/// path and vertex cascades.
+/// deletes, which exercise the vertex apply paths and cascades.
 fn churn_stream(seed: u64, len: usize) -> Vec<Update> {
     let mut rng = Lcg(seed ^ 0x0DDB1A5E5BAD5EED);
     let mut out = Vec::with_capacity(len);
@@ -126,8 +123,8 @@ fn run_session<G: GraphShard>(g: G, stream: &[Update], level: ProfileLevel) -> R
 
 /// Profiling observes and never steers: a `Counters`-profiled session
 /// reports the same ΔM, classifier verdicts and update count as an
-/// unprofiled one, on the monolithic serial path with vertex inserts and
-/// cascades and on the sharded batched multi-writer drain.
+/// unprofiled one, on the monolithic backend with vertex inserts and
+/// cascades and on a sharded backend.
 #[test]
 fn profiled_session_matches_unprofiled_on_every_apply_path() {
     fn check(on: RunReport, off: RunReport, path: &str) {
@@ -152,7 +149,7 @@ fn profiled_session_matches_unprofiled_on_every_apply_path() {
         let sharded = || ShardedGraph::from_graph(ShardConfig::hash(2), &base_graph(seed)).unwrap();
         let on = run_session(sharded(), &stream, ProfileLevel::Counters);
         let off = run_session(sharded(), &stream, ProfileLevel::Off);
-        check(on, off, &format!("sharded batched seed={seed}"));
+        check(on, off, &format!("sharded seed={seed}"));
     }
 }
 

@@ -139,7 +139,6 @@ fn shed_oldest_policy_is_observable_in_report() {
         ServiceConfig {
             queue_capacity: 4,
             policy: Backpressure::ShedOldest,
-            shared_index: true,
             flight_capacity: 1024,
         },
     )
@@ -178,7 +177,6 @@ fn reject_policy_is_observable_and_survivable() {
         ServiceConfig {
             queue_capacity: 4,
             policy: Backpressure::Reject,
-            shared_index: true,
             flight_capacity: 1024,
         },
     )
@@ -369,14 +367,50 @@ fn shutdown_closes_ingest() {
     ));
 }
 
-/// The shared-index differential: the same five-tenant service — including
-/// a duplicate-query session under a *different* algorithm, so the delta
-/// cache is actually exercised — produces bit-identical per-session ΔM,
-/// classifier verdicts, and update counts with the index off and on; and
-/// the index's lifetime hit counter reconciles exactly with the sum of
-/// per-session reuse dimensions.
+/// Serve `stream` over `g` with one session per tenant and return the
+/// shutdown report.
+fn serve(
+    g: &DataGraph,
+    stream: &[Update],
+    tenants: &[(QueryGraph, AlgoKind, &str)],
+) -> ServiceReport {
+    let mut svc = CsmService::new(g.clone(), ServiceConfig::default()).unwrap();
+    for (q, kind, label) in tenants {
+        svc.add_session(
+            SessionSpec::new(q.clone(), ParaCosmConfig::sequential()).with_label(*label),
+            Box::new(kind.build(g, q)),
+            Box::new(NoopObserver),
+        )
+        .unwrap();
+    }
+    for &u in stream {
+        svc.submit(u).unwrap();
+    }
+    svc.shutdown().unwrap()
+}
+
+/// ΔM of a standalone single-query engine over `stream` from `g`.
+fn standalone(g: &DataGraph, q: &QueryGraph, kind: AlgoKind, stream: &[Update]) -> (u64, u64) {
+    let stream: UpdateStream = stream.iter().copied().collect();
+    let mut solo = ParaCosm::new(
+        g.clone(),
+        q.clone(),
+        kind.build(g, q),
+        ParaCosmConfig::sequential(),
+    );
+    let out = solo.process_stream(&stream).unwrap();
+    (out.positives, out.negatives)
+}
+
+/// The shared-index differential: in a five-tenant service — including a
+/// duplicate-query session under a *different* algorithm, so the delta
+/// cache is actually exercised — every tenant's ΔM, classifier verdicts
+/// and update count equal those of the same tenant served alone (a
+/// one-session service: no share group, no other session's probes in the
+/// memo), and its ΔM equals a standalone engine's. The index's lifetime
+/// hit counter reconciles exactly with the sum of per-session reuses.
 #[test]
-fn shared_index_on_off_differential() {
+fn shared_index_matches_one_tenant_services() {
     let (g, stream) = dense_workload(97);
     let tenants: Vec<(QueryGraph, AlgoKind, &str)> = vec![
         (triangle(), AlgoKind::GraphFlow, "triangles"),
@@ -384,43 +418,13 @@ fn shared_index_on_off_differential() {
         (path3(1, 0, 1), AlgoKind::TurboFlux, "wedge-101"),
         (path3(0, 0, 1), AlgoKind::NewSP, "path-001"),
         // Same pattern as "triangles" hosted by a different algorithm:
-        // ΔM is a pure function of (graph, query, update), so with the
-        // index on this session absorbs the cached delta instead of
-        // enumerating a second time.
+        // ΔM is a pure function of (graph, query, update), so this
+        // session absorbs the cached delta instead of enumerating a
+        // second time.
         (triangle(), AlgoKind::Symbi, "triangles-dup"),
     ];
-    let run = |shared_index: bool| -> ServiceReport {
-        let mut svc = CsmService::new(
-            g.clone(),
-            ServiceConfig {
-                queue_capacity: 64,
-                policy: Backpressure::Block,
-                shared_index,
-                flight_capacity: 1024,
-            },
-        )
-        .unwrap();
-        for (q, kind, label) in &tenants {
-            svc.add_session(
-                SessionSpec::new(q.clone(), ParaCosmConfig::sequential()).with_label(*label),
-                Box::new(kind.build(&g, q)),
-                Box::new(NoopObserver),
-            )
-            .unwrap();
-        }
-        for &u in stream.updates() {
-            svc.submit(u).unwrap();
-        }
-        svc.shutdown().unwrap()
-    };
-
-    let off = run(false);
-    let on = run(true);
-    assert!(
-        off.shared.is_none(),
-        "index off must report no shared stats"
-    );
-    let sh = on.shared.expect("index on must report shared stats");
+    let shared = serve(&g, stream.updates(), &tenants);
+    let sh = shared.shared.expect("the index always reports");
     assert!(
         sh.subpatterns > 0,
         "five queries must register sub-patterns"
@@ -429,102 +433,111 @@ fn shared_index_on_off_differential() {
         sh.hits > 0,
         "the duplicate-query session must absorb cached deltas"
     );
-    let reuses: u64 = on
+    let reuses: u64 = shared
         .sessions
         .iter()
         .map(|s| s.session.as_ref().unwrap().shared_reuses)
         .sum();
     assert_eq!(sh.hits, reuses, "index hits must equal Σ session reuses");
 
-    assert_eq!(off.sessions.len(), on.sessions.len());
-    for (a, b) in off.sessions.iter().zip(&on.sessions) {
-        let label = &a.session.as_ref().unwrap().label;
+    assert_eq!(shared.sessions.len(), tenants.len());
+    for (served, tenant) in shared.sessions.iter().zip(&tenants) {
+        let (q, kind, label) = tenant;
+        let alone = serve(&g, stream.updates(), std::slice::from_ref(tenant));
+        let alone = &alone.sessions[0];
         assert_eq!(
-            (a.stats.positives, a.stats.negatives),
-            (b.stats.positives, b.stats.negatives),
-            "session {label}: ΔM diverges between index off and on"
+            alone.session.as_ref().unwrap().shared_reuses,
+            0,
+            "session {label}: a lone session has no group to reuse from"
+        );
+        let delta = (served.stats.positives, served.stats.negatives);
+        assert_eq!(
+            delta,
+            (alone.stats.positives, alone.stats.negatives),
+            "session {label}: ΔM diverges from the one-tenant service"
         );
         assert_eq!(
-            a.stats.classifier, b.stats.classifier,
+            served.stats.classifier, alone.stats.classifier,
             "session {label}: classifier verdicts diverge"
         );
-        assert_eq!(a.stats.updates, b.stats.updates);
+        assert_eq!(served.stats.updates, alone.stats.updates);
         assert_eq!(
-            a.session.as_ref().unwrap().shared_reuses,
-            0,
-            "session {label}: index-off runs must never reuse"
+            delta,
+            standalone(&g, q, *kind, stream.updates()),
+            "session {label}: ΔM diverges from a standalone run"
         );
     }
 }
 
-/// Live registration and removal invalidate the shared index correctly:
-/// a session removed mid-stream gets the same tagged report with the
-/// index on as off, a session added mid-stream (duplicating a live
-/// query) still reuses cached deltas, and the survivors' final ΔM stays
-/// bit-identical across both modes.
+/// Live registration and removal keep the shared index correct: a session
+/// removed mid-stream reports the ΔM of a standalone run over the first
+/// half, a session added mid-stream (duplicating a live query) still
+/// reuses cached deltas and reports the ΔM of a standalone run started
+/// from the graph at join time, and the survivors match standalone runs
+/// over the full stream.
 #[test]
 fn shared_index_survives_live_add_and_remove() {
     let (g, stream) = dense_workload(103);
+    let updates = stream.updates();
     let half = stream.len() / 2;
-    let run = |shared_index: bool| -> (RunReport, ServiceReport) {
-        let mut svc = CsmService::new(
-            g.clone(),
-            ServiceConfig {
-                queue_capacity: 64,
-                policy: Backpressure::Block,
-                shared_index,
-                flight_capacity: 1024,
-            },
+    let mut svc = CsmService::new(g.clone(), ServiceConfig::default()).unwrap();
+    let add = |svc: &mut CsmService, q: QueryGraph, kind: AlgoKind, label: &str| {
+        let algo = Box::new(kind.build(svc.graph(), &q));
+        svc.add_session(
+            SessionSpec::new(q, ParaCosmConfig::sequential()).with_label(label),
+            algo,
+            Box::new(NoopObserver),
         )
-        .unwrap();
-        let add = |svc: &mut CsmService, q: QueryGraph, kind: AlgoKind, label: &str| {
-            svc.add_session(
-                SessionSpec::new(q.clone(), ParaCosmConfig::sequential()).with_label(label),
-                Box::new(kind.build(&g, &q)),
-                Box::new(NoopObserver),
-            )
-            .unwrap()
-        };
-        add(&mut svc, triangle(), AlgoKind::GraphFlow, "stay");
-        let leaver = add(&mut svc, triangle(), AlgoKind::Symbi, "leave");
-        add(&mut svc, path3(0, 1, 0), AlgoKind::TurboFlux, "wedge");
-        for &u in &stream.updates()[..half] {
-            svc.submit(u).unwrap();
-        }
-        let left = svc.remove_session(leaver).unwrap();
-        // A mid-stream joiner duplicating a live query: the index must
-        // pick the new share group up without a rebuild.
-        add(&mut svc, path3(0, 1, 0), AlgoKind::NewSP, "wedge-dup");
-        for &u in &stream.updates()[half..] {
-            svc.submit(u).unwrap();
-        }
-        (left, svc.shutdown().unwrap())
+        .unwrap()
     };
-
-    let (left_off, off) = run(false);
-    let (left_on, on) = run(true);
-    assert_eq!(left_off.stats.updates, half as u64);
-    assert_eq!(
-        (left_off.stats.positives, left_off.stats.negatives),
-        (left_on.stats.positives, left_on.stats.negatives),
-        "removed session: ΔM diverges between index off and on"
-    );
-    assert_eq!(left_off.stats.classifier, left_on.stats.classifier);
-    for (a, b) in off.sessions.iter().zip(&on.sessions) {
-        let label = &a.session.as_ref().unwrap().label;
-        assert_eq!(
-            (a.stats.positives, a.stats.negatives),
-            (b.stats.positives, b.stats.negatives),
-            "session {label}: ΔM diverges between index off and on"
-        );
-        assert_eq!(a.stats.classifier, b.stats.classifier);
+    add(&mut svc, triangle(), AlgoKind::GraphFlow, "stay");
+    let leaver = add(&mut svc, triangle(), AlgoKind::Symbi, "leave");
+    add(&mut svc, path3(0, 1, 0), AlgoKind::TurboFlux, "wedge");
+    for &u in &updates[..half] {
+        svc.submit(u).unwrap();
     }
+    let left = svc.remove_session(leaver).unwrap();
+    // A mid-stream joiner duplicating a live query: the index must pick
+    // the new share group up without a rebuild.
+    let at_join = svc.graph().clone();
+    add(&mut svc, path3(0, 1, 0), AlgoKind::NewSP, "wedge-dup");
+    for &u in &updates[half..] {
+        svc.submit(u).unwrap();
+    }
+    let report = svc.shutdown().unwrap();
+
+    assert_eq!(left.stats.updates, half as u64);
+    assert_eq!(
+        (left.stats.positives, left.stats.negatives),
+        standalone(&g, &triangle(), AlgoKind::Symbi, &updates[..half]),
+        "removed session: ΔM diverges from a standalone run"
+    );
+    let session = |label: &str| {
+        report
+            .sessions
+            .iter()
+            .find(|s| s.session.as_ref().unwrap().label == label)
+            .unwrap()
+    };
+    for (label, q, kind) in [
+        ("stay", triangle(), AlgoKind::GraphFlow),
+        ("wedge", path3(0, 1, 0), AlgoKind::TurboFlux),
+    ] {
+        let s = session(label);
+        assert_eq!(
+            (s.stats.positives, s.stats.negatives),
+            standalone(&g, &q, kind, updates),
+            "session {label}: ΔM diverges from a standalone run"
+        );
+    }
+    let dup = session("wedge-dup");
+    assert_eq!(dup.stats.updates, (stream.len() - half) as u64);
+    assert_eq!(
+        (dup.stats.positives, dup.stats.negatives),
+        standalone(&at_join, &path3(0, 1, 0), AlgoKind::NewSP, &updates[half..]),
+        "mid-stream joiner: ΔM diverges from a standalone run from the join-time graph"
+    );
     // The mid-stream duplicate still exchanged deltas with its group.
-    let dup = on
-        .sessions
-        .iter()
-        .find(|s| s.session.as_ref().unwrap().label == "wedge-dup")
-        .unwrap();
     assert!(
         dup.session.as_ref().unwrap().shared_reuses > 0,
         "mid-stream duplicate must reuse cached deltas"

@@ -1,14 +1,14 @@
 //! Sharded-vs-monolithic differential: a [`CsmService`] over a
 //! [`ShardedGraph`] (any shard count, hash or range partitioner) must
 //! report per-update ΔM **bit-identical** to the same service over the
-//! monolithic [`DataGraph`] — the batched multi-writer drain is an
-//! execution strategy, never a semantics change.
+//! monolithic [`DataGraph`] — routing each half-edge to its owner store
+//! is a storage layout, never a semantics change.
 //!
 //! Streams are seeded and skewed (hub-heavy edge churn plus occasional
 //! vertex inserts/deletes), and sessions are chosen so some updates are
-//! label-safe for every session (batchable runs) while others force the
-//! serial path mid-run — both drain modes and the boundary between them
-//! are exercised in every cell.
+//! label-safe for every session while others are unsafe for one of them
+//! and enumerate, so label-safe fan-out, enumeration and the vertex
+//! cascade are exercised in every cell.
 
 use paracosm::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -133,23 +133,9 @@ fn wedge_query() -> QueryGraph {
     q
 }
 
-/// Run the full multi-session service over `g`, returning per-session
-/// observation logs plus the final `(processed, noops, invalid)` and the
-/// sorted final edge set.
-#[allow(clippy::type_complexity)]
-fn run_service<G: GraphShard>(
-    g: G,
-    stream: &[Update],
-    shared_index: bool,
-) -> (Vec<Vec<Obs>>, (u64, u64, u64), Vec<(u32, u32, u32)>) {
-    let mut svc = CsmService::new(
-        g,
-        ServiceConfig {
-            shared_index,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
+/// Register the two standing queries every cell serves (triangle and
+/// wedge, both Symbi), returning their observation logs.
+fn add_sessions<G: GraphShard>(svc: &mut CsmService<G>) -> Vec<Arc<Mutex<Vec<Obs>>>> {
     let mut logs = Vec::new();
     for (qi, q) in [triangle_query(), wedge_query()].into_iter().enumerate() {
         let rec = Recorder::default();
@@ -158,6 +144,19 @@ fn run_service<G: GraphShard>(
         let spec = SessionSpec::new(q, ParaCosmConfig::sequential()).with_label(format!("s{qi}"));
         svc.add_session(spec, algo, Box::new(rec)).unwrap();
     }
+    logs
+}
+
+/// Run the full multi-session service over `g`, returning per-session
+/// observation logs plus the final `(processed, noops, invalid)` and the
+/// sorted final edge set.
+#[allow(clippy::type_complexity)]
+fn run_service<G: GraphShard>(
+    g: G,
+    stream: &[Update],
+) -> (Vec<Vec<Obs>>, (u64, u64, u64), Vec<(u32, u32, u32)>) {
+    let mut svc = CsmService::new(g, ServiceConfig::default()).unwrap();
+    let logs = add_sessions(&mut svc);
     for &u in stream {
         svc.submit(u).unwrap();
     }
@@ -180,9 +179,9 @@ fn run_service<G: GraphShard>(
     )
 }
 
-fn differential_cell(shards: usize, partition_by_range: bool, seed: u64, shared_index: bool) {
+fn differential_cell(shards: usize, partition_by_range: bool, seed: u64) {
     let stream = skewed_stream(seed, 400);
-    let (ref_logs, ref_counts, ref_edges) = run_service(base_graph(seed), &stream, shared_index);
+    let (ref_logs, ref_counts, ref_edges) = run_service(base_graph(seed), &stream);
 
     let cfg = if partition_by_range {
         ShardConfig::range_even(shards, NV * 2)
@@ -191,7 +190,7 @@ fn differential_cell(shards: usize, partition_by_range: bool, seed: u64, shared_
     };
     let sg = ShardedGraph::from_graph(cfg, &base_graph(seed)).unwrap();
     assert_eq!(sg.num_shards(), shards);
-    let (logs, counts, edges) = run_service(sg, &stream, shared_index);
+    let (logs, counts, edges) = run_service(sg, &stream);
 
     assert_eq!(counts, ref_counts, "service counters diverged");
     assert_eq!(edges, ref_edges, "final graphs diverged");
@@ -207,7 +206,7 @@ fn differential_cell(shards: usize, partition_by_range: bool, seed: u64, shared_
 fn sharded_matches_monolithic_hash_partitioner() {
     for shards in [1, 2, 4, 7] {
         for seed in [1, 42] {
-            differential_cell(shards, false, seed, true);
+            differential_cell(shards, false, seed);
         }
     }
 }
@@ -215,18 +214,13 @@ fn sharded_matches_monolithic_hash_partitioner() {
 #[test]
 fn sharded_matches_monolithic_range_partitioner() {
     for shards in [2, 4, 7] {
-        differential_cell(shards, true, 7, true);
+        differential_cell(shards, true, 7);
     }
 }
 
-#[test]
-fn sharded_matches_monolithic_index_off() {
-    differential_cell(4, false, 11, false);
-}
-
-/// Pure-ingest batching (no sessions): every edge update is vacuously
-/// label-safe, so whole runs flow through `apply_edge_batch` — the final
-/// graph and counters must still match the monolithic run exactly.
+/// Pure ingest (no sessions): every update only routes half-edges to
+/// their owner stores — the final graph and counters must still match
+/// the monolithic run exactly.
 #[test]
 fn sharded_pure_ingest_batches_whole_stream() {
     let stream = skewed_stream(99, 600);
@@ -268,9 +262,8 @@ fn sharded_pure_ingest_batches_whole_stream() {
 }
 
 /// The degradation ladder must behave identically over a sharded backend:
-/// a zero-budget session over a hot stream degrades the same way in both
-/// drains (budgeted sessions are never batch-deferred differently — the
-/// ladder sees the same enumeration sequence).
+/// a budgeted session over a hot stream sees the same enumeration
+/// sequence on both backends, so its ladder moves identically.
 #[test]
 fn sharded_ladder_parity_with_budget() {
     let stream = skewed_stream(5, 300);
@@ -309,4 +302,58 @@ fn sharded_ladder_parity_with_budget() {
         mk(base_graph(5))
     };
     assert_eq!(run(true), run(false));
+}
+
+/// One update, one span, on every backend: after `drain()` the flight
+/// recorder has minted exactly one span per processed update, and every
+/// `Apply` event belongs to an update span (one with an `Admit` event) —
+/// no backend applies outside the per-update pipeline.
+#[test]
+fn one_update_one_span_on_every_backend() {
+    fn check<G: GraphShard>(g: G, stream: &[Update], backend: &str) {
+        let cfg = ServiceConfig {
+            flight_capacity: 1 << 14,
+            ..ServiceConfig::default()
+        };
+        let mut svc = CsmService::new(g, cfg).unwrap();
+        add_sessions(&mut svc);
+        for &u in stream {
+            svc.submit(u).unwrap();
+        }
+        let n = svc.drain().unwrap();
+        assert_eq!(n, stream.len() as u64, "{backend}");
+        assert_eq!(
+            svc.flight().spans_minted(),
+            n,
+            "{backend}: one span per processed update"
+        );
+        let snap = svc.flight().snapshot();
+        assert!(snap.dropped.iter().all(|&d| d == 0), "{backend}");
+        let events: Vec<&FlightEvent> = snap.shards.iter().flatten().collect();
+        let admitted: std::collections::HashSet<SpanId> = events
+            .iter()
+            .filter(|e| e.stage == FlightStage::Admit)
+            .map(|e| e.span)
+            .collect();
+        let mut applies = 0;
+        for e in events.iter().filter(|e| e.stage == FlightStage::Apply) {
+            assert!(
+                admitted.contains(&e.span),
+                "{backend}: apply event {e:?} outside any update span"
+            );
+            applies += 1;
+        }
+        assert!(applies > 0, "{backend}: the stream must apply something");
+        svc.shutdown().unwrap();
+    }
+    let seed = 3;
+    let stream = skewed_stream(seed, 400);
+    check(base_graph(seed), &stream, "mono");
+    for (name, cfg) in [
+        ("hash/2", ShardConfig::hash(2)),
+        ("range/2", ShardConfig::range_even(2, NV * 2)),
+    ] {
+        let sg = ShardedGraph::from_graph(cfg, &base_graph(seed)).unwrap();
+        check(sg, &stream, name);
+    }
 }

@@ -381,7 +381,6 @@ fn watchdog_flags_wedged_queue_then_recovers() {
         ServiceConfig {
             queue_capacity: 64,
             policy: Backpressure::Reject,
-            shared_index: true,
             flight_capacity: 1024,
         },
     )
