@@ -177,9 +177,7 @@ pub fn run(files: &[SourceFile], cfg: &Config, diags: &mut Vec<Diagnostic>) -> U
             if TRACE_HOT_FILES.contains(&rel)
                 && t.is_ident("tracer")
                 && toks.get(i + 1).is_some_and(|t| t.is_punct("."))
-                && toks.get(i + 2).is_some_and(|t| {
-                    t.is_ident("count") || t.is_ident("event") || t.is_ident("gauge")
-                })
+                && toks.get(i + 2).is_some_and(|t| t.is_ident("count"))
                 && toks.get(i + 3).is_some_and(|t| t.is_punct("("))
             {
                 diags.push(Diagnostic::new(
@@ -187,8 +185,9 @@ pub fn run(files: &[SourceFile], cfg: &Config, diags: &mut Vec<Diagnostic>) -> U
                     t.line,
                     "trace-local-only",
                     format!(
-                        "shared Tracer call on a hot path — accumulate in a \
-                         LocalTrace and merge once per run ({})",
+                        "shared Tracer call on a hot path — count in the \
+                         worker's own fields and fold them into its shard \
+                         once per run ({})",
                         file.snippet(t.line)
                     ),
                 ));

@@ -7,9 +7,8 @@
 //!   every emitted name must be documented in README's metrics table.
 //! * `kind-exhaustive` — enum/exporter lock-step: variant count vs. the
 //!   `NUM_*` const vs. the `*_NAMES` table; every variant referenced in
-//!   its decode/name exporters; the metrics registry exporters
-//!   (`prometheus_text`, `RunReport::to_json`) must reference both the
-//!   counter and the gauge name tables.
+//!   its decode/name exporters; the registry's JSON exporter
+//!   (`RunReport::to_json`) must reference the counter name table.
 //!
 //! Each check silently no-ops when its artifact is absent, so scratch
 //! trees (and the fixture corpus) only pay for what they contain.
@@ -30,18 +29,12 @@ const README: &str = "README.md";
 const README_IGNORE: [&str; 2] = ["paracosm_check", "paracosm_core"];
 
 /// `(file, enum, NUM const, NAMES const)` triples kept in lock-step.
-const TRIPLES: [(&str, &str, &str, &str); 4] = [
+const TRIPLES: [(&str, &str, &str, &str); 3] = [
     (
         "crates/core/src/trace.rs",
         "Counter",
         "NUM_COUNTERS",
         "COUNTER_NAMES",
-    ),
-    (
-        "crates/core/src/trace.rs",
-        "Gauge",
-        "NUM_GAUGES",
-        "GAUGE_NAMES",
     ),
     (
         "crates/core/src/trace/window.rs",
@@ -59,14 +52,13 @@ const TRIPLES: [(&str, &str, &str, &str); 4] = [
 
 /// `(file, enum, exporter fn)` — the fn body must reference every
 /// variant of the enum.
-const COVERAGE: [(&str, &str, &str); 7] = [
+const COVERAGE: [(&str, &str, &str); 6] = [
     ("crates/core/src/trace.rs", "Counter", "counter_from_index"),
     (
         "crates/core/src/trace/profile.rs",
         "ProfileCounter",
         "profile_counter_from_index",
     ),
-    ("crates/core/src/trace.rs", "EventKind", "perfetto_json"),
     ("crates/core/src/trace/flight.rs", "FlightStage", "name"),
     (
         "crates/core/src/trace/flight.rs",
@@ -78,22 +70,14 @@ const COVERAGE: [(&str, &str, &str); 7] = [
 ];
 
 /// `(file, owner, fn, required idents)` — registry exporters must
-/// reference both name tables, so a counter or gauge added to the enum
-/// cannot silently vanish from one export format.
-const EXPORT_REFS: [(&str, &str, &str, [&str; 2]); 2] = [
-    (
-        "crates/core/src/trace.rs",
-        "Tracer",
-        "prometheus_text",
-        ["COUNTER_NAMES", "GAUGE_NAMES"],
-    ),
-    (
-        "crates/core/src/trace.rs",
-        "RunReport",
-        "to_json",
-        ["COUNTER_NAMES", "GAUGE_NAMES"],
-    ),
-];
+/// reference the name table, so a counter added to the enum cannot
+/// silently vanish from the report.
+const EXPORT_REFS: [(&str, &str, &str, [&str; 1]); 1] = [(
+    "crates/core/src/trace.rs",
+    "RunReport",
+    "to_json",
+    ["COUNTER_NAMES"],
+)];
 
 pub fn run(root: &Path, files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
     metric_drift(root, files, diags);
@@ -325,8 +309,7 @@ fn kind_exhaustive(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
                     "kind-exhaustive",
                     format!(
                         "`{owner}::{fn_name}` does not reference `{ident}` — every \
-                         registry family must appear in each export format \
-                         (Prometheus text and the JSON report)"
+                         registry counter must appear in the JSON report"
                     ),
                 ));
             }

@@ -15,7 +15,6 @@
 //!   --timeout-ms N       per-query time limit           (default: 5000)
 //!   --sizes a,b,c        query sizes                    (default: 6,7,8,9,10)
 //!   --seed N             base RNG seed                  (default: 1)
-//!   --trace-out PATH     observe: write Chrome/Perfetto trace JSON
 //!   --report-json PATH   observe: write machine-readable run report
 //! ```
 //!
@@ -38,7 +37,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro <experiment ...> [--scale xs|s|m] [--threads N] [--queries N] \
          [--stream N] [--timeout-ms N] [--sizes a,b,c] [--seed N] \
-         [--trace-out PATH] [--report-json PATH]\n\
+         [--report-json PATH]\n\
          experiments: {} all",
         EXPERIMENTS.join(" ")
     );
@@ -52,7 +51,6 @@ fn main() {
     }
     let mut opts = ExpOptions::default();
     let mut selected: Vec<String> = Vec::new();
-    let mut trace_out: Option<String> = None;
     let mut report_json: Option<String> = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -86,7 +84,6 @@ fn main() {
                     .collect()
             }
             "--seed" => opts.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--trace-out" => trace_out = Some(val("--trace-out")),
             "--report-json" => report_json = Some(val("--report-json")),
             "all" => selected = EXPERIMENTS.iter().map(|s| s.to_string()).collect(),
             e if EXPERIMENTS.contains(&e) => {
@@ -140,11 +137,7 @@ fn main() {
             "fig11" => outputs.push(breakdown::fig11(&opts)),
             "fig12" => outputs.push(tables::fig12(&opts)),
             "analysis" => outputs.push(tables::analysis(&opts)),
-            "observe" => outputs.push(observe::observe(
-                &opts,
-                trace_out.as_deref(),
-                report_json.as_deref(),
-            )),
+            "observe" => outputs.push(observe::observe(&opts, report_json.as_deref())),
             _ => unreachable!(),
         }
     }

@@ -1,11 +1,10 @@
-//! `observe` — one real-threaded, fully instrumented stream run that emits
-//! the machine-readable observability artifacts: a Chrome/Perfetto trace
-//! (`--trace-out`) and a `RunReport` JSON (`--report-json`), plus a printed
+//! `observe` — one real-threaded, instrumented stream run that emits the
+//! machine-readable `RunReport` JSON (`--report-json`), plus a printed
 //! summary of the registry counters.
 //!
 //! Unlike the paper-reproduction experiments (which use the virtual
 //! scheduler to model the 32-core testbed), this runs *real* worker
-//! threads so the per-worker event tracks in the trace reflect actual
+//! threads so the per-worker registry shards and busy times reflect actual
 //! interleaving.
 
 use crate::report::Table;
@@ -15,17 +14,17 @@ use csm_datagen::DatasetKind;
 use paracosm_core::{Counter, ParaCosm, ParaCosmConfig, TraceLevel};
 use std::time::Duration;
 
-/// Run the instrumented stream and render the counter summary. `trace_out`
-/// and `report_json` are output paths (skipped when `None`).
-pub fn observe(opts: &ExpOptions, trace_out: Option<&str>, report_json: Option<&str>) -> Table {
+/// Run the instrumented stream and render the counter summary.
+/// `report_json` is an output path (skipped when `None`).
+pub fn observe(opts: &ExpOptions, report_json: Option<&str>) -> Table {
     let qsize = opts.qsizes.first().copied().unwrap_or(6);
     let w = opts.workload(DatasetKind::Amazon, qsize);
     // Real threads: cap the paper's virtual worker count at what the host
-    // (and the trace's readability) can support.
+    // can support.
     let threads = opts.threads.clamp(2, 8);
     let mut cfg = ParaCosmConfig::parallel(threads)
         .with_time_limit(opts.timeout)
-        .tracing(TraceLevel::Full)
+        .tracing(TraceLevel::Counters)
         .with_slow_k(5);
     cfg.track_latency = true;
 
@@ -36,12 +35,6 @@ pub fn observe(opts: &ExpOptions, trace_out: Option<&str>, report_json: Option<&
         .process_stream(&w.stream)
         .expect("well-formed stream");
 
-    if let Some(path) = trace_out {
-        match std::fs::write(path, engine.tracer().perfetto_json()) {
-            Ok(()) => eprintln!("[observe] Perfetto trace written to {path}"),
-            Err(e) => eprintln!("[observe] failed to write trace {path}: {e}"),
-        }
-    }
     if let Some(path) = report_json {
         match std::fs::write(path, engine.run_report(Some(out.clone())).to_json()) {
             Ok(()) => eprintln!("[observe] run report written to {path}"),

@@ -8,7 +8,7 @@
 
 use csm_check::protocol::{run, ProtocolCfg, TaskForest};
 use csm_check::sched;
-use paracosm_core::trace::{Counter, EventKind, TraceLevel, Tracer};
+use paracosm_core::trace::{Counter, TraceLevel, Tracer};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
@@ -146,24 +146,23 @@ fn injector_delivers_exactly_once_under_model() {
     .unwrap_or_else(|f| panic!("{f}"));
 }
 
-/// `MetricsRegistry` + `LocalTrace` merge: two workers hammering the same
-/// shard and merging event buffers concurrently lose no increments and no
-/// events under any explored schedule.
+/// The inner executor's once-per-run counter fold: two workers fold
+/// their per-run totals into shards 1 and 2 while the main thread hammers
+/// shard 1 with per-event `count`s. Under every explored schedule no
+/// increment is lost and each shard holds exactly what was written to it.
 #[test]
-fn metrics_and_event_merge_lose_nothing_under_model() {
+fn worker_fold_loses_no_increments_under_model() {
     sched::explore(200, || {
-        let tracer = Tracer::with_capacity(TraceLevel::Full, 2, 64);
-        let worker = |t: Tracer, wid: usize| {
+        let tracer = Tracer::new(TraceLevel::Counters, 2);
+        let worker = |t: Tracer, shard: usize| {
             sched::spawn(move || {
-                let mut lt = t.local(wid);
-                for i in 0..5u64 {
-                    lt.count(Counter::TasksPopped, 1);
-                    lt.event(EventKind::TaskPop, i, wid as u64);
-                    // Same-shard shared counter from both threads: the
-                    // lost-increment probe.
-                    t.count(1, Counter::Nodes, 1);
-                }
-                t.merge(lt);
+                t.fold(
+                    shard,
+                    &[
+                        (Counter::TasksPopped, 5),
+                        (Counter::Nodes, 5 * shard as u64),
+                    ],
+                );
             })
         };
         let a = worker(tracer.clone(), 1);
@@ -174,14 +173,13 @@ fn metrics_and_event_merge_lose_nothing_under_model() {
         sched::join(a).unwrap();
         sched::join(b).unwrap();
         let snap = tracer.metrics();
-        assert_eq!(snap.total(Counter::Nodes), 15, "lost counter increments");
+        assert_eq!(snap.total(Counter::Nodes), 20, "lost counter increments");
+        assert_eq!(snap.shard(1, Counter::Nodes), 10);
+        assert_eq!(snap.shard(2, Counter::Nodes), 10);
         assert_eq!(snap.total(Counter::TasksPopped), 10);
         assert_eq!(snap.shard(1, Counter::TasksPopped), 5);
         assert_eq!(snap.shard(2, Counter::TasksPopped), 5);
-        let evs = tracer.events();
-        assert_eq!(evs[1].len(), 5, "lost events on shard 1");
-        assert_eq!(evs[2].len(), 5, "lost events on shard 2");
-        assert_eq!(tracer.dropped_events(), vec![0, 0, 0]);
+        assert_eq!(snap.shard(0, Counter::TasksPopped), 0);
     })
     .unwrap_or_else(|f| panic!("{f}"));
 }

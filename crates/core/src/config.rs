@@ -69,7 +69,7 @@ pub struct ParaCosmConfig {
     pub track_latency: bool,
     /// Observability level (see [`crate::trace`]): `Off` costs one branch
     /// per instrumentation site, `Counters` keeps the sharded registry
-    /// live, `Full` also records per-worker structured events.
+    /// live.
     pub trace: TraceLevel,
     /// Capture the `k` slowest updates (with stage breakdown and nodes
     /// visited) into `RunStats::slowest`. `0` disables the capture.
@@ -331,9 +331,9 @@ mod tests {
     #[test]
     fn tracing_builder_sets_level() {
         let c = ParaCosmConfig::parallel(4)
-            .tracing(TraceLevel::Full)
+            .tracing(TraceLevel::Counters)
             .with_slow_k(5);
-        assert_eq!(c.trace, TraceLevel::Full);
+        assert_eq!(c.trace, TraceLevel::Counters);
         assert_eq!(c.slow_k, 5);
         assert_eq!(ParaCosmConfig::default().trace, TraceLevel::Off);
     }

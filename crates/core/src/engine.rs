@@ -34,8 +34,7 @@ use crate::trace::flight::SpanId;
 use crate::trace::profile::Profiler;
 use crate::trace::window::{WindowConfig, WindowRing};
 use crate::trace::{
-    self, Counter, EventKind, Gauge, RunReport, SessionDims, StreamObserver, Tracer,
-    UpdateObservation,
+    self, Counter, RunReport, SessionDims, StreamObserver, Tracer, UpdateObservation,
 };
 use csm_graph::{DataGraph, EdgeUpdate, GraphShard, QueryGraph, Update};
 use std::marker::PhantomData;
@@ -259,7 +258,6 @@ impl<G: GraphShard, A: CsmAlgorithm<G>> Engine<A, G> {
         algo.rebuild(g, &q);
         let orders = MatchingOrders::build(&q);
         let tracer = Tracer::new(cfg.trace, cfg.num_threads);
-        tracer.gauge(Gauge::BatchSize, cfg.batch_size as u64);
         let window = cfg.window.map(|w| Arc::new(WindowRing::new(w)));
         let profiler = Profiler::new(cfg.profile, &q, &orders);
         Ok(Engine {
@@ -291,9 +289,8 @@ impl<G: GraphShard, A: CsmAlgorithm<G>> Engine<A, G> {
         &self.cfg
     }
 
-    /// The telemetry handle (inert when tracing is off). Snapshot or export
-    /// after a run: [`Tracer::metrics`], [`Tracer::perfetto_json`],
-    /// [`Tracer::prometheus_text`].
+    /// The counter registry handle (inert when tracing is off). Snapshot
+    /// after a run with [`Tracer::metrics`].
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -354,8 +351,7 @@ impl<G: GraphShard, A: CsmAlgorithm<G>> Engine<A, G> {
             threads: self.cfg.num_threads,
             outcome,
             stats: self.stats.clone(),
-            metrics: self.tracer.metrics(),
-            dropped_events: self.tracer.dropped_events(),
+            metrics: self.tracer.enabled().then(|| self.tracer.metrics()),
             session,
             profile: self.profiler.snapshot(),
         }
@@ -386,16 +382,14 @@ impl<G: GraphShard, A: CsmAlgorithm<G>> Engine<A, G> {
         self.stats.ads_time += t.elapsed();
     }
 
-    /// `Update_ADS` wrapper: timed, with the resulting delta mirrored to
-    /// the tracer (event payload `b` is the running update ordinal).
+    /// `Update_ADS` wrapper: timed, with a state change counted under
+    /// [`Counter::AdsChanged`].
     pub fn ads_update(&mut self, g: &G, e: EdgeUpdate, is_insert: bool) -> AdsChange {
         let t = Instant::now();
         let change = self.algo.update_ads(g, &self.q, e, is_insert);
         self.stats.ads_time += t.elapsed();
         if change == AdsChange::Changed {
             self.tracer.count(0, Counter::AdsChanged, 1);
-            self.tracer
-                .event(0, EventKind::AdsDelta, 1, self.stats.updates);
         }
         change
     }
@@ -478,24 +472,25 @@ impl<G: GraphShard, A: CsmAlgorithm<G>> Engine<A, G> {
     }
 
     /// Record a classifier verdict in both `RunStats` and the tracer.
+    /// `idx`, the update's stream position, is unused (the tracer keeps
+    /// counters only); it stays for the benchmark replay harness, which
+    /// still passes it.
     #[inline]
-    pub fn record_verdict(&mut self, c: Classified, idx: u64) {
+    pub fn record_verdict(&mut self, c: Classified, _idx: u64) {
         self.stats.classifier.record(c);
         self.tracer.count(0, trace::verdict_counter(c), 1);
-        self.tracer
-            .event(0, EventKind::Classify, trace::verdict_code(c), idx);
     }
 
     /// True when nothing observes this engine's bookkeeping per update:
-    /// no rolling window is installed and the tracer records no events.
-    /// In that regime label-safe fan-out bookkeeping is a set of
-    /// commutative totals, so a multi-session host may accumulate it
+    /// no rolling window is installed. In that regime label-safe fan-out
+    /// bookkeeping is a set of commutative totals, so a multi-session host
+    /// may accumulate it
     /// outside the engine and fold it in later with
     /// [`Engine::flush_label_safe`] — final stats and counters are
     /// bit-identical, only the moment they become visible moves.
     #[inline]
     pub fn defers_fan_bookkeeping(&self) -> bool {
-        self.window.is_none() && self.tracer.level() < trace::TraceLevel::Full
+        self.window.is_none()
     }
 
     /// Fold `n` deferred label-safe fan-outs (and their accumulated share
@@ -514,12 +509,12 @@ impl<G: GraphShard, A: CsmAlgorithm<G>> Engine<A, G> {
         self.tracer.count(0, Counter::ClassLabelSafe, n);
     }
 
-    /// Record a structural no-op in both `RunStats` and the tracer.
+    /// Record a structural no-op in both `RunStats` and the tracer. `idx`
+    /// is unused, as in [`Engine::record_verdict`].
     #[inline]
-    pub fn record_noop(&mut self, idx: u64) {
+    pub fn record_noop(&mut self, _idx: u64) {
         self.stats.classifier.record_noop();
         self.tracer.count(0, Counter::ClassNoop, 1);
-        self.tracer.event(0, EventKind::Classify, 4, idx);
     }
 
     // -------------------------------------------------------- enumeration
@@ -655,8 +650,6 @@ impl<G: GraphShard, A: CsmAlgorithm<G>> Engine<A, G> {
             if stats.deadline_hits > 0 {
                 self.tracer
                     .count(0, Counter::DeadlineFires, stats.deadline_hits);
-                self.tracer
-                    .event(0, EventKind::DeadlineFired, stats.nodes, 0);
             }
             FindOutcome {
                 count: sink.count,
@@ -674,10 +667,7 @@ impl<G: GraphShard, A: CsmAlgorithm<G>> Engine<A, G> {
 
     /// Should each sequentially processed update be individually timed?
     pub fn per_update_timing(&self, has_observer: bool) -> bool {
-        self.cfg.track_latency
-            || self.cfg.slow_k > 0
-            || has_observer
-            || self.tracer.events_enabled()
+        self.cfg.track_latency || self.cfg.slow_k > 0 || has_observer
     }
 
     /// `(ads_time, apply_time, find_time, nodes)` marker — take before an
@@ -692,7 +682,7 @@ impl<G: GraphShard, A: CsmAlgorithm<G>> Engine<A, G> {
         }
     }
 
-    /// Per-update epilogue: slowest-K capture, `UpdateDone` event, and the
+    /// Per-update epilogue: slowest-K capture, the rolling window, and the
     /// observer callback. `obs.latency` of zero skips the slow-K capture
     /// (bulk-applied updates have no per-update latency by construction).
     pub fn finish_update(
@@ -716,12 +706,6 @@ impl<G: GraphShard, A: CsmAlgorithm<G>> Engine<A, G> {
             let k = self.cfg.slow_k;
             self.stats.note_slow(k, su);
         }
-        self.tracer.event(
-            0,
-            EventKind::UpdateDone,
-            obs.index,
-            obs.positives + obs.negatives,
-        );
         if let Some(w) = &self.window {
             w.record(&obs);
         }

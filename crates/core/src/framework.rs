@@ -117,9 +117,8 @@ impl<A: CsmAlgorithm> ParaCosm<A> {
         })
     }
 
-    /// The telemetry handle (inert when tracing is off). Snapshot or export
-    /// after a run: [`Tracer::metrics`], [`Tracer::perfetto_json`],
-    /// [`Tracer::prometheus_text`].
+    /// The counter registry handle (inert when tracing is off). Snapshot
+    /// after a run with [`Tracer::metrics`].
     pub fn tracer(&self) -> &Tracer {
         self.eng.tracer()
     }
@@ -493,7 +492,7 @@ impl<A: CsmAlgorithm> ParaCosm<A> {
                         self.eng
                             .record_verdict(Classified::Safe(SafeStage::Label), gidx);
                     }
-                    if has_observer || self.eng.tracer().events_enabled() {
+                    if has_observer {
                         let verdict = (!noop).then_some(Classified::Safe(SafeStage::Label));
                         let pre = self.eng.stage_snapshot();
                         self.eng.finish_update(

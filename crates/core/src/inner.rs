@@ -31,7 +31,7 @@ use crate::embedding::{BufferSink, Embedding, MatchSink};
 use crate::kernel::{self, SearchCtx, SearchStats};
 use crate::order::MatchingOrders;
 use crate::trace::profile::{ProfileFrame, Profiler};
-use crate::trace::{Counter, EventKind, LocalTrace, Tracer};
+use crate::trace::{Counter, Tracer};
 use crossbeam_deque::{Injector, Steal};
 use crossbeam_utils::Backoff;
 use csm_check::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -251,36 +251,53 @@ impl<G: GraphShard> MatchSink for WorkerSink<'_, G> {
 
 /// One worker's private state, folded into the outcome after the join.
 /// The caller's worker 0 is built before the init phase, so the BFS and
-/// its later tasks share one sink, trace shard and profile frame.
+/// its later tasks share one sink, one set of counters and one profile
+/// frame.
 struct Worker<'a, G: GraphShard> {
+    /// Worker index: 0 is the caller, `1..num_threads` the helpers.
+    wid: usize,
     sink: WorkerSink<'a, G>,
     stats: SearchStats,
-    lt: LocalTrace,
     /// `None` when profiling is off; merged into the shared grid on order
     /// switches and on drop.
     frame: Option<ProfileFrame>,
     busy: Duration,
     executed: u64,
     split: u64,
+    seed_expansions: u64,
+    steal_retries: u64,
 }
 
 impl<'a, G: GraphShard> Worker<'a, G> {
-    fn new(ctx: &'a RunCtx<'a, G>, lt: LocalTrace) -> Self {
+    fn new(ctx: &'a RunCtx<'a, G>, wid: usize) -> Self {
         Worker {
+            wid,
             sink: WorkerSink::new(ctx),
             stats: SearchStats::default(),
-            lt,
             frame: ctx.profiler.frame(),
             busy: Duration::ZERO,
             executed: 0,
             split: 0,
+            seed_expansions: 0,
+            steal_retries: 0,
         }
     }
 
-    /// Merge the trace shard and add everything else to `outcome`.
-    fn finish(mut self, mut outcome: InnerOutcome, tracer: &Tracer) -> InnerOutcome {
-        self.lt.count(Counter::Nodes, self.stats.nodes);
-        finish_trace(self.lt, &self.stats, tracer);
+    /// Fold the counters into registry shard `wid + 1` and add everything
+    /// else to `outcome`.
+    fn finish(self, mut outcome: InnerOutcome, tracer: &Tracer) -> InnerOutcome {
+        tracer.fold(
+            self.wid + 1,
+            &[
+                (Counter::SeedExpansions, self.seed_expansions),
+                (Counter::TasksPopped, self.executed),
+                (Counter::TasksCompleted, self.executed),
+                (Counter::TasksSplit, self.split),
+                (Counter::StealRetries, self.steal_retries),
+                (Counter::Nodes, self.stats.nodes),
+                (Counter::DeadlineFires, self.stats.deadline_hits),
+            ],
+        );
         outcome.sink.absorb(self.sink.local);
         outcome.nodes += self.stats.nodes;
         outcome.timed_out |= self.stats.timed_out;
@@ -298,11 +315,11 @@ impl<'a, G: GraphShard> Worker<'a, G> {
 /// deeper partial state when resuming). Completed embeddings among the
 /// seeds are reported directly.
 ///
-/// `tracer` records per-worker counters/events (shard 0 = this thread,
-/// worker 0, including its init phase; shard `w + 1` = helper `w`); pass
-/// [`Tracer::off`] for an untraced run. Workers accumulate into
-/// [`LocalTrace`]s merged once after the join, so tracing adds no
-/// shared-state traffic to the search.
+/// `tracer` receives per-worker counters: worker `w` folds into shard
+/// `w + 1`, so the caller (worker 0, including its init phase) owns shard
+/// 1 and shard 0 stays the orchestrator's. Pass [`Tracer::off`] for an
+/// untraced run. Workers count in plain fields and fold once after the
+/// join, so tracing adds no shared-state traffic to the search.
 #[allow(clippy::too_many_arguments)]
 pub fn run<G: GraphShard>(
     g: &G,
@@ -344,7 +361,7 @@ pub fn run<G: GraphShard>(
     };
     // This thread is worker 0: its init-phase reports (complete seeds) go
     // through the same shared cap as every helper's.
-    let mut w0 = Worker::new(&ctx, tracer.local(0));
+    let mut w0 = Worker::new(&ctx, 0);
 
     // ---- Initialization phase (main thread): BFS-decompose until the queue
     // holds enough independent subtrees for the pool. The coarse baseline
@@ -390,12 +407,7 @@ pub fn run<G: GraphShard>(
             outcome.timed_out = true;
             return w0.finish(outcome, tracer);
         }
-        w0.lt.count(Counter::SeedExpansions, 1);
-        w0.lt.event(
-            EventKind::SeedExpand,
-            task.depth as u64,
-            children.len() as u64,
-        );
+        w0.seed_expansions += 1;
         for child in children {
             frontier.push_back(SeedTask {
                 order_idx: task.order_idx,
@@ -427,7 +439,7 @@ pub fn run<G: GraphShard>(
                 ctx.active.fetch_add(nthreads - 1, Ordering::AcqRel);
                 handles.extend((1..nthreads).map(|wid| {
                     scope.spawn(move || {
-                        let mut w = Worker::new(ctx, tracer.local(wid + 1));
+                        let mut w = Worker::new(ctx, wid);
                         worker_loop(ctx, &mut w, &mut || {});
                         w
                     })
@@ -446,15 +458,6 @@ pub fn run<G: GraphShard>(
     outcome
 }
 
-/// Flush deadline-fire accounting into a local trace and merge it.
-fn finish_trace(mut lt: LocalTrace, stats: &SearchStats, tracer: &Tracer) {
-    if stats.deadline_hits > 0 {
-        lt.count(Counter::DeadlineFires, stats.deadline_hits);
-        lt.event(EventKind::DeadlineFired, stats.nodes, 0);
-    }
-    tracer.merge(lt);
-}
-
 /// One worker's steal loop. `admit` runs at every subtree boundary —
 /// after each task, and after each child a task recurses into above
 /// `SPLIT_DEPTH`: the caller's helper admission, a no-op for helpers.
@@ -471,16 +474,7 @@ fn worker_loop<G: GraphShard>(
                 let t0 = Instant::now();
                 if !ctx.aborted.load(Ordering::Relaxed) {
                     w.executed += 1;
-                    w.lt.count(Counter::TasksPopped, 1);
-                    w.lt.event(EventKind::TaskPop, task.order_idx as u64, task.depth as u64);
-                    let (n0, m0) = (w.stats.nodes, w.sink.local.count);
                     parallel_find_matches(ctx, task, w, admit);
-                    w.lt.count(Counter::TasksCompleted, 1);
-                    w.lt.event(
-                        EventKind::TaskDone,
-                        w.stats.nodes - n0,
-                        w.sink.local.count - m0,
-                    );
                     if w.stats.timed_out {
                         ctx.aborted.store(true, Ordering::Relaxed);
                     }
@@ -488,10 +482,7 @@ fn worker_loop<G: GraphShard>(
                 w.busy += t0.elapsed();
                 admit();
             }
-            Steal::Retry => {
-                w.lt.count(Counter::StealRetries, 1);
-                w.lt.event(EventKind::StealRetry, 0, 0);
-            }
+            Steal::Retry => w.steal_retries += 1,
             Steal::Empty => {
                 // Deregister while demonstrably idle; re-register *before*
                 // stealing again. A task is therefore never in flight
@@ -558,8 +549,6 @@ fn parallel_find_matches<G: GraphShard>(
     let donate = ctx.injector.is_empty() && ctx.has_idle_threads();
     if donate {
         w.split += 1;
-        w.lt.count(Counter::TasksSplit, 1);
-        w.lt.event(EventKind::Split, children.len() as u64, depth as u64);
         for child in children {
             ctx.injector.push(SeedTask {
                 order_idx: task.order_idx,
@@ -777,12 +766,16 @@ pub fn run_simulated<G: GraphShard>(
     out.tasks = durations.len() as u64;
     out.work = decomp_time + durations.iter().sum::<Duration>();
     // Virtual workers share one real thread: everything lands on shard 0.
-    let mut lt = tracer.local(0);
-    lt.count(Counter::SeedExpansions, expansions as u64);
-    lt.count(Counter::TasksPopped, out.tasks);
-    lt.count(Counter::TasksCompleted, out.tasks);
-    lt.count(Counter::Nodes, stats.nodes);
-    finish_trace(lt, &stats, tracer);
+    tracer.fold(
+        0,
+        &[
+            (Counter::SeedExpansions, expansions as u64),
+            (Counter::TasksPopped, out.tasks),
+            (Counter::TasksCompleted, out.tasks),
+            (Counter::Nodes, stats.nodes),
+            (Counter::DeadlineFires, stats.deadline_hits),
+        ],
+    );
 
     // Phase 3 — list-schedule measured durations onto virtual workers:
     // each task goes to the least-loaded worker, in queue order.
@@ -1453,6 +1446,38 @@ mod tests {
             let out = solo(threads);
             assert_eq!(out.sink.count, expected, "threads={threads}");
             assert_eq!(out.thread_busy.len(), threads, "threads={threads}");
+        }
+    }
+
+    /// Worker `w` folds into shard `w + 1`: the caller's pops land on
+    /// shard 1, the orchestrator's shard 0 stays empty, and the worker
+    /// shards together account for every executed task.
+    #[test]
+    fn worker_counters_land_on_worker_shards() {
+        let (g, q) = dense_graph(220, |_, _| true);
+        let orders = MatchingOrders::build(&q);
+        for threads in [2, 4] {
+            let tracer = Tracer::new(crate::trace::TraceLevel::Counters, threads);
+            let seeds = seeds_for_edge(&q, &orders, &g, VertexId(0), VertexId(1));
+            let out = run(
+                &g,
+                &q,
+                &orders,
+                &Plain,
+                None,
+                seeds,
+                cfg(threads),
+                &tracer,
+                &Profiler::off(),
+            );
+            let snap = tracer.metrics();
+            assert_eq!(snap.per_shard.len(), threads + 1);
+            assert_eq!(snap.shard(0, Counter::TasksPopped), 0, "threads={threads}");
+            assert!(snap.shard(1, Counter::TasksPopped) > 0, "threads={threads}");
+            let workers: u64 = (1..=threads)
+                .map(|s| snap.shard(s, Counter::TasksPopped))
+                .sum();
+            assert_eq!(workers, out.tasks_executed, "threads={threads}");
         }
     }
 }

@@ -71,7 +71,7 @@ pub struct SearchCtx<'a, G: GraphShard = DataGraph> {
     pub deadline: Option<Instant>,
     /// Worker-local profiler frame; `None` when profiling is off, so every
     /// instrumentation site is one `Option` branch (same discipline as the
-    /// tracer's `LocalTrace`).
+    /// inner executor's per-worker counters, folded once per run).
     pub profile: Option<&'a ProfileFrame>,
 }
 

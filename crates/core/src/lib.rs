@@ -98,7 +98,6 @@ pub use trace::window::{
     WINDOW_COUNTER_NAMES,
 };
 pub use trace::{
-    json_escape, Counter, EventKind, EventRing, Gauge, LocalTrace, MetricsRegistry,
-    MetricsSnapshot, NoopObserver, RunReport, SessionDims, StreamObserver, TraceEvent, TraceLevel,
-    Tracer, UpdateObservation,
+    json_escape, Counter, MetricsRegistry, MetricsSnapshot, NoopObserver, RunReport, SessionDims,
+    StreamObserver, TraceLevel, Tracer, UpdateObservation,
 };

@@ -1,40 +1,34 @@
-//! Observability: sharded metrics, per-worker event rings, and exporters.
+//! Observability: the per-shard counter registry and the run report.
 //!
 //! The paper's evaluation (§5, Tables 3–4, Figs. 10/12) is an exercise in
 //! *explaining* where time goes — ADS vs. `Find_Matches`, worker busy/idle
-//! balance, classifier verdict mix. This module gives the engine a
-//! low-overhead telemetry spine with three layers:
+//! balance, classifier verdict mix. This module holds the engine's
+//! end-of-run telemetry:
 //!
-//! * [`MetricsRegistry`] — named counters (plus a few gauges) sharded per
-//!   worker. Each shard is cache-line-aligned and written by exactly one
-//!   thread with relaxed atomics, so the hot path never contends; shards
-//!   are summed only on [`Tracer::metrics`] snapshot.
-//! * [`EventRing`] — a fixed-capacity per-worker ring of structured
-//!   [`TraceEvent`]s (seed expansion, task pop/complete, split/donate,
-//!   steal retries, deadline fires, classifier verdicts, ADS deltas) with
-//!   relative-nanosecond timestamps. When full, the oldest events are
-//!   overwritten and a drop counter keeps the books honest.
-//! * exporters — a Chrome/Perfetto `trace_event` JSON writer
-//!   ([`Tracer::perfetto_json`]), a Prometheus-style text snapshot
-//!   ([`Tracer::prometheus_text`]), and a machine-readable [`RunReport`]
-//!   (JSON) combining `RunStats`, latency-histogram buckets, classifier
-//!   verdicts and per-worker counters.
+//! * [`MetricsRegistry`] — named counters sharded per thread. Shard 0 is
+//!   the orchestrator; shard `w + 1` is inner-executor worker `w` (the
+//!   caller is worker 0). Each shard is cache-line-aligned and written
+//!   with relaxed atomics, so writers never contend; shards are summed
+//!   only on a [`Tracer::metrics`] snapshot.
+//! * [`RunReport`] — a machine-readable JSON summary combining `RunStats`,
+//!   latency-histogram buckets, classifier verdicts and the registry
+//!   snapshot.
 //!
 //! Everything is gated on [`TraceLevel`]: at `Off` the [`Tracer`] holds no
 //! allocation and every call is a single branch on an `Option` (verified
 //! by the `trace_off_overhead` row in EXPERIMENTS.md); at `Counters` the
-//! registry is live; at `Full` event recording is on as well.
+//! registry is live.
 //!
-//! Workers do not write to shared state per event: they accumulate into a
-//! thread-local [`LocalTrace`] (plain `u64`s and a local buffer) and merge
-//! once per executor run.
+//! Inner-executor workers never write the registry per event: they count
+//! in plain fields of their own state and [`Tracer::fold`] the totals into
+//! their shard once per executor run. Per-update events belong to the
+//! [`flight`] recorder, the workspace's only event ring.
 
 use crate::engine::RunStats;
 use crate::inter::{Classified, SafeStage};
 use csm_check::sync::atomic::{AtomicU64, Ordering};
-use csm_check::sync::{Mutex, PoisonError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub mod flight;
 pub mod profile;
@@ -46,19 +40,16 @@ pub enum TraceLevel {
     /// No tracer is allocated; instrumentation sites reduce to one branch.
     #[default]
     Off,
-    /// Sharded counters/gauges only — no event recording.
+    /// The sharded counter registry is live.
     Counters,
-    /// Counters plus per-worker structured event rings.
-    Full,
 }
 
 impl TraceLevel {
-    /// Parse `off|counters|full` (CLI surface).
+    /// Parse `off|counters` (CLI surface).
     pub fn parse(s: &str) -> Option<TraceLevel> {
         match s {
             "off" => Some(TraceLevel::Off),
             "counters" => Some(TraceLevel::Counters),
-            "full" => Some(TraceLevel::Full),
             _ => None,
         }
     }
@@ -138,24 +129,6 @@ pub const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "shared_misses",
 ];
 
-/// Gauge identifiers (registry-global, not sharded).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Gauge {
-    /// Configured worker-thread count.
-    Workers,
-    /// Event-ring capacity per shard.
-    RingCapacity,
-    /// Batch size `k` of the batch executor.
-    BatchSize,
-}
-
-/// Number of gauge slots (keep in sync with [`Gauge`]).
-pub const NUM_GAUGES: usize = 3;
-
-/// Gauge names, indexed by [`Gauge`] discriminant.
-pub const GAUGE_NAMES: [&str; NUM_GAUGES] = ["workers", "ring_capacity", "batch_size"];
-
 /// One cache-line-aligned block of counters, written by a single thread.
 /// The alignment keeps neighboring shards out of each other's cache lines,
 /// so relaxed increments never ping-pong ownership.
@@ -172,11 +145,11 @@ impl Shard {
     }
 }
 
-/// Sharded counter/gauge registry. Shard 0 is the orchestrator (main
-/// thread); shards `1..=n` belong to the inner executor's workers.
+/// Sharded counter registry. Shard 0 is the orchestrator (main thread);
+/// shard `w + 1` belongs to inner-executor worker `w`, so the caller
+/// (worker 0) owns shard 1.
 pub struct MetricsRegistry {
     shards: Vec<Shard>,
-    gauges: [AtomicU64; NUM_GAUGES],
 }
 
 impl MetricsRegistry {
@@ -184,26 +157,15 @@ impl MetricsRegistry {
     pub fn new(workers: usize) -> MetricsRegistry {
         MetricsRegistry {
             shards: (0..workers + 1).map(|_| Shard::new()).collect(),
-            gauges: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
-    #[inline]
-    fn clamp(&self, shard: usize) -> usize {
-        shard.min(self.shards.len() - 1)
-    }
-
     /// Add `n` to a counter on one shard (relaxed; the owner is the only
-    /// writer).
+    /// writer). Out-of-range shards clamp to the last one.
     #[inline]
     pub fn add(&self, shard: usize, c: Counter, n: u64) {
-        self.shards[self.clamp(shard)].counters[c as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Set a gauge.
-    #[inline]
-    pub fn set_gauge(&self, g: Gauge, v: u64) {
-        self.gauges[g as usize].store(v, Ordering::Relaxed);
+        let shard = shard.min(self.shards.len() - 1);
+        self.shards[shard].counters[c as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Merge all shards into a snapshot.
@@ -214,7 +176,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|s| std::array::from_fn(|i| s.counters[i].load(Ordering::Relaxed)))
                 .collect(),
-            gauges: std::array::from_fn(|i| self.gauges[i].load(Ordering::Relaxed)),
         }
     }
 }
@@ -224,8 +185,6 @@ impl MetricsRegistry {
 pub struct MetricsSnapshot {
     /// Counter values per shard (`[shard][Counter as usize]`).
     pub per_shard: Vec<[u64; NUM_COUNTERS]>,
-    /// Gauge values.
-    pub gauges: [u64; NUM_GAUGES],
 }
 
 impl MetricsSnapshot {
@@ -240,42 +199,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// What happened, in one machine word. Payload meaning per kind is listed
-/// on each variant as `(a, b)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventKind {
-    /// Init-phase BFS expansion. `(depth, children materialized)`.
-    SeedExpand,
-    /// Worker popped a subtree task. `(order index, depth)`.
-    TaskPop,
-    /// Worker finished that task. `(nodes visited, matches reported)`.
-    TaskDone,
-    /// Worker donated children to the queue. `(children, depth)`.
-    Split,
-    /// Queue steal collided and retried. `(0, 0)`.
-    StealRetry,
-    /// The cooperative deadline fired. `(nodes so far, 0)`.
-    DeadlineFired,
-    /// Classifier verdict. `(verdict code — see [`verdict_code`], update index)`.
-    Classify,
-    /// ADS maintenance reported a state change. `(1, update index)`.
-    AdsDelta,
-    /// One stream update fully processed. `(update index, ΔM size)`.
-    UpdateDone,
-}
-
-/// Stable wire code for a classifier verdict (`Classify` event payload and
-/// `RunReport` JSON): 0 label-safe, 1 degree-safe, 2 ADS-safe, 3 unsafe,
-/// 4 structural no-op.
-pub fn verdict_code(c: Classified) -> u64 {
-    match c {
-        Classified::Safe(SafeStage::Label) => 0,
-        Classified::Safe(SafeStage::Degree) => 1,
-        Classified::Safe(SafeStage::Ads) => 2,
-        Classified::Unsafe => 3,
-    }
-}
-
 /// The registry counter a classifier verdict increments.
 pub fn verdict_counter(c: Classified) -> Counter {
     match c {
@@ -286,429 +209,68 @@ pub fn verdict_counter(c: Classified) -> Counter {
     }
 }
 
-/// One structured event with a timestamp relative to the tracer's epoch.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceEvent {
-    /// Nanoseconds since [`Tracer`] creation.
-    pub ts_ns: u64,
-    /// What happened.
-    pub kind: EventKind,
-    /// First payload word (see [`EventKind`]).
-    pub a: u64,
-    /// Second payload word (see [`EventKind`]).
-    pub b: u64,
-}
-
-/// Fixed-capacity overwrite-oldest ring of [`TraceEvent`]s.
-pub struct EventRing {
-    buf: Vec<TraceEvent>,
-    cap: usize,
-    head: usize,
-    dropped: u64,
-}
-
-impl EventRing {
-    /// An empty ring holding at most `cap` events.
-    pub fn new(cap: usize) -> EventRing {
-        EventRing {
-            buf: Vec::new(),
-            cap: cap.max(1),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Append, overwriting the oldest event when full.
-    pub fn push(&mut self, ev: TraceEvent) {
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Is the ring empty?
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events overwritten so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The retained events, oldest first.
-    pub fn to_vec(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
-    }
-
-    /// Drain the ring, returning events oldest first.
-    pub fn drain(&mut self) -> Vec<TraceEvent> {
-        let out = self.to_vec();
-        self.buf.clear();
-        self.head = 0;
-        out
-    }
-}
-
-/// Default per-shard event-ring capacity (events are 32 bytes, so this is
-/// 1 MiB per shard at `Full`).
-pub const DEFAULT_RING_CAPACITY: usize = 32_768;
-
-struct TraceShared {
-    level: TraceLevel,
-    epoch: Instant,
-    registry: MetricsRegistry,
-    /// One ring per shard. Each is effectively single-writer (shard 0 =
-    /// orchestrator, shard `w+1` = worker `w` merging after each run), so
-    /// the mutexes are uncontended bookkeeping, not hot-path locks.
-    rings: Vec<Mutex<EventRing>>,
-}
-
-/// Handle to one run's telemetry. Cheap to clone (an `Arc`); `Off` holds
-/// nothing and reduces every call to a branch.
-#[derive(Clone)]
+/// Handle to one run's counter registry. Cheap to clone (an `Arc`); `Off`
+/// holds nothing and reduces every call to a branch.
+#[derive(Clone, Default)]
 pub struct Tracer {
-    shared: Option<Arc<TraceShared>>,
+    registry: Option<Arc<MetricsRegistry>>,
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
-            .field("level", &self.level())
+            .field("enabled", &self.enabled())
             .finish()
-    }
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::off()
     }
 }
 
 impl Tracer {
     /// The disabled tracer: no allocation, every call a guard check.
     pub fn off() -> Tracer {
-        Tracer { shared: None }
+        Tracer { registry: None }
     }
 
-    /// A tracer for `workers` inner-executor threads (plus the
-    /// orchestrator shard) with the default ring capacity.
+    /// A tracer for `workers` inner-executor threads plus the orchestrator
+    /// shard.
     pub fn new(level: TraceLevel, workers: usize) -> Tracer {
-        Tracer::with_capacity(level, workers, DEFAULT_RING_CAPACITY)
-    }
-
-    /// As [`Tracer::new`] with an explicit per-shard ring capacity.
-    pub fn with_capacity(level: TraceLevel, workers: usize, ring_cap: usize) -> Tracer {
-        if level == TraceLevel::Off {
-            return Tracer::off();
-        }
-        let registry = MetricsRegistry::new(workers);
-        registry.set_gauge(Gauge::Workers, workers as u64);
-        registry.set_gauge(Gauge::RingCapacity, ring_cap as u64);
         Tracer {
-            shared: Some(Arc::new(TraceShared {
-                level,
-                epoch: Instant::now(),
-                registry,
-                rings: (0..workers + 1)
-                    .map(|_| Mutex::new(EventRing::new(ring_cap)))
-                    .collect(),
-            })),
+            registry: (level == TraceLevel::Counters)
+                .then(|| Arc::new(MetricsRegistry::new(workers))),
         }
-    }
-
-    /// The active level.
-    pub fn level(&self) -> TraceLevel {
-        self.shared.as_ref().map_or(TraceLevel::Off, |s| s.level)
     }
 
     /// Are counters live?
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.shared.is_some()
-    }
-
-    /// Is event recording live?
-    #[inline]
-    pub fn events_enabled(&self) -> bool {
-        self.shared
-            .as_ref()
-            .is_some_and(|s| s.level == TraceLevel::Full)
-    }
-
-    /// Nanoseconds since tracer creation (0 when off).
-    #[inline]
-    pub fn now_ns(&self) -> u64 {
-        self.shared
-            .as_ref()
-            .map_or(0, |s| s.epoch.elapsed().as_nanos() as u64)
-    }
-
-    /// Number of shards (orchestrator + workers); 0 when off.
-    pub fn num_shards(&self) -> usize {
-        self.shared.as_ref().map_or(0, |s| s.rings.len())
+        self.registry.is_some()
     }
 
     /// Increment a counter on `shard` (0 = orchestrator, `w + 1` =
     /// worker `w`).
     #[inline]
     pub fn count(&self, shard: usize, c: Counter, n: u64) {
-        if let Some(s) = &self.shared {
-            s.registry.add(shard, c, n);
+        if let Some(r) = &self.registry {
+            r.add(shard, c, n);
         }
     }
 
-    /// Set a gauge.
-    #[inline]
-    pub fn gauge(&self, g: Gauge, v: u64) {
-        if let Some(s) = &self.shared {
-            s.registry.set_gauge(g, v);
-        }
-    }
-
-    /// Record one event on `shard` (no-op below `Full`). The shard's ring
-    /// mutex is single-writer in practice, so this never contends; workers
-    /// on the hot path should still prefer a [`LocalTrace`].
-    #[inline]
-    pub fn event(&self, shard: usize, kind: EventKind, a: u64, b: u64) {
-        if let Some(s) = &self.shared {
-            if s.level == TraceLevel::Full {
-                let ev = TraceEvent {
-                    ts_ns: s.epoch.elapsed().as_nanos() as u64,
-                    kind,
-                    a,
-                    b,
-                };
-                let idx = shard.min(s.rings.len() - 1);
-                // Telemetry must never take the engine down: a ring whose
-                // writer panicked is still structurally valid, so poison is
-                // ignored here and below.
-                s.rings[idx]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(ev);
-            }
-        }
-    }
-
-    /// A thread-local accumulator for `shard`. Always constructible and
-    /// allocation-free; inactive (all calls are single branches) when the
-    /// tracer is off.
-    pub fn local(&self, shard: usize) -> LocalTrace {
-        match &self.shared {
-            None => LocalTrace::inactive(shard),
-            Some(s) => LocalTrace {
-                shard,
-                active: true,
-                events_on: s.level == TraceLevel::Full,
-                epoch: s.epoch,
-                counters: [0; NUM_COUNTERS],
-                events: Vec::new(),
-                cap: DEFAULT_RING_CAPACITY,
-                dropped: 0,
-            },
-        }
-    }
-
-    /// Merge a [`LocalTrace`] back into the shared registry and rings.
-    pub fn merge(&self, local: LocalTrace) {
-        let Some(s) = &self.shared else { return };
-        if !local.active {
-            return;
-        }
-        for (i, &v) in local.counters.iter().enumerate() {
-            if v > 0 {
-                s.registry.shards[local.shard.min(s.registry.shards.len() - 1)].counters[i]
-                    .fetch_add(v, Ordering::Relaxed);
-            }
-        }
-        if local.events_on && (!local.events.is_empty() || local.dropped > 0) {
-            let idx = local.shard.min(s.rings.len() - 1);
-            let mut ring = s.rings[idx].lock().unwrap_or_else(PoisonError::into_inner);
-            ring.dropped += local.dropped;
-            for ev in local.events {
-                ring.push(ev);
-            }
-        }
-    }
-
-    /// Merged counter/gauge snapshot (empty when off).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared
-            .as_ref()
-            .map_or_else(MetricsSnapshot::default, |s| s.registry.snapshot())
-    }
-
-    /// Copy of every shard's retained events, oldest first (empty when
-    /// off or below `Full`).
-    pub fn events(&self) -> Vec<Vec<TraceEvent>> {
-        self.shared.as_ref().map_or_else(Vec::new, |s| {
-            s.rings
-                .iter()
-                .map(|r| r.lock().unwrap_or_else(PoisonError::into_inner).to_vec())
-                .collect()
-        })
-    }
-
-    /// Drain every shard's ring, returning events oldest first.
-    pub fn drain_events(&self) -> Vec<Vec<TraceEvent>> {
-        self.shared.as_ref().map_or_else(Vec::new, |s| {
-            s.rings
-                .iter()
-                .map(|r| r.lock().unwrap_or_else(PoisonError::into_inner).drain())
-                .collect()
-        })
-    }
-
-    /// Events overwritten per shard so far.
-    pub fn dropped_events(&self) -> Vec<u64> {
-        self.shared.as_ref().map_or_else(Vec::new, |s| {
-            s.rings
-                .iter()
-                .map(|r| r.lock().unwrap_or_else(PoisonError::into_inner).dropped())
-                .collect()
-        })
-    }
-
-    // ------------------------------------------------------------ exporters
-
-    /// Chrome/Perfetto `trace_event` JSON of the retained events.
-    ///
-    /// `TaskPop`/`TaskDone` pairs become complete (`"ph":"X"`) slices on
-    /// the owning worker's track; everything else becomes an instant
-    /// (`"ph":"i"`) event. Load the output at <https://ui.perfetto.dev> or
-    /// `chrome://tracing`. Timestamps are microseconds since the tracer
-    /// epoch.
-    pub fn perfetto_json(&self) -> String {
-        let shards = self.events();
-        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        let mut first = true;
-        let mut push = |out: &mut String, s: String| {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            out.push_str(&s);
-        };
-        for (tid, _) in shards.iter().enumerate() {
-            let name = if tid == 0 {
-                "orchestrator".to_string()
-            } else {
-                format!("worker-{}", tid - 1)
-            };
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"name\":\"{name}\"}}}}"
-                ),
-            );
-        }
-        let us = |ns: u64| format!("{}.{:03}", ns / 1000, ns % 1000);
-        for (tid, evs) in shards.iter().enumerate() {
-            let mut open: Option<&TraceEvent> = None;
-            for ev in evs {
-                match ev.kind {
-                    EventKind::TaskPop => open = Some(ev),
-                    EventKind::TaskDone => {
-                        // Pair with the most recent pop on this track; an
-                        // unpaired done (ring overwrote its pop) degrades
-                        // to an instant event.
-                        if let Some(pop) = open.take() {
-                            let dur = ev.ts_ns.saturating_sub(pop.ts_ns);
-                            push(
-                                &mut out,
-                                format!(
-                                    "{{\"name\":\"task\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\
-                                     \"ts\":{},\"dur\":{},\"args\":{{\"order\":{},\"depth\":{},\
-                                     \"nodes\":{},\"matches\":{}}}}}",
-                                    us(pop.ts_ns),
-                                    us(dur),
-                                    pop.a,
-                                    pop.b,
-                                    ev.a,
-                                    ev.b
-                                ),
-                            );
-                        } else {
-                            push(
-                                &mut out,
-                                format!(
-                                    "{{\"name\":\"task_done\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\
-                                     \"tid\":{tid},\"ts\":{},\"args\":{{\"nodes\":{}}}}}",
-                                    us(ev.ts_ns),
-                                    ev.a
-                                ),
-                            );
-                        }
-                    }
-                    _ => {
-                        let name = match ev.kind {
-                            EventKind::SeedExpand => "seed_expand",
-                            EventKind::Split => "split",
-                            EventKind::StealRetry => "steal_retry",
-                            EventKind::DeadlineFired => "deadline",
-                            EventKind::Classify => "classify",
-                            EventKind::AdsDelta => "ads_delta",
-                            EventKind::UpdateDone => "update",
-                            EventKind::TaskPop | EventKind::TaskDone => unreachable!(),
-                        };
-                        push(
-                            &mut out,
-                            format!(
-                                "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\
-                                 \"tid\":{tid},\"ts\":{},\"args\":{{\"a\":{},\"b\":{}}}}}",
-                                us(ev.ts_ns),
-                                ev.a,
-                                ev.b
-                            ),
-                        );
-                    }
+    /// Add one thread's per-run totals to its shard in a single pass — the
+    /// inner executor's once-per-run fold. Zero entries are skipped.
+    pub fn fold(&self, shard: usize, counts: &[(Counter, u64)]) {
+        if let Some(r) = &self.registry {
+            for &(c, n) in counts {
+                if n > 0 {
+                    r.add(shard, c, n);
                 }
             }
         }
-        out.push_str("]}");
-        out
     }
 
-    /// Prometheus text-format snapshot of the registry: per-shard samples
-    /// with a `shard` label plus a pre-summed `..._total` aggregate.
-    pub fn prometheus_text(&self) -> String {
-        let snap = self.metrics();
-        let mut out = String::new();
-        for (i, name) in COUNTER_NAMES.iter().enumerate() {
-            let c = counter_from_index(i);
-            out.push_str(&format!("# TYPE paracosm_{name} counter\n"));
-            for (shard, vals) in snap.per_shard.iter().enumerate() {
-                let label = if shard == 0 {
-                    "main".to_string()
-                } else {
-                    format!("w{}", shard - 1)
-                };
-                out.push_str(&format!(
-                    "paracosm_{name}{{shard=\"{label}\"}} {}\n",
-                    vals[i]
-                ));
-            }
-            out.push_str(&format!("paracosm_{name}_total {}\n", snap.total(c)));
-        }
-        for (i, name) in GAUGE_NAMES.iter().enumerate() {
-            out.push_str(&format!(
-                "# TYPE paracosm_{name} gauge\nparacosm_{name} {}\n",
-                snap.gauges[i]
-            ));
-        }
-        out
+    /// Merged counter snapshot (empty when off).
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.registry
+            .as_ref()
+            .map_or_else(MetricsSnapshot::default, |r| r.snapshot())
     }
 }
 
@@ -736,83 +298,6 @@ fn counter_from_index(i: usize) -> Counter {
         SharedMiss,
     ];
     ALL[i]
-}
-
-/// Thread-local telemetry accumulator: plain integers and a bounded local
-/// event buffer, merged into the shared [`Tracer`] once per executor run.
-/// All methods are single-branch no-ops when inactive.
-pub struct LocalTrace {
-    shard: usize,
-    active: bool,
-    events_on: bool,
-    epoch: Instant,
-    counters: [u64; NUM_COUNTERS],
-    events: Vec<TraceEvent>,
-    cap: usize,
-    dropped: u64,
-}
-
-impl LocalTrace {
-    fn inactive(shard: usize) -> LocalTrace {
-        LocalTrace {
-            shard,
-            active: false,
-            events_on: false,
-            epoch: Instant::now(),
-            counters: [0; NUM_COUNTERS],
-            events: Vec::new(),
-            cap: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Is event recording on for this accumulator?
-    #[inline]
-    pub fn events_on(&self) -> bool {
-        self.events_on
-    }
-
-    /// Add `n` to a local counter.
-    #[inline]
-    pub fn count(&mut self, c: Counter, n: u64) {
-        if self.active {
-            self.counters[c as usize] += n;
-        }
-    }
-
-    /// Nanoseconds since the tracer epoch (0 when inactive).
-    #[inline]
-    pub fn now_ns(&self) -> u64 {
-        if self.events_on {
-            self.epoch.elapsed().as_nanos() as u64
-        } else {
-            0
-        }
-    }
-
-    /// Record one event with the current timestamp.
-    #[inline]
-    pub fn event(&mut self, kind: EventKind, a: u64, b: u64) {
-        if self.events_on {
-            let ts_ns = self.epoch.elapsed().as_nanos() as u64;
-            self.event_at(ts_ns, kind, a, b);
-        }
-    }
-
-    /// Record one event with an explicit timestamp (for spans measured
-    /// around a region).
-    #[inline]
-    pub fn event_at(&mut self, ts_ns: u64, kind: EventKind, a: u64, b: u64) {
-        if self.events_on {
-            if self.events.len() >= self.cap {
-                // Local buffers drop-newest; the shared ring's
-                // overwrite-oldest semantics apply after merge.
-                self.dropped += 1;
-                return;
-            }
-            self.events.push(TraceEvent { ts_ns, kind, a, b });
-        }
-    }
 }
 
 // ---------------------------------------------------------------- observer
@@ -906,10 +391,8 @@ pub struct RunReport {
     pub outcome: Option<crate::framework::StreamOutcome>,
     /// Engine statistics.
     pub stats: RunStats,
-    /// Registry snapshot.
-    pub metrics: MetricsSnapshot,
-    /// Events overwritten per shard (ring saturation indicator).
-    pub dropped_events: Vec<u64>,
+    /// Registry snapshot (`None` when tracing is off).
+    pub metrics: Option<MetricsSnapshot>,
     /// Serving-layer session dimensions (`None` for standalone runs).
     pub session: Option<SessionDims>,
     /// Per-query-edge profiler aggregate (`None` when profiling is off).
@@ -1044,45 +527,33 @@ impl RunReport {
         }
         o.push(']');
 
-        o.push_str(",\"metrics\":{\"counters\":{");
-        for (i, name) in COUNTER_NAMES.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
+        match &self.metrics {
+            Some(m) => {
+                o.push_str(",\"metrics\":{\"counters\":{");
+                for (i, name) in COUNTER_NAMES.iter().enumerate() {
+                    if i > 0 {
+                        o.push(',');
+                    }
+                    o.push_str(&format!("\"{name}\":{}", m.total(counter_from_index(i))));
+                }
+                o.push_str("},\"per_shard\":[");
+                for (i, shard) in m.per_shard.iter().enumerate() {
+                    if i > 0 {
+                        o.push(',');
+                    }
+                    o.push_str(&format!(
+                        "[{}]",
+                        shard
+                            .iter()
+                            .map(|v| v.to_string())
+                            .collect::<Vec<_>>()
+                            .join(",")
+                    ));
+                }
+                o.push_str("]}");
             }
-            o.push_str(&format!(
-                "\"{name}\":{}",
-                self.metrics.total(counter_from_index(i))
-            ));
+            None => o.push_str(",\"metrics\":null"),
         }
-        o.push_str("},\"gauges\":{");
-        for (i, name) in GAUGE_NAMES.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str(&format!("\"{name}\":{}", self.metrics.gauges[i]));
-        }
-        o.push_str("},\"per_shard\":[");
-        for (i, shard) in self.metrics.per_shard.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str(&format!(
-                "[{}]",
-                shard
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ));
-        }
-        o.push_str(&format!(
-            "],\"dropped_events\":[{}]}}",
-            self.dropped_events
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
         match &self.profile {
             Some(p) => {
                 o.push_str(",\"profile\":");
@@ -1103,27 +574,49 @@ mod tests {
     fn off_tracer_is_inert() {
         let t = Tracer::off();
         assert!(!t.enabled());
-        assert!(!t.events_enabled());
         t.count(0, Counter::Nodes, 5);
-        t.event(0, EventKind::TaskPop, 1, 2);
-        assert!(t.metrics().per_shard.is_empty());
-        assert!(t.events().is_empty());
-        let mut l = t.local(3);
-        l.count(Counter::Nodes, 7);
-        l.event(EventKind::Split, 0, 0);
-        t.merge(l);
+        t.fold(3, &[(Counter::Nodes, 7)]);
         assert!(t.metrics().per_shard.is_empty());
     }
 
     #[test]
+    fn level_parse_round_trips() {
+        for level in [TraceLevel::Off, TraceLevel::Counters] {
+            let name = format!("{level:?}").to_lowercase();
+            assert_eq!(TraceLevel::parse(&name), Some(level));
+            assert_eq!(
+                Tracer::new(level, 1).enabled(),
+                level == TraceLevel::Counters
+            );
+        }
+        assert_eq!(TraceLevel::parse("full"), None);
+        assert_eq!(TraceLevel::parse("on"), None);
+    }
+
+    /// At `Counters` the registry is the whole record: a report carries
+    /// the per-shard counter grid and no event fields.
+    #[test]
     fn counters_level_records_no_events() {
-        let t = Tracer::new(TraceLevel::Counters, 2);
-        t.count(1, Counter::TasksPopped, 3);
-        t.event(1, EventKind::TaskPop, 0, 0);
-        let snap = t.metrics();
-        assert_eq!(snap.total(Counter::TasksPopped), 3);
-        assert_eq!(snap.shard(1, Counter::TasksPopped), 3);
-        assert!(t.events().iter().all(|s| s.is_empty()));
+        let t = Tracer::new(TraceLevel::Counters, 1);
+        t.count(0, Counter::Updates, 2);
+        t.fold(1, &[(Counter::TasksPopped, 3)]);
+        let report = RunReport {
+            algo: "plain".to_string(),
+            threads: 1,
+            outcome: None,
+            stats: RunStats::default(),
+            metrics: t.enabled().then(|| t.metrics()),
+            session: None,
+            profile: None,
+        }
+        .to_json();
+        assert!(report.contains("\"metrics\":{\"counters\":{\"updates\":2,"));
+        assert!(report.contains("\"tasks_popped\":3,"));
+        let shard1 = format!("[0,0,3{}]", ",0".repeat(NUM_COUNTERS - 3));
+        assert!(report.contains(&shard1), "{report}");
+        for gone in ["dropped_events", "gauges", "traceEvents"] {
+            assert!(!report.contains(gone), "{gone}: {report}");
+        }
     }
 
     #[test]
@@ -1141,71 +634,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_overwrites_oldest_and_counts_drops() {
-        let mut r = EventRing::new(3);
-        for i in 0..5u64 {
-            r.push(TraceEvent {
-                ts_ns: i,
-                kind: EventKind::StealRetry,
-                a: i,
-                b: 0,
-            });
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 2);
-        let v = r.drain();
-        assert_eq!(v.iter().map(|e| e.a).collect::<Vec<_>>(), vec![2, 3, 4]);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn local_trace_merges_counters_and_events() {
-        let t = Tracer::new(TraceLevel::Full, 2);
-        let mut l = t.local(2);
-        l.count(Counter::TasksCompleted, 4);
-        l.event(EventKind::TaskPop, 7, 2);
-        l.event(EventKind::TaskDone, 100, 1);
-        t.merge(l);
-        assert_eq!(t.metrics().shard(2, Counter::TasksCompleted), 4);
-        let evs = t.events();
-        assert_eq!(evs[2].len(), 2);
-        assert_eq!(evs[2][0].kind, EventKind::TaskPop);
-        assert!(evs[2][0].ts_ns <= evs[2][1].ts_ns);
-    }
-
-    #[test]
-    fn perfetto_pairs_pop_done_into_slices() {
-        let t = Tracer::new(TraceLevel::Full, 1);
-        let mut l = t.local(1);
-        l.event_at(1_000, EventKind::TaskPop, 3, 2);
-        l.event_at(5_000, EventKind::TaskDone, 42, 6);
-        l.event_at(6_000, EventKind::Split, 4, 3);
-        t.merge(l);
-        let json = t.perfetto_json();
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"dur\":4.000"));
-        assert!(json.contains("\"name\":\"split\""));
-        assert!(json.contains("worker-0"));
-        // Crude structural sanity: balanced braces/brackets.
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn prometheus_text_lists_all_counters() {
-        let t = Tracer::new(TraceLevel::Counters, 1);
-        t.count(0, Counter::Updates, 2);
-        t.count(1, Counter::TasksPopped, 5);
-        let text = t.prometheus_text();
-        for name in COUNTER_NAMES {
-            assert!(text.contains(&format!("paracosm_{name}_total")), "{name}");
-        }
-        assert!(text.contains("paracosm_updates{shard=\"main\"} 2"));
-        assert!(text.contains("paracosm_tasks_popped{shard=\"w0\"} 5"));
-        assert!(text.contains("# TYPE paracosm_workers gauge"));
+    fn fold_adds_counts_to_one_shard() {
+        let t = Tracer::new(TraceLevel::Counters, 2);
+        t.fold(
+            2,
+            &[(Counter::TasksCompleted, 4), (Counter::StealRetries, 0)],
+        );
+        t.fold(2, &[(Counter::TasksCompleted, 1)]);
+        let snap = t.metrics();
+        assert_eq!(snap.shard(2, Counter::TasksCompleted), 5);
+        assert_eq!(snap.total(Counter::TasksCompleted), 5);
+        assert_eq!(snap.total(Counter::StealRetries), 0);
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! Every admitted update in the serving layer gets a [`SpanId`] and a
 //! trail of typed stage spans (`admit`, `apply`, `classify`,
 //! `shared_probe`, `fanout`, `flush`) recorded as begin/end event pairs
-//! into fixed-capacity per-shard rings. Unlike the opt-in
-//! [`super::EventRing`] (gated on `TraceLevel::Full`, mutex-guarded),
-//! the flight ring is meant to be left on in production `serve`: the
-//! record path is allocation-free, lock-free, and writes a handful of
-//! atomic words per event (see the `flight_record_hot_path` micro-bench
-//! row in EXPERIMENTS.md).
+//! into fixed-capacity per-shard rings. It is the workspace's only event
+//! ring, meant to be left on in production `serve`: the record path is
+//! allocation-free, lock-free, and writes a handful of atomic words per
+//! event (see the `flight_record_hot_path` micro-bench row in
+//! EXPERIMENTS.md).
 //!
 //! # Protocol
 //!

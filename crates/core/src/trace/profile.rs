@@ -10,7 +10,7 @@
 //! it is rooted at, so ranking orders by attributed cost *is* the
 //! per-query-edge EXPLAIN.
 //!
-//! # Protocol (same discipline as [`super::LocalTrace`])
+//! # Protocol (same discipline as the inner executor's per-worker counters)
 //!
 //! Workers never touch shared state per search node. Each worker owns a
 //! stack-resident [`ProfileFrame`]: a fixed `depth × counter` block of

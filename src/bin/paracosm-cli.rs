@@ -11,8 +11,7 @@
 //!   --timeout-ms N     per-run time limit
 //!   --initial          also count initial matches before streaming
 //!   --per-update       print a line per update with its ΔM
-//!   --trace LEVEL      off|counters|full                       (default: off)
-//!   --trace-out PATH   write a Chrome/Perfetto trace JSON (implies --trace full)
+//!   --trace LEVEL      off|counters                            (default: off)
 //!   --report-json PATH write a machine-readable run report (implies counters)
 //!   --slow-k N         capture the N slowest updates in the report
 //!   --profile LEVEL    off|counters — per-(order, depth) enumeration
@@ -67,8 +66,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: paracosm-cli --graph G.txt --query Q.txt --stream S.txt \
          [--algo name] [--threads N] [--batch N] [--no-inter] \
-         [--timeout-ms N] [--initial] [--per-update] [--trace off|counters|full] \
-         [--trace-out PATH] [--report-json PATH] [--slow-k N] \
+         [--timeout-ms N] [--initial] [--per-update] [--trace off|counters] \
+         [--report-json PATH] [--slow-k N] \
          [--profile off|counters] [--quiet]\n\
          \x20      paracosm-cli explain --graph G.txt --query Q.txt --stream S.txt \
          [--algo name] [--threads N] [--top N] [--json PATH]\n\
@@ -485,7 +484,6 @@ fn main() {
     let mut initial = false;
     let mut per_update = false;
     let mut trace = TraceLevel::Off;
-    let mut trace_out: Option<String> = None;
     let mut report_json: Option<String> = None;
     let mut slow_k = 0usize;
     let mut quiet = false;
@@ -511,7 +509,6 @@ fn main() {
             "--initial" => initial = true,
             "--per-update" => per_update = true,
             "--trace" => trace = TraceLevel::parse(&val()).unwrap_or_else(|| usage()),
-            "--trace-out" => trace_out = Some(val()),
             "--report-json" => report_json = Some(val()),
             "--slow-k" => slow_k = val().parse().unwrap_or_else(|_| usage()),
             "--quiet" => quiet = true,
@@ -521,11 +518,9 @@ fn main() {
     let (Some(gp), Some(qp), Some(sp)) = (graph, query, stream) else {
         usage()
     };
-    // Exporters need the corresponding telemetry level to have anything
-    // to say; upgrade quietly rather than emitting empty files.
-    if trace_out.is_some() {
-        trace = TraceLevel::Full;
-    } else if report_json.is_some() && trace == TraceLevel::Off {
+    // A report's counter block needs the registry; upgrade quietly rather
+    // than emitting `"metrics":null`.
+    if report_json.is_some() {
         trace = TraceLevel::Counters;
     }
 
@@ -622,9 +617,6 @@ fn main() {
                 su.nodes
             );
         }
-    }
-    if let Some(path) = &trace_out {
-        write_or_die(path, &engine.tracer().perfetto_json(), "trace");
     }
     if let Some(path) = &report_json {
         write_or_die(path, &engine.run_report(outcome).to_json(), "report");
