@@ -82,6 +82,10 @@ impl<G: GraphShard> CsmAlgorithm<G> for GraphFlow {
         true
     }
 
+    fn admits_all(&self) -> bool {
+        true
+    }
+
     /// Level-synchronous join: materialize each order level breadth-first.
     fn search(
         &self,
@@ -99,6 +103,10 @@ impl<G: GraphShard> CsmAlgorithm<G> for GraphFlow {
         for d in depth..n {
             let u = ctx.order.order[d];
             let last_level = d + 1 == n;
+            // A counted independent tail: this level's entries are leaves.
+            let tail = d + 2 == n
+                && ctx.order.independent_tail
+                && kernel::counts_leaves(ctx, &NoFilter, sink);
             let mut next = Vec::new();
             for partial in &mut frontier {
                 if !stats.tick(ctx.deadline, d) {
@@ -106,6 +114,10 @@ impl<G: GraphShard> CsmAlgorithm<G> for GraphFlow {
                 }
                 if last_level {
                     if !kernel::finish_last_level(ctx, &NoFilter, partial, d, sink) {
+                        return false;
+                    }
+                } else if tail {
+                    if !kernel::finish_last_two_levels(ctx, partial, d, sink, stats) {
                         return false;
                     }
                 } else if next.len() >= self.frontier_cap {
@@ -122,7 +134,7 @@ impl<G: GraphShard> CsmAlgorithm<G> for GraphFlow {
                     });
                 }
             }
-            if last_level || next.is_empty() {
+            if last_level || tail || next.is_empty() {
                 return true;
             }
             frontier = next;

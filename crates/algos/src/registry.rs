@@ -123,6 +123,10 @@ impl<G: GraphShard> CsmAlgorithm<G> for AnyAlgorithm {
         dispatch!(self, a => CsmAlgorithm::<G>::ignore_edge_labels(a))
     }
 
+    fn admits_all(&self) -> bool {
+        dispatch!(self, a => CsmAlgorithm::<G>::admits_all(a))
+    }
+
     fn rebuild(&mut self, g: &G, q: &QueryGraph) {
         dispatch!(self, a => a.rebuild(g, q))
     }

@@ -89,6 +89,15 @@ pub trait CsmAlgorithm<G: GraphShard = DataGraph>: Send + Sync {
     /// needs to express the algorithm's *extra* pruning.
     fn is_candidate(&self, g: &G, q: &QueryGraph, u: QVertexId, v: VertexId) -> bool;
 
+    /// Does [`CsmAlgorithm::is_candidate`] accept every vertex? Then a
+    /// counting run may deliver leaves as counts
+    /// ([`kernel::counts_leaves`]), and the inner executor leaves an
+    /// independent tail's two levels to `search`, which must then finish
+    /// them through the kernel's leaf routines.
+    fn admits_all(&self) -> bool {
+        false
+    }
+
     /// The algorithm's sequential enumeration from a partial embedding at
     /// `depth` along `ctx.order`. The default is the shared backtracking
     /// kernel filtered by [`Self::is_candidate`]; algorithms with their own
@@ -126,6 +135,9 @@ impl<G: GraphShard> CsmAlgorithm<G> for Box<dyn CsmAlgorithm<G>> {
     fn is_candidate(&self, g: &G, q: &QueryGraph, u: QVertexId, v: VertexId) -> bool {
         (**self).is_candidate(g, q, u, v)
     }
+    fn admits_all(&self) -> bool {
+        (**self).admits_all()
+    }
     fn search(
         &self,
         ctx: &SearchCtx<'_, G>,
@@ -145,6 +157,11 @@ impl<G: GraphShard, A: CsmAlgorithm<G> + ?Sized> CandidateFilter<G> for AdsCandi
     #[inline]
     fn is_candidate(&self, g: &G, q: &QueryGraph, u: QVertexId, v: VertexId) -> bool {
         self.0.is_candidate(g, q, u, v)
+    }
+
+    #[inline]
+    fn admits_all(&self) -> bool {
+        self.0.admits_all()
     }
 }
 

@@ -372,13 +372,12 @@ pub fn run<G: GraphShard>(
         0
     };
     let mut frontier: std::collections::VecDeque<SeedTask> = seeds.into();
-    // Tasks at the last order position are never expanded into one task
-    // per match: they wait here for the algorithm's own search, which
-    // finishes them through `kernel::finish_last_level`.
-    let mut last_level: Vec<SeedTask> = Vec::new();
+    // Tasks at a leaf depth are never expanded: they wait here for the
+    // algorithm's own search (see `leaf_depth`).
+    let mut leaves: Vec<SeedTask> = Vec::new();
     let mut expansions = 0usize;
     let expansion_budget = target * 8;
-    while frontier.len() + last_level.len() < target && expansions < expansion_budget {
+    while frontier.len() + leaves.len() < target && expansions < expansion_budget {
         let Some(task) = frontier.pop_front() else {
             break;
         };
@@ -390,8 +389,8 @@ pub fn run<G: GraphShard>(
             }
             continue;
         }
-        if task.depth as usize + 1 == n {
-            last_level.push(task);
+        if task.depth as usize >= leaf_depth(&sctx, algo, &w0.sink) {
+            leaves.push(task);
             continue;
         }
         expansions += 1;
@@ -416,7 +415,7 @@ pub fn run<G: GraphShard>(
             });
         }
     }
-    frontier.extend(last_level);
+    frontier.extend(leaves);
     if frontier.is_empty() {
         return w0.finish(outcome, tracer);
     }
@@ -506,12 +505,26 @@ fn worker_loop<G: GraphShard>(
     }
 }
 
+/// The first order depth whose tasks are leaves: never split or expanded,
+/// only searched. That is the last position, whose children would be one
+/// task per match (`kernel::finish_last_level` delivers them), or the one
+/// before it when the order ends in an independent tail whose leaves the
+/// algorithm counts for `sink` (`kernel::finish_last_two_levels` counts
+/// both levels at once).
+fn leaf_depth<G: GraphShard>(
+    ctx: &SearchCtx<'_, G>,
+    algo: &dyn CsmAlgorithm<G>,
+    sink: &dyn MatchSink,
+) -> usize {
+    let tail = ctx.order.independent_tail && kernel::counts_leaves(ctx, &AdsCandidates(algo), sink);
+    ctx.order.len() - 1 - usize::from(tail)
+}
+
 /// `Parallel_Find_Matches` from paper Algorithm 2: above `SPLIT_DEPTH`,
 /// expand one layer at a time and donate children when idle peers are
 /// observed with an empty queue; otherwise recurse. At or below
-/// `SPLIT_DEPTH`, and always at the last order position (whose children
-/// would be one task per match), hand the subtree to the algorithm's own
-/// sequential search.
+/// `SPLIT_DEPTH`, and always from the [`leaf_depth`] on, hand the subtree
+/// to the algorithm's own sequential search.
 fn parallel_find_matches<G: GraphShard>(
     ctx: &RunCtx<'_, G>,
     task: SeedTask,
@@ -528,7 +541,9 @@ fn parallel_find_matches<G: GraphShard>(
         w.sink.report(&task.emb, n);
         return;
     }
-    let may_split = ctx.cfg.load_balance && depth < ctx.cfg.split_depth && depth + 1 < n;
+    let may_split = ctx.cfg.load_balance
+        && depth < ctx.cfg.split_depth
+        && depth < leaf_depth(&sctx, ctx.algo, &w.sink);
     if !may_split {
         let mut emb = task.emb;
         ctx.algo
@@ -694,7 +709,8 @@ pub fn run_simulated<G: GraphShard>(
             }
             continue;
         }
-        let deep_enough = task.depth as usize >= cfg.split_depth || task.depth as usize + 1 == n;
+        let deep_enough = task.depth as usize >= cfg.split_depth
+            || task.depth as usize >= leaf_depth(&sctx, algo, &out.sink);
         let have_enough =
             ready.len() + frontier.len() + 1 >= fine_target || expansions >= expansion_budget;
         if deep_enough || have_enough {

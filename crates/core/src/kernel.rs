@@ -11,10 +11,13 @@
 //!
 //! The last order position has one routine, [`finish_last_level`], which
 //! every traversal calls instead of recursing into leaves. For a counting
-//! sink with no ADS filter and exact edge labels it delivers `|C(u, M)|` as
-//! one count (paper Algorithm 1 emits `M ∪ {(u, v)}` per `v`; nothing
-//! obliges a counting sink to see them one at a time); otherwise it streams
-//! full embeddings like any inner level.
+//! sink with no ADS filter and exact edge labels ([`counts_leaves`]) it
+//! delivers `|C(u, M)|` as one count (paper Algorithm 1 emits
+//! `M ∪ {(u, v)}` per `v`; nothing obliges a counting sink to see them one
+//! at a time); otherwise it streams full embeddings like any inner level.
+//! Under the same gate, an order whose last two positions share no query
+//! edge ([`SeedOrder::independent_tail`]) is finished one level earlier by
+//! [`finish_last_two_levels`], which counts the pairs of both sets at once.
 //!
 //! Everything here is allocation-free per search node: candidates are
 //! streamed from adjacency slices, and the embedding is a fixed-size inline
@@ -96,23 +99,57 @@ pub struct SearchStats {
 
 const DEADLINE_CHECK_MASK: u64 = 0x1FF;
 
+/// Count `k` search nodes at `depth` and honour the deadline: `false` once
+/// it has passed, charging the fire transition to the profile frame.
+#[inline]
+fn visit<G: GraphShard>(
+    ctx: &SearchCtx<'_, G>,
+    stats: &mut SearchStats,
+    depth: usize,
+    k: u64,
+) -> bool {
+    let hits_before = stats.deadline_hits;
+    if stats.tick_n(k, ctx.deadline, depth) {
+        return true;
+    }
+    if stats.deadline_hits > hits_before {
+        if let Some(p) = ctx.profile {
+            p.add(
+                depth.min(MAX_PATTERN_VERTICES - 1),
+                ProfileCounter::DeadlineHits,
+                1,
+            );
+        }
+    }
+    false
+}
+
 impl SearchStats {
     /// Returns `false` (abort) when the deadline has passed. Amortized: only
     /// probes the clock every 512 nodes. `depth` is the order depth being
     /// entered, recorded on the fire transition for per-depth attribution.
     #[inline]
     pub fn tick(&mut self, deadline: Option<Instant>, depth: usize) -> bool {
-        self.nodes += 1;
-        if self.nodes & DEADLINE_CHECK_MASK == 0 {
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    if !self.timed_out {
-                        self.deadline_hits += 1;
-                        self.deadline_depth[depth.min(MAX_PATTERN_VERTICES - 1)] += 1;
-                    }
-                    self.timed_out = true;
-                    return false;
+        self.tick_n(1, deadline, depth)
+    }
+
+    /// [`SearchStats::tick`] for `k` nodes at once (a counted level): the
+    /// clock is probed iff one of the `k` would have probed it.
+    #[inline]
+    fn tick_n(&mut self, k: u64, deadline: Option<Instant>, depth: usize) -> bool {
+        let before = self.nodes;
+        self.nodes += k;
+        if (before ^ self.nodes) <= DEADLINE_CHECK_MASK {
+            return true;
+        }
+        if let Some(d) = deadline {
+            if Instant::now() >= d {
+                if !self.timed_out {
+                    self.deadline_hits += 1;
+                    self.deadline_depth[depth.min(MAX_PATTERN_VERTICES - 1)] += 1;
                 }
+                self.timed_out = true;
+                return false;
             }
         }
         true
@@ -272,8 +309,9 @@ where
         );
     }
     let admit = |v: VertexId| ctx.g.degree(v) >= udeg && !emb.uses(v);
+    let mut steps = 0u64;
     if slices[min_idx].len() <= PROBE_THRESHOLD {
-        return probe_each(ctx, depth, slices, min_idx, admit, |v| {
+        let done = probe_each(slices, min_idx, admit, &mut steps, |v| {
             if !filter.is_candidate(ctx.g, ctx.q, u, v) {
                 return true;
             }
@@ -282,8 +320,12 @@ where
             }
             f(v)
         });
+        if let Some(p) = prof {
+            p.add(depth, ProfileCounter::ProbeSteps, steps);
+        }
+        return done;
     }
-    merge_each(ctx, depth, slices, |v| {
+    let done = merge_each(ctx, slices, &mut steps, |v| {
         if !admit(v) || !filter.is_candidate(ctx.g, ctx.q, u, v) {
             return true;
         }
@@ -291,18 +333,23 @@ where
             p.add(depth, ProfileCounter::Extensions, 1);
         }
         f(v)
-    })
+    });
+    if let Some(p) = prof {
+        p.add(depth, ProfileCounter::GallopSteps, steps);
+    }
+    done
 }
 
 /// Exact mode: fetch one id-sorted `(L(u), el)` partition slice per
-/// backward edge of `depth` into `buf`. `None` when some slice is empty:
-/// then `C(u, M)` is empty and the node is pruned.
+/// backward edge of `depth` into the front of `buf` (at least
+/// [`MAX_PATTERN_VERTICES`] long). `None` when some slice is empty: then
+/// `C(u, M)` is empty and the node is pruned.
 #[inline]
 fn backward_slices<'s, 'g, G: GraphShard>(
     ctx: &SearchCtx<'g, G>,
     emb: &Embedding,
     depth: usize,
-    buf: &'s mut [&'g [(VertexId, ELabel)]; MAX_PATTERN_VERTICES],
+    buf: &'s mut [&'g [(VertexId, ELabel)]],
 ) -> Option<&'s [&'g [(VertexId, ELabel)]]> {
     let ulabel = ctx.order.target_label[depth];
     let backward = &ctx.order.backward[depth];
@@ -332,13 +379,13 @@ fn shortest(slices: &[&[(VertexId, ELabel)]]) -> usize {
 /// other slice per driver entry, which beats the galloping merge's setup.
 /// `admit` rejects a driver entry before it is probed; `f` sees every
 /// admitted entry present in all slices and returns `false` to stop.
+/// `probes` counts the binary searches.
 #[inline]
-fn probe_each<G: GraphShard>(
-    ctx: &SearchCtx<'_, G>,
-    depth: usize,
+fn probe_each(
     slices: &[&[(VertexId, ELabel)]],
     min_idx: usize,
     admit: impl Fn(VertexId) -> bool,
+    probes: &mut u64,
     mut f: impl FnMut(VertexId) -> bool,
 ) -> bool {
     'probe: for &(v, _) in slices[min_idx] {
@@ -347,9 +394,7 @@ fn probe_each<G: GraphShard>(
         }
         for (j, s) in slices.iter().enumerate() {
             if j != min_idx {
-                if let Some(p) = ctx.profile {
-                    p.add(depth, ProfileCounter::ProbeSteps, 1);
-                }
+                *probes += 1;
                 if s.binary_search_by_key(&v, |&(w, _)| w).is_err() {
                     continue 'probe;
                 }
@@ -364,23 +409,32 @@ fn probe_each<G: GraphShard>(
 
 /// Smallest-first galloping merge of the slices ([`csm_graph::intersect`]).
 /// Profiled, the merge is the counted twin: identical traversal plus a
-/// gallop-step tally folded into the frame once per candidate set.
+/// gallop-step tally added to `steps`.
 #[inline]
 fn merge_each<G: GraphShard>(
     ctx: &SearchCtx<'_, G>,
-    depth: usize,
     slices: &[&[(VertexId, ELabel)]],
+    steps: &mut u64,
     f: impl FnMut(VertexId) -> bool,
 ) -> bool {
     match ctx.profile {
         None => intersect::intersect_foreach(slices, f),
-        Some(p) => {
-            let mut steps = 0u64;
-            let done = intersect::intersect_foreach_counted(slices, &mut steps, f);
-            p.add(depth, ProfileCounter::GallopSteps, steps);
-            done
-        }
+        Some(_) => intersect::intersect_foreach_counted(slices, steps, f),
     }
+}
+
+/// May the leaves of this search be counted rather than streamed? Only
+/// when the sink only counts, the filter admits every vertex and edge
+/// labels are exact: then the size of a last-level candidate set is all
+/// the sink needs, and the label and degree tests are implied by the
+/// partition slices.
+#[inline]
+pub fn counts_leaves<G: GraphShard>(
+    ctx: &SearchCtx<'_, G>,
+    filter: &(impl CandidateFilter<G> + ?Sized),
+    sink: &dyn MatchSink,
+) -> bool {
+    sink.counts_only() && filter.admits_all() && !ctx.ignore_elabels
 }
 
 /// Finish the last order position (`depth + 1 == |V(Q)|`): deliver every
@@ -390,10 +444,10 @@ fn merge_each<G: GraphShard>(
 /// here. Returns `false` iff the sink stopped the search; `emb` is left as
 /// it came in.
 ///
-/// When the sink only counts, the filter admits everything and edge labels
-/// are exact, the candidate set is counted rather than streamed and
-/// delivered as one [`MatchSink::report_count`]. Otherwise each candidate
-/// is reported as a full embedding, exactly like an inner level.
+/// Under [`counts_leaves`] the candidate set is counted rather than
+/// streamed and delivered as one [`MatchSink::report_count`]. Otherwise
+/// each candidate is reported as a full embedding, exactly like an inner
+/// level.
 pub fn finish_last_level<G: GraphShard>(
     ctx: &SearchCtx<'_, G>,
     filter: &(impl CandidateFilter<G> + ?Sized),
@@ -403,11 +457,7 @@ pub fn finish_last_level<G: GraphShard>(
 ) -> bool {
     let n = ctx.order.len();
     debug_assert_eq!(depth + 1, n, "finish_last_level below the last position");
-    if sink.counts_only()
-        && filter.admits_all()
-        && !ctx.ignore_elabels
-        && !ctx.order.backward[depth].is_empty()
-    {
+    if counts_leaves(ctx, filter, sink) && !ctx.order.backward[depth].is_empty() {
         let k = count_last_level(ctx, emb, depth);
         return k == 0 || sink.report_count(k);
     }
@@ -428,11 +478,7 @@ pub fn finish_last_level<G: GraphShard>(
 /// whose images are distinct data vertices. A vertex present in every
 /// backward slice is adjacent to all of them, so its degree is at least
 /// `deg_Q(u)`: the degree prune is implied, and the label is implied by the
-/// partition. What is left is injectivity:
-/// * one backward slice — the count is its length minus the mapped
-///   vertices found in it by binary search (≤ `|V(Q)|` probes);
-/// * several — the same probe/gallop intersection as
-///   [`for_each_candidate`], counting the outputs the mapping does not use.
+/// partition. What is left is injectivity ([`count_candidates`]).
 ///
 /// The profile frame sees exactly what the per-candidate path would have
 /// recorded: one invocation, the driver's slice width, the same probe and
@@ -445,11 +491,137 @@ fn count_last_level<G: GraphShard>(ctx: &SearchCtx<'_, G>, emb: &Embedding, dept
     let Some(slices) = backward_slices(ctx, emb, depth, &mut buf) else {
         return 0;
     };
+    let (k, cost) = count_candidates(ctx, slices, emb, depth);
+    if let Some(p) = ctx.profile {
+        cost.charge(p, depth, k);
+    }
+    k
+}
+
+/// Finish the last two order positions of an independent tail
+/// (`depth + 2 == |V(Q)|` and [`SeedOrder::independent_tail`]) under
+/// [`counts_leaves`]: deliver the number of completions of `emb` as one
+/// [`MatchSink::report_count`].
+///
+/// `u_A = order[depth]` and `u_B = order[depth + 1]` share no query edge,
+/// so all query neighbours of both are mapped by `emb`: their candidate
+/// sets `A` and `B` depend on the prefix alone, and both degree prunes are
+/// implied exactly as at the last level. Let `A′` and `B′` be them without
+/// the prefix's images. A completion is a pair `(a, b) ∈ A′ × B′` with
+/// `a ≠ b` (injectivity, paper Def. 2.2), so there are
+/// `|A′|·|B′| − |A′ ∩ B′|`. `A ∩ B` is one intersection of all of A's and
+/// B's slices, and it is empty when the two labels differ.
+///
+/// Counters match the per-candidate path (one node at `depth + 1` and one
+/// last-level count per `a ∈ A′`): `|A′|` nodes, and at `depth + 1`
+/// `|A′|` invocations, `|A′|` times B's slice width and gallop steps, and
+/// `|A′|` times B's probe steps less those of the driver entries that are
+/// the `a` being extended. Returns `false` iff the deadline passed or the
+/// sink stopped the search.
+pub fn finish_last_two_levels<G: GraphShard>(
+    ctx: &SearchCtx<'_, G>,
+    emb: &Embedding,
+    depth: usize,
+    sink: &mut dyn MatchSink,
+    stats: &mut SearchStats,
+) -> bool {
+    let last = depth + 1;
+    debug_assert!(last + 1 == ctx.order.len() && ctx.order.independent_tail);
+    let prof = ctx.profile;
+    if let Some(p) = prof {
+        p.add(depth, ProfileCounter::Invocations, 1);
+    }
+    let mut buf = [&[][..]; 2 * MAX_PATTERN_VERTICES];
+    let Some(na) = backward_slices(ctx, emb, depth, &mut buf).map(<[_]>::len) else {
+        return true;
+    };
+    let (a, a_cost) = count_candidates(ctx, &buf[..na], emb, depth);
+    if let Some(p) = prof {
+        a_cost.charge(p, depth, a);
+    }
+    if a == 0 {
+        return true;
+    }
+    if !visit(ctx, stats, last, a) {
+        return false;
+    }
+    if let Some(p) = prof {
+        p.add(last, ProfileCounter::Invocations, a);
+    }
+    let Some(nb) = backward_slices(ctx, emb, last, &mut buf[na..]).map(<[_]>::len) else {
+        return true;
+    };
+    let (a_slices, b_slices) = buf[..na + nb].split_at(na);
+    let (b, b_cost) = count_candidates(ctx, b_slices, emb, last);
+    let both = if ctx.order.target_label[depth] == ctx.order.target_label[last] {
+        count_candidates(ctx, &buf[..na + nb], emb, last).0
+    } else {
+        0
+    };
+    let k = a * b - both;
+    if let Some(p) = prof {
+        // A probed driver entry of B that is itself in A′ is skipped when
+        // it is the `a` being extended.
+        let mut skipped = 0;
+        if b_cost.probes > 0 {
+            let udeg = ctx.order.target_degree[last];
+            let admit = |v: VertexId| {
+                ctx.g.degree(v) >= udeg
+                    && !emb.uses(v)
+                    && a_slices
+                        .iter()
+                        .all(|s| s.binary_search_by_key(&v, |&(w, _)| w).is_ok())
+            };
+            probe_each(b_slices, shortest(b_slices), admit, &mut skipped, |_| true);
+        }
+        let b_total = SetCost {
+            width: a * b_cost.width,
+            probes: a * b_cost.probes - skipped,
+            gallops: a * b_cost.gallops,
+        };
+        b_total.charge(p, last, k);
+    }
+    k == 0 || sink.report_count(k)
+}
+
+/// What streaming one candidate set would have cost, in the profile's
+/// units: the driver slice's width and the probe or gallop steps.
+#[derive(Clone, Copy)]
+struct SetCost {
+    width: u64,
+    probes: u64,
+    gallops: u64,
+}
+
+impl SetCost {
+    /// Record the cost and the `extensions` it yielded at `depth`.
+    fn charge(self, p: &ProfileFrame, depth: usize, extensions: u64) {
+        p.add(depth, ProfileCounter::SliceWidth, self.width);
+        p.add(depth, ProfileCounter::ProbeSteps, self.probes);
+        p.add(depth, ProfileCounter::GallopSteps, self.gallops);
+        p.add(depth, ProfileCounter::Extensions, extensions);
+    }
+}
+
+/// `|⋂ slices \ images(emb)|` for slices of an exact-label position whose
+/// degree prune is implied, with what streaming them would have cost:
+/// * one slice — its length minus the mapped vertices found in it by
+///   binary search (≤ `|V(Q)|` probes);
+/// * several — the same probe/gallop intersection as
+///   [`for_each_candidate`], counting the outputs the mapping does not use.
+fn count_candidates<G: GraphShard>(
+    ctx: &SearchCtx<'_, G>,
+    slices: &[&[(VertexId, ELabel)]],
+    emb: &Embedding,
+    depth: usize,
+) -> (u64, SetCost) {
     let min_idx = shortest(slices);
     let driver = slices[min_idx];
-    if let Some(p) = ctx.profile {
-        p.add(depth, ProfileCounter::SliceWidth, driver.len() as u64);
-    }
+    let mut cost = SetCost {
+        width: driver.len() as u64,
+        probes: 0,
+        gallops: 0,
+    };
     let mut k = 0u64;
     if slices.len() == 1 {
         let used = emb
@@ -463,20 +635,17 @@ fn count_last_level<G: GraphShard>(ctx: &SearchCtx<'_, G>, emb: &Embedding, dept
         // per-candidate path.
         let udeg = ctx.order.target_degree[depth];
         let admit = |v: VertexId| ctx.g.degree(v) >= udeg && !emb.uses(v);
-        probe_each(ctx, depth, slices, min_idx, admit, |_| {
+        probe_each(slices, min_idx, admit, &mut cost.probes, |_| {
             k += 1;
             true
         });
     } else {
-        merge_each(ctx, depth, slices, |v| {
+        merge_each(ctx, slices, &mut cost.gallops, |v| {
             k += u64::from(!emb.uses(v));
             true
         });
     }
-    if let Some(p) = ctx.profile {
-        p.add(depth, ProfileCounter::Extensions, k);
-    }
-    k
+    (k, cost)
 }
 
 /// The pre-partition-index candidate generator, retained verbatim as the
@@ -550,7 +719,7 @@ where
 /// Recursive backtracking from `depth` to full matches (paper `Traverse`).
 /// Every node above the last order position counts one search node; the
 /// last position is finished by [`finish_last_level`], so leaves are not
-/// nodes.
+/// nodes, and a counted independent tail by [`finish_last_two_levels`].
 ///
 /// Returns `false` iff the search was stopped (deadline or sink); a `false`
 /// propagates all the way out so callers can distinguish complete from
@@ -567,21 +736,14 @@ pub fn extend<G: GraphShard>(
     if depth == n {
         return sink.report(emb, n);
     }
-    let hits_before = stats.deadline_hits;
-    if !stats.tick(ctx.deadline, depth) {
-        if stats.deadline_hits > hits_before {
-            if let Some(p) = ctx.profile {
-                p.add(
-                    depth.min(MAX_PATTERN_VERTICES - 1),
-                    ProfileCounter::DeadlineHits,
-                    1,
-                );
-            }
-        }
+    if !visit(ctx, stats, depth, 1) {
         return false;
     }
     if depth + 1 == n {
         return finish_last_level(ctx, filter, emb, depth, sink);
+    }
+    if depth + 2 == n && ctx.order.independent_tail && counts_leaves(ctx, filter, sink) {
+        return finish_last_two_levels(ctx, emb, depth, sink, stats);
     }
     let u = ctx.order.order[depth];
     let mut keep_going = true;
@@ -617,13 +779,7 @@ pub fn expand_one_layer<G: GraphShard>(
         depth + 1 < ctx.order.len(),
         "expand_one_layer at the last position"
     );
-    let hits_before = stats.deadline_hits;
-    if !stats.tick(ctx.deadline, depth) {
-        if stats.deadline_hits > hits_before {
-            if let Some(p) = ctx.profile {
-                p.add(depth, ProfileCounter::DeadlineHits, 1);
-            }
-        }
+    if !visit(ctx, stats, depth, 1) {
         return false;
     }
     let u = ctx.order.order[depth];
@@ -633,14 +789,7 @@ pub fn expand_one_layer<G: GraphShard>(
         out.push(child);
         // The only early stop in this closure is the deadline, so the
         // generator's return value is exactly "not timed out".
-        let hb = stats.deadline_hits;
-        let alive = stats.tick(ctx.deadline, depth);
-        if !alive && stats.deadline_hits > hb {
-            if let Some(p) = ctx.profile {
-                p.add(depth, ProfileCounter::DeadlineHits, 1);
-            }
-        }
-        alive
+        visit(ctx, stats, depth, 1)
     })
 }
 
@@ -866,7 +1015,10 @@ mod tests {
     /// Counting the last level and streaming it agree on the match count
     /// and on every profile cell, across one-slice, probe and gallop last
     /// levels (two hubs adjacent to everything make slices longer than
-    /// [`PROBE_THRESHOLD`]).
+    /// [`PROBE_THRESHOLD`]). The star, the path, the tree with sibling
+    /// leaves and `K_{2,3}` have orders with independent tails, all on one
+    /// label, so the two-level count and its `|A′ ∩ B′|` term are compared
+    /// too; `K_{2,3}`'s tail has two slices per position.
     #[test]
     fn last_level_count_matches_streaming_cell_for_cell() {
         use crate::order::MatchingOrders;
@@ -899,8 +1051,13 @@ mod tests {
             shape(&[(0, 1), (1, 2), (0, 2)]),
             shape(&[(0, 1), (1, 2), (2, 3), (3, 0)]),
             shape(&[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+            shape(&[(0, 1), (0, 2), (0, 3)]),
+            shape(&[(0, 1), (1, 2), (2, 3), (3, 4)]),
+            shape(&[(0, 1), (0, 2), (1, 3), (1, 4)]),
+            shape(&[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
         ];
         let (mut probe_steps, mut gallop_steps) = (0, 0);
+        let (mut tail_probe_steps, mut tail_gallop_steps) = (0, 0);
         for q in &queries {
             let orders = MatchingOrders::build(q);
             let mut run = |collect: bool| {
@@ -937,6 +1094,10 @@ mod tests {
                     let last = o.depths.last().unwrap();
                     probe_steps += last.get(ProfileCounter::ProbeSteps);
                     gallop_steps += last.get(ProfileCounter::GallopSteps);
+                    if orders.by_index(o.index).independent_tail {
+                        tail_probe_steps += last.get(ProfileCounter::ProbeSteps);
+                        tail_gallop_steps += last.get(ProfileCounter::GallopSteps);
+                    }
                 }
                 (sink.count, stats.nodes, cells)
             };
@@ -945,6 +1106,10 @@ mod tests {
             assert_eq!(counted, streamed, "{} query vertices", q.num_vertices());
         }
         assert!(probe_steps > 0 && gallop_steps > 0, "both branches reached");
+        assert!(
+            tail_probe_steps > 0 && tail_gallop_steps > 0,
+            "both branches reached under an independent tail"
+        );
     }
 
     #[test]

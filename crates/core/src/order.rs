@@ -32,6 +32,11 @@ pub struct SeedOrder {
     pub target_degree: Vec<usize>,
     /// Position of each query vertex in `order`.
     pub pos: [u8; MAX_PATTERN_VERTICES],
+    /// `order[n−1]` has no query edge to `order[n−2]`, and both have a
+    /// backward neighbour: the last two candidate sets depend only on the
+    /// prefix, so a counting search delivers their pairs as one count
+    /// (`kernel::finish_last_two_levels`).
+    pub independent_tail: bool,
 }
 
 impl SeedOrder {
@@ -75,7 +80,7 @@ impl SeedOrder {
         for (d, &u) in order.iter().enumerate() {
             pos[u.index()] = d as u8;
         }
-        let backward = order
+        let backward: Vec<Vec<_>> = order
             .iter()
             .enumerate()
             .map(|(d, &u)| {
@@ -88,12 +93,17 @@ impl SeedOrder {
             .collect();
         let target_label = order.iter().map(|&u| q.label(u)).collect();
         let target_degree = order.iter().map(|&u| q.degree(u)).collect();
+        let independent_tail = n >= 2
+            && !backward[n - 2].is_empty()
+            && !backward[n - 1].is_empty()
+            && q.neighbor_mask(order[n - 1]) >> order[n - 2].index() & 1 == 0;
         SeedOrder {
             order,
             backward,
             target_label,
             target_degree,
             pos,
+            independent_tail,
         }
     }
 
@@ -226,6 +236,40 @@ mod tests {
                 assert_eq!(mo.by_index(i).order[0], a);
             }
         }
+    }
+
+    /// A query over label 0 with the given edges.
+    fn shape(n: u8, edges: &[(u8, u8)]) -> QueryGraph {
+        let mut q = QueryGraph::new();
+        for _ in 0..n {
+            q.add_vertex(VLabel(0));
+        }
+        for &(a, b) in edges {
+            q.add_edge(QVertexId(a), QVertexId(b), ELabel(0)).unwrap();
+        }
+        q
+    }
+
+    #[test]
+    fn independent_tail_marks_non_adjacent_last_pair() {
+        // Path u0-u1-u2-u3-u4 seeded in the middle ends in its two ends.
+        let path = shape(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let o = SeedOrder::build(&path, &[QVertexId(2), QVertexId(3)]);
+        assert_eq!(&o.order[3..], &[QVertexId(0), QVertexId(4)]);
+        assert!(o.independent_tail);
+        // Star: the last two leaves only touch the centre.
+        let star = shape(4, &[(0, 1), (0, 2), (0, 3)]);
+        assert!(SeedOrder::build(&star, &[QVertexId(0), QVertexId(1)]).independent_tail);
+        assert!(SeedOrder::build(&star, &[QVertexId(1), QVertexId(0)]).independent_tail);
+        // Triangle and the diamond seeded at (u0, u1): the last two are
+        // adjacent.
+        let tri = shape(3, &[(0, 1), (1, 2), (0, 2)]);
+        assert!(!SeedOrder::build(&tri, &[QVertexId(0), QVertexId(1)]).independent_tail);
+        let o = SeedOrder::build(&diamond(), &[QVertexId(0), QVertexId(1)]);
+        assert!(!o.independent_tail);
+        // A tail needs a backward neighbour at both positions.
+        let edge = shape(2, &[(0, 1)]);
+        assert!(!SeedOrder::build(&edge, &[QVertexId(0), QVertexId(1)]).independent_tail);
     }
 
     #[test]

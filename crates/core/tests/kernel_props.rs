@@ -10,7 +10,10 @@
 //! adjacent to every vertex, and label alphabets are skewed (often a single
 //! label), so last-level slices exceed `PROBE_THRESHOLD` and the last level
 //! sees one, two and three or more backward slices on both the probe and
-//! the galloping branch.
+//! the galloping branch. Half the queries are trees (each vertex attaches
+//! to a drawn earlier one), whose orders mostly end in an independent
+//! tail, often on one label: the counting sink then takes the two-level
+//! count, including its `|A′ ∩ B′|` correction.
 
 use csm_graph::{DataGraph, ELabel, QVertexId, QueryGraph, VLabel, VertexId};
 use paracosm_core::static_match;
@@ -69,9 +72,18 @@ fn small_graph() -> impl Strategy<Value = (DataGraph, QueryGraph)> {
         (0u32..100, proptest::collection::vec(0u32..400, 66..67)),
         (2u8..6, proptest::collection::vec(0u32..4, 5..6)),
         (0u32..100, proptest::collection::vec(0u32..400, 10..11)),
+        (any::<bool>(), proptest::collection::vec(0u32..100, 6..7)),
     )
         .prop_map(
-            |((n, vl, el), labels, hub_el, (density, pairs), (qn, qlabels), (qdensity, qpairs))| {
+            |(
+                (n, vl, el),
+                labels,
+                hub_el,
+                (density, pairs),
+                (qn, qlabels),
+                (qdensity, qpairs),
+                (tree, parents),
+            )| {
                 // Pair `(a, b)`, `a < b`, is an edge iff its draw `d` has
                 // `d % 100 < density`; `d / 100` picks the edge label.
                 let unordered = |n: u32| (0..n).flat_map(move |b| (0..b).map(move |a| (a, b)));
@@ -95,9 +107,15 @@ fn small_graph() -> impl Strategy<Value = (DataGraph, QueryGraph)> {
                     q.add_vertex(VLabel(skewed(x, vl)));
                 }
                 // A path keeps the query connected; dense draws close
-                // cycles and raise the last vertex's backward degree.
+                // cycles and raise the last vertex's backward degree. A
+                // tree query instead attaches each `b` to one drawn `a < b`.
                 for ((a, b), &d) in unordered(u32::from(qn)).zip(&qpairs) {
-                    if b == a + 1 || d % 100 < qdensity {
+                    let edge = if tree {
+                        a == parents[b as usize] % b
+                    } else {
+                        b == a + 1 || d % 100 < qdensity
+                    };
+                    if edge {
                         let l = ELabel(skewed(d / 100, el));
                         q.add_edge(QVertexId(a as u8), QVertexId(b as u8), l)
                             .unwrap();

@@ -105,3 +105,33 @@ fn timeout_flag_propagates_from_stats() {
     assert!(out.timed_out);
     assert!(out.updates_applied <= 1);
 }
+
+/// A star's last two leaves share no query edge, so a counting run counts
+/// them together and the inner executor keeps their tasks as leaves: the
+/// 4-star's seeds are leaves already, the 5-star's are expanded once. The
+/// counts equal a streamed sequential run, and the shared cap stays exact
+/// with 2 threads.
+#[test]
+fn star_tails_count_exactly_under_a_parallel_cap() {
+    let (g, _, stream) = explosive();
+    for leaves in [3u8, 4] {
+        let mut q = QueryGraph::new();
+        let centre = q.add_vertex(VLabel(0));
+        for _ in 0..leaves {
+            let leaf = q.add_vertex(VLabel(0));
+            q.add_edge(centre, leaf, ELabel(0)).unwrap();
+        }
+        let run = |cfg: ParaCosmConfig| {
+            let algo = AlgoKind::GraphFlow.build(&g, &q);
+            let mut e: ParaCosm<AnyAlgorithm> = ParaCosm::new(g.clone(), q.clone(), algo, cfg);
+            e.process_stream(&stream).unwrap().positives
+        };
+        let streamed = run(ParaCosmConfig::sequential().collecting());
+        assert!(streamed > 100, "{leaves} leaves: {streamed}");
+        let mut cfg = ParaCosmConfig::sequential().with_threads(2);
+        cfg.split_depth = 4;
+        assert_eq!(run(cfg.clone()), streamed, "{leaves} leaves");
+        cfg.match_cap = Some(100);
+        assert_eq!(run(cfg), 100, "{leaves} leaves");
+    }
+}
