@@ -624,8 +624,8 @@ impl<A: CsmAlgorithm> ParaCosm<A> {
             )));
         }
         // Structural no-ops are counted as such, not as a safety verdict.
-        let exists = self.g.has_edge(e.src, e.dst);
-        if is_insert == exists {
+        let stored = self.g.edge_label(e.src, e.dst);
+        if is_insert == stored.is_some() {
             self.eng.note_update();
             self.eng.record_noop(idx);
             return Ok(ResidualOutcome {
@@ -645,55 +645,59 @@ impl<A: CsmAlgorithm> ParaCosm<A> {
             return Ok(safe(Classified::Safe(SafeStage::Degree)));
         }
 
-        // Stage 3: candidate/ADS filter.
-        if is_insert {
-            let t0 = Instant::now();
-            self.g.insert_edge(e.src, e.dst, e.label)?;
-            self.eng.note_apply(t0.elapsed());
-            let change = self.eng.ads_update(&self.g, e, true);
-            self.eng.note_update();
-            if change == AdsChange::Unchanged && self.eng.candidates_safe(&self.g, &e) {
-                self.eng
-                    .record_verdict(Classified::Safe(SafeStage::Ads), idx);
-                return Ok(safe(Classified::Safe(SafeStage::Ads)));
+        // Stage 3: candidate/ADS filter. Past the no-op check, an absent
+        // edge is an insertion and a present one a deletion.
+        match stored {
+            None => {
+                let t0 = Instant::now();
+                self.g.insert_edge(e.src, e.dst, e.label)?;
+                self.eng.note_apply(t0.elapsed());
+                let change = self.eng.ads_update(&self.g, e, true);
+                self.eng.note_update();
+                if change == AdsChange::Unchanged && self.eng.candidates_safe(&self.g, &e) {
+                    self.eng
+                        .record_verdict(Classified::Safe(SafeStage::Ads), idx);
+                    return Ok(safe(Classified::Safe(SafeStage::Ads)));
+                }
+                self.eng.record_verdict(Classified::Unsafe, idx);
+                let found = self.eng.find_matches(&self.g, &e, false);
+                self.eng.stats.positives += found.count;
+                self.eng.tracer().count(0, Counter::MatchesPos, found.count);
+                self.eng.stats.timed_out |= found.timed_out;
+                out.positives += found.count;
+                Ok(ResidualOutcome {
+                    verdict: Some(Classified::Unsafe),
+                    noop: false,
+                    timed_out: found.timed_out,
+                    positives: found.count,
+                    negatives: 0,
+                })
             }
-            self.eng.record_verdict(Classified::Unsafe, idx);
-            let found = self.eng.find_matches(&self.g, &e, false);
-            self.eng.stats.positives += found.count;
-            self.eng.tracer().count(0, Counter::MatchesPos, found.count);
-            self.eng.stats.timed_out |= found.timed_out;
-            out.positives += found.count;
-            Ok(ResidualOutcome {
-                verdict: Some(Classified::Unsafe),
-                noop: false,
-                timed_out: found.timed_out,
-                positives: found.count,
-                negatives: 0,
-            })
-        } else {
-            // Deletion: negative matches are judged on the pre-deletion
-            // state, so the candidate check comes first.
-            let e = EdgeUpdate::new(e.src, e.dst, self.g.edge_label(e.src, e.dst).unwrap());
-            if self.eng.candidates_safe(&self.g, &e) {
-                self.eng
-                    .record_verdict(Classified::Safe(SafeStage::Ads), idx);
+            Some(label) => {
+                // Deletion: negative matches are judged on the pre-deletion
+                // state, so the candidate check comes first.
+                let e = EdgeUpdate::new(e.src, e.dst, label);
+                if self.eng.candidates_safe(&self.g, &e) {
+                    self.eng
+                        .record_verdict(Classified::Safe(SafeStage::Ads), idx);
+                    self.apply_and_maintain(e, false)?;
+                    return Ok(safe(Classified::Safe(SafeStage::Ads)));
+                }
+                self.eng.record_verdict(Classified::Unsafe, idx);
+                let found = self.eng.find_matches(&self.g, &e, false);
+                self.eng.stats.negatives += found.count;
+                self.eng.tracer().count(0, Counter::MatchesNeg, found.count);
+                self.eng.stats.timed_out |= found.timed_out;
+                out.negatives += found.count;
                 self.apply_and_maintain(e, false)?;
-                return Ok(safe(Classified::Safe(SafeStage::Ads)));
+                Ok(ResidualOutcome {
+                    verdict: Some(Classified::Unsafe),
+                    noop: false,
+                    timed_out: found.timed_out,
+                    positives: 0,
+                    negatives: found.count,
+                })
             }
-            self.eng.record_verdict(Classified::Unsafe, idx);
-            let found = self.eng.find_matches(&self.g, &e, false);
-            self.eng.stats.negatives += found.count;
-            self.eng.tracer().count(0, Counter::MatchesNeg, found.count);
-            self.eng.stats.timed_out |= found.timed_out;
-            out.negatives += found.count;
-            self.apply_and_maintain(e, false)?;
-            Ok(ResidualOutcome {
-                verdict: Some(Classified::Unsafe),
-                noop: false,
-                timed_out: found.timed_out,
-                positives: 0,
-                negatives: found.count,
-            })
         }
     }
 

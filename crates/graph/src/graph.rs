@@ -13,14 +13,18 @@
 //!
 //! * adjacency is **label-partitioned**: each vertex's neighbor list is a
 //!   single `Vec<(VertexId, ELabel)>` sorted by `(L(neighbor), elabel,
-//!   neighbor id)` plus a small per-vertex partition index mapping each
-//!   distinct `(L(neighbor), elabel)` pair to its contiguous run. The
-//!   enumeration kernel asks "neighbors of `v` with vertex label `X` over
-//!   edge label `y`" — with this layout that is an `O(log #groups)` index
-//!   probe returning a contiguous, id-sorted slice, with zero per-neighbor
-//!   label branches. CSM spends > 90 % of its time in `Find_Matches`
-//!   (paper Table 3), i.e. *reading* the graph, which justifies paying
-//!   `O(d)` vector shifts on update;
+//!   neighbor id)` plus a small per-vertex block index holding one start
+//!   offset per neighbor vertex label present. The enumeration kernel asks
+//!   "neighbors of `v` with vertex label `X` over edge label `y`": that is
+//!   an `O(log |Σ_V|)` block probe, and the whole block when it carries one
+//!   edge label (every block, on single-edge-label graphs); otherwise a
+//!   binary search plus a gallop inside the block. Either way the answer is
+//!   a contiguous, id-sorted slice with zero per-neighbor label branches.
+//!   An edge update costs one existence probe on the shorter endpoint list
+//!   and two `O(d)` splices that shift at most `|Σ_V|` block starts: the
+//!   index is kept coarse because a per-`(vlabel, elabel)` index had about
+//!   one entry per neighbor on many-label graphs, and maintaining it cost
+//!   more than the entry shifts (DESIGN §3.6);
 //! * the search phase only ever holds `&Graph`, so multi-threaded
 //!   enumeration is data-race-free by construction (no locks on the hot
 //!   path);
@@ -56,11 +60,11 @@
 //! and the multi-writer shard applier on a `K`-store route.
 //!
 //! **Ordering contract:** `neighbors(v)` is sorted by `(L(neighbor),
-//! elabel, id)`, *not* globally by id. Within one `(vlabel, elabel)` group
+//! elabel, id)`, *not* globally by id. Within one `(vlabel, elabel)` run
 //! the slice is strictly id-sorted — that is what makes galloping
 //! multi-way intersections over [`Graph::neighbors_with`] slices
-//! valid. A vlabel-range slice ([`Graph::neighbors_with_vlabel`])
-//! spans several elabel groups and is therefore *not* id-sorted; callers
+//! valid. A vlabel block ([`Graph::neighbors_with_vlabel`])
+//! spans several elabel runs and is therefore *not* id-sorted; callers
 //! that ignore edge labels must probe, not merge.
 
 use crate::error::{GraphError, Result};
@@ -69,30 +73,28 @@ use crate::par;
 use crate::shard::{GraphShard, ShardStats};
 use crate::update::EdgeUpdate;
 
-/// Packed partition key: vertex label in the high 32 bits, edge label in
-/// the low 32. Lexicographic `u64` order == `(VLabel, ELabel)` order.
-#[inline]
-fn group_key(vl: VLabel, el: ELabel) -> u64 {
-    ((vl.0 as u64) << 32) | el.0 as u64
-}
-
 /// One vertex's label-partitioned neighbor list.
 ///
-/// `entries` is sorted by `(L(neighbor), elabel, neighbor id)`; `groups`
-/// holds one `(packed key, start offset)` per distinct `(L(neighbor),
-/// elabel)` pair present, sorted by key. A group's run ends where the
-/// next group starts (or at `entries.len()` for the last).
+/// `entries` is sorted by `(L(neighbor), elabel, neighbor id)`; `blocks`
+/// holds one `(neighbor vertex label, start offset)` per vertex label
+/// present, sorted by label. A block ends where the next one starts (or at
+/// `entries.len()` for the last). Edge-label runs inside a block are not
+/// indexed: [`AdjList::slice`] searches for them.
 ///
 /// Invariants (checked by [`DataGraph::check_invariants`]):
-/// * `groups` keys strictly increase; starts strictly increase from 0;
-/// * every entry's `(neighbor label, elabel)` equals its group's key;
-/// * within a group, neighbor ids strictly increase;
-/// * a neighbor id appears in at most one group (simple graph).
+/// * `blocks` labels strictly increase; starts strictly increase from 0
+///   and stay below `entries.len()` (no empty block);
+/// * every entry's neighbor carries its block's label;
+/// * within a block, `(elabel, neighbor id)` strictly increases;
+/// * a neighbor id appears at most once (simple graph).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct AdjList {
     entries: Vec<(VertexId, ELabel)>,
-    groups: Vec<(u64, u32)>,
+    blocks: Vec<(VLabel, u32)>,
 }
+
+/// An entry's full sort key within its list: `(L(neighbor), elabel, id)`.
+type EntryKey = (VLabel, ELabel, VertexId);
 
 impl AdjList {
     #[inline]
@@ -110,118 +112,111 @@ impl AdjList {
         &self.entries
     }
 
-    /// End offset (exclusive) of group `gi`.
+    /// Start offset of block `bi`, or `entries.len()` past the last block.
     #[inline]
-    fn group_end(&self, gi: usize) -> usize {
-        self.groups
-            .get(gi + 1)
-            .map_or(self.entries.len(), |&(_, s)| s as usize)
-    }
-
-    /// Group-index range `[lo, hi)` covering vertex label `vl`.
-    #[inline]
-    fn vlabel_bounds(&self, vl: VLabel) -> (usize, usize) {
-        let lo = self
-            .groups
-            .partition_point(|&(k, _)| (k >> 32) < vl.0 as u64);
-        let hi = self
-            .groups
-            .partition_point(|&(k, _)| (k >> 32) <= vl.0 as u64);
-        (lo, hi)
-    }
-
-    /// The id-sorted run of neighbors with label `vl` over elabel `el`.
-    #[inline]
-    fn slice(&self, vl: VLabel, el: ELabel) -> &[(VertexId, ELabel)] {
-        match self
-            .groups
-            .binary_search_by_key(&group_key(vl, el), |&(k, _)| k)
-        {
-            Ok(gi) => &self.entries[self.groups[gi].1 as usize..self.group_end(gi)],
-            Err(_) => &[],
-        }
+    fn block_start(&self, bi: usize) -> usize {
+        (self.blocks.get(bi)).map_or(self.entries.len(), |&(_, s)| s as usize)
     }
 
     /// All neighbors with label `vl`, any elabel (sorted by `(elabel, id)`).
     #[inline]
     fn slice_vlabel(&self, vl: VLabel) -> &[(VertexId, ELabel)] {
-        let (lo, hi) = self.vlabel_bounds(vl);
-        if lo == hi {
+        match self.blocks.binary_search_by_key(&vl, |&(l, _)| l) {
+            Ok(bi) => &self.entries[self.block_start(bi)..self.block_start(bi + 1)],
+            Err(_) => &[],
+        }
+    }
+
+    /// The id-sorted run of neighbors with label `vl` over elabel `el`: the
+    /// whole block when it carries one elabel, else the run whose start a
+    /// binary search finds and whose end a gallop from that start finds —
+    /// `O(log r)` for a run of `r`, where a second binary search would cost
+    /// `O(log b)` over the whole block.
+    #[inline]
+    fn slice(&self, vl: VLabel, el: ELabel) -> &[(VertexId, ELabel)] {
+        let b = self.slice_vlabel(vl);
+        let (Some(first), Some(last)) = (b.first(), b.last()) else {
+            return &[];
+        };
+        if first.1 == last.1 {
+            return if first.1 == el { b } else { &[] };
+        }
+        let lo = b.partition_point(|&(_, l)| l < el);
+        if b.get(lo).is_none_or(|&(_, l)| l != el) {
             return &[];
         }
-        &self.entries[self.groups[lo].1 as usize..self.group_end(hi - 1)]
+        // `b[lo + step / 2]` carries `el`; stop once `b[lo + step]` does not.
+        let mut step = 1;
+        while lo + step < b.len() && b[lo + step].1 == el {
+            step *= 2;
+        }
+        let (from, to) = (lo + step / 2 + 1, (lo + step).min(b.len()));
+        &b[lo..from + b[from..to].partition_point(|&(_, l)| l == el)]
     }
 
-    /// Elabel of the edge to neighbor `n` (whose label is `nl`), if present.
+    /// Elabel of the edge to neighbor `n` (whose label is `nl`), if present:
+    /// a binary search by id when `nl`'s block carries one elabel, a linear
+    /// scan of the block otherwise.
     fn find(&self, n: VertexId, nl: VLabel) -> Option<ELabel> {
-        let (lo, hi) = self.vlabel_bounds(nl);
-        for gi in lo..hi {
-            let s = self.groups[gi].1 as usize;
-            let e = self.group_end(gi);
-            if self.entries[s..e]
-                .binary_search_by_key(&n, |&(v, _)| v)
-                .is_ok()
-            {
-                return Some(ELabel(self.groups[gi].0 as u32));
-            }
+        let b = self.slice_vlabel(nl);
+        let (first, last) = (b.first()?, b.last()?);
+        if first.1 == last.1 {
+            b.binary_search_by_key(&n, |&(v, _)| v)
+                .ok()
+                .map(|_| first.1)
+        } else {
+            b.iter().find(|&&(v, _)| v == n).map(|&(_, l)| l)
         }
-        None
     }
 
-    /// Insert neighbor `n` (label `nl`) over elabel `el`. Returns `false`
-    /// if an edge to `n` already exists under *any* elabel (simple graph).
-    fn insert(&mut self, n: VertexId, el: ELabel, nl: VLabel) -> bool {
-        let (lo, hi) = self.vlabel_bounds(nl);
-        for gi in lo..hi {
-            let s = self.groups[gi].1 as usize;
-            let e = self.group_end(gi);
-            if self.entries[s..e]
-                .binary_search_by_key(&n, |&(v, _)| v)
-                .is_ok()
-            {
-                return false;
+    /// Splice the entry `(n, el)` of neighbor `n` (labeled `nl`) in
+    /// (`insert`) or out at its `(el, id)` position inside `nl`'s block,
+    /// shifting the starts of the later blocks. The caller has checked that
+    /// no edge to `n` exists (insert) or that this one does (remove).
+    fn splice(&mut self, n: VertexId, el: ELabel, nl: VLabel, insert: bool) {
+        let found = self.blocks.binary_search_by_key(&nl, |&(l, _)| l);
+        let (Ok(bi) | Err(bi)) = found;
+        let s = self.block_start(bi);
+        let e = if found.is_ok() {
+            self.block_start(bi + 1)
+        } else {
+            s
+        };
+        let pos = s + self.entries[s..e].partition_point(|&(v, l)| (l, v) < (el, n));
+        let next = if insert {
+            self.entries.insert(pos, (n, el));
+            if found.is_err() {
+                self.blocks.insert(bi, (nl, pos as u32));
             }
+            bi + 1
+        } else {
+            let present = self.entries.get(pos) == Some(&(n, el));
+            debug_assert!(present, "removed half-edge missing from its list");
+            if !present {
+                return;
+            }
+            self.entries.remove(pos);
+            if e - s > 1 {
+                bi + 1
+            } else {
+                self.blocks.remove(bi);
+                bi
+            }
+        };
+        for b in &mut self.blocks[next..] {
+            b.1 = if insert { b.1 + 1 } else { b.1 - 1 };
         }
-        let key = group_key(nl, el);
-        match self.groups[lo..hi].binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(rel) => {
-                let gi = lo + rel;
-                let s = self.groups[gi].1 as usize;
-                let e = self.group_end(gi);
-                let off = self.entries[s..e]
-                    .binary_search_by_key(&n, |&(v, _)| v)
-                    .expect_err("duplicate neighbor passed the group scan");
-                self.entries.insert(s + off, (n, el));
-                for g in &mut self.groups[gi + 1..] {
-                    g.1 += 1;
-                }
-            }
-            Err(rel) => {
-                let gi = lo + rel;
-                let pos = if gi == self.groups.len() {
-                    self.entries.len()
-                } else {
-                    self.groups[gi].1 as usize
-                };
-                self.entries.insert(pos, (n, el));
-                self.groups.insert(gi, (key, pos as u32));
-                for g in &mut self.groups[gi + 1..] {
-                    g.1 += 1;
-                }
-            }
-        }
-        true
     }
 
     /// Apply a FIFO sequence of half-edge operations in one list rebuild.
     ///
-    /// Semantically identical to calling [`AdjList::insert`] /
-    /// [`AdjList::remove`] per op in sequence — each op's `changed` flag
-    /// (appended to `out` with its tag) reflects the list state produced
-    /// by the ops before it — but the entry vector is spliced **once**:
-    /// `O(len + k log k)` instead of the `O(k · len)` shifts of per-op
-    /// application. This is what makes a single-writer shard applier
-    /// beat the serial per-op path on dense (hub-heavy) batches.
+    /// Semantically identical to applying each op in sequence through the
+    /// per-op path — each op's `changed` flag (appended to `out` with its
+    /// tag) reflects the list state produced by the ops before it — but the
+    /// entry vector is rebuilt **once**: `O(len + k log k)` instead of the
+    /// `O(k · len)` shifts of per-op application. This is what makes a
+    /// single-writer shard applier beat the serial per-op path on dense
+    /// (hub-heavy) batches.
     fn apply_ops_merged(&mut self, ops: &[(u32, HalfOp)], out: &mut Vec<(u32, bool)>) {
         // Distinct touched neighbors, with their initial edge label. A
         // neighbor's vertex label is stable for the whole batch (vertex
@@ -254,19 +249,14 @@ impl AdjList {
             out.push((tag, changed));
         }
 
-        // Net effect per neighbor → one merged rebuild.
-        let mut inserts: Vec<(u64, VertexId, ELabel)> = Vec::new();
-        let mut removes: Vec<(u64, VertexId)> = Vec::new();
+        // Net effect per neighbor → one merged rebuild. A neighbor removed
+        // and re-inserted under another elabel contributes to both sides.
+        let mut inserts: Vec<EntryKey> = Vec::new();
+        let mut removes: Vec<EntryKey> = Vec::new();
         for (i, &(n, nl)) in touched.iter().enumerate() {
-            match (init[i], cur[i]) {
-                (None, Some(el)) => inserts.push((group_key(nl, el), n, el)),
-                (Some(el0), None) => removes.push((group_key(nl, el0), n)),
-                (Some(el0), Some(el1)) if el0 != el1 => {
-                    // Removed and re-inserted under a different elabel.
-                    removes.push((group_key(nl, el0), n));
-                    inserts.push((group_key(nl, el1), n, el1));
-                }
-                _ => {}
+            if init[i] != cur[i] {
+                removes.extend(init[i].map(|el| (nl, el, n)));
+                inserts.extend(cur[i].map(|el| (nl, el, n)));
             }
         }
         if inserts.is_empty() && removes.is_empty() {
@@ -277,86 +267,44 @@ impl AdjList {
         self.rebuild_merged(&inserts, &removes);
     }
 
-    /// Rebuild `entries`/`groups` in one pass: old entries (minus
-    /// `removes`) merged with `inserts`, both sorted by `(group key, id)`.
-    fn rebuild_merged(&mut self, inserts: &[(u64, VertexId, ELabel)], removes: &[(u64, VertexId)]) {
-        let old_entries = std::mem::take(&mut self.entries);
-        let old_groups = std::mem::take(&mut self.groups);
-        let mut entries: Vec<(VertexId, ELabel)> =
-            Vec::with_capacity(old_entries.len() + inserts.len() - removes.len());
-        let mut groups: Vec<(u64, u32)> = Vec::new();
-        fn push(
-            groups: &mut Vec<(u64, u32)>,
-            entries: &mut Vec<(VertexId, ELabel)>,
-            key: u64,
-            n: VertexId,
-            el: ELabel,
-        ) {
-            if groups.last().map(|&(k, _)| k) != Some(key) {
-                groups.push((key, entries.len() as u32));
-            }
-            entries.push((n, el));
-        }
-        let mut ins = inserts.iter().peekable();
-        let mut rem = removes.iter().peekable();
-        for gi in 0..old_groups.len() {
-            let (key, s) = old_groups[gi];
-            let e = old_groups
-                .get(gi + 1)
-                .map_or(old_entries.len(), |&(_, s)| s as usize);
-            for &(n, el) in &old_entries[s as usize..e] {
-                while let Some(&&(ik, inn, iel)) = ins.peek() {
-                    if (ik, inn) < (key, n) {
-                        push(&mut groups, &mut entries, ik, inn, iel);
-                        ins.next();
-                    } else {
-                        break;
-                    }
+    /// Rebuild `entries`/`blocks` in one pass: old entries (minus
+    /// `removes`) merged with `inserts`, both sorted by [`EntryKey`].
+    fn rebuild_merged(&mut self, inserts: &[EntryKey], removes: &[EntryKey]) {
+        let old = std::mem::take(self);
+        self.entries
+            .reserve(old.len() + inserts.len() - removes.len());
+        let mut ins = inserts.iter().copied().peekable();
+        let mut rem = removes.iter().copied().peekable();
+        for bi in 0..old.blocks.len() {
+            let vl = old.blocks[bi].0;
+            for &(n, el) in &old.entries[old.block_start(bi)..old.block_start(bi + 1)] {
+                let key = (vl, el, n);
+                while let Some(k) = ins.next_if(|&k| k < key) {
+                    self.push(k);
                 }
-                if rem.peek() == Some(&&(key, n)) {
-                    rem.next();
-                    continue;
+                if rem.next_if_eq(&key).is_none() {
+                    self.push(key);
                 }
-                push(&mut groups, &mut entries, key, n, el);
             }
         }
-        for &(ik, inn, iel) in ins {
-            push(&mut groups, &mut entries, ik, inn, iel);
-        }
+        ins.for_each(|k| self.push(k));
         debug_assert!(rem.peek().is_none(), "remove target missing from list");
-        self.entries = entries;
-        self.groups = groups;
     }
 
-    /// Remove the edge to neighbor `n` (label `nl`), returning its elabel.
-    fn remove(&mut self, n: VertexId, nl: VLabel) -> Option<ELabel> {
-        let (lo, hi) = self.vlabel_bounds(nl);
-        for gi in lo..hi {
-            let s = self.groups[gi].1 as usize;
-            let e = self.group_end(gi);
-            if let Ok(off) = self.entries[s..e].binary_search_by_key(&n, |&(v, _)| v) {
-                let (_, label) = self.entries.remove(s + off);
-                if e - s == 1 {
-                    self.groups.remove(gi);
-                    for g in &mut self.groups[gi..] {
-                        g.1 -= 1;
-                    }
-                } else {
-                    for g in &mut self.groups[gi + 1..] {
-                        g.1 -= 1;
-                    }
-                }
-                return Some(label);
-            }
+    /// Append the entry with key `(vl, el, n)`, opening block `vl` if the
+    /// last block is another label's.
+    fn push(&mut self, (vl, el, n): EntryKey) {
+        if self.blocks.last().map(|&(l, _)| l) != Some(vl) {
+            self.blocks.push((vl, self.entries.len() as u32));
         }
-        None
+        self.entries.push((n, el));
     }
 }
 
 /// One endpoint-local half of an undirected edge operation, as a writer
 /// job of [`Graph::apply_edge_batch_with`] applies it to the list of the
 /// endpoint it mutates. Carries the *neighbor's* vertex label, which is
-/// what the partition index is keyed by.
+/// what the block index is keyed by.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum HalfOp {
     /// Add neighbor `n` (labeled `nl`) over edge label `el`.
@@ -404,27 +352,10 @@ pub struct AdjStore {
     owned: usize,
     /// Half-edges stored here.
     half_edges: usize,
-    /// Half-edge ops applied here, successful or not.
+    /// Half-edge ops applied here: every half the per-op path splices, and
+    /// every half the batch path routes here, whether it changes the list
+    /// or not.
     applied_ops: u64,
-}
-
-impl AdjStore {
-    /// Insert the `v → n` half of an undirected edge. `v` must have a slot
-    /// here; `n` (labeled `nl`) may live in any store.
-    fn insert_half(&mut self, v: VertexId, n: VertexId, el: ELabel, nl: VLabel) -> bool {
-        let did = self.adj[v.index()].insert(n, el, nl);
-        self.half_edges += usize::from(did);
-        self.applied_ops += 1;
-        did
-    }
-
-    /// Remove the `v → n` half-edge. See [`AdjStore::insert_half`].
-    fn remove_half(&mut self, v: VertexId, n: VertexId, nl: VLabel) -> Option<ELabel> {
-        let out = self.adj[v.index()].remove(n, nl);
-        self.half_edges -= usize::from(out.is_some());
-        self.applied_ops += 1;
-        out
-    }
 }
 
 /// Apply one writer job's half-ops to `lists`, the sub-slice of a store's
@@ -636,7 +567,7 @@ impl<R: Route> Graph<R> {
     /// explicit. Growing creates intermediate *dead* slots.
     ///
     /// Reviving a dead slot may change its label: that is safe for the
-    /// partition index because dead vertices are always isolated
+    /// block index because dead vertices are always isolated
     /// ([`Graph::delete_vertex`] requires isolation or cascades), so no
     /// neighbor list holds an entry keyed by the stale label.
     pub fn ensure_vertex(&mut self, id: VertexId, label: VLabel) {
@@ -699,12 +630,12 @@ impl<R: Route> Graph<R> {
     /// this matches the simple-graph model; streams replaying an existing
     /// edge are tolerated rather than corrupting adjacency).
     pub fn insert_edge(&mut self, a: VertexId, b: VertexId, l: ELabel) -> Result<bool> {
-        let (la, lb) = self.endpoint_labels(a, b)?;
-        if !self.store_mut(a).insert_half(a, b, l, lb) {
+        self.check_endpoints(a, b)?;
+        if self.edge_label(a, b).is_some() {
             return Ok(false);
         }
-        let mirrored = self.store_mut(b).insert_half(b, a, l, la);
-        debug_assert!(mirrored, "half-edge invariant violated on insert");
+        self.splice_half(a, b, l, true);
+        self.splice_half(b, a, l, true);
         self.n_edges += 1;
         self.max_elabel = self.max_elabel.max(l.0);
         Ok(true)
@@ -713,18 +644,30 @@ impl<R: Route> Graph<R> {
     /// Remove the undirected edge `{a, b}`, returning its label, or `None`
     /// if no such edge existed.
     pub fn remove_edge(&mut self, a: VertexId, b: VertexId) -> Result<Option<ELabel>> {
-        let (la, lb) = self.endpoint_labels(a, b)?;
-        let Some(label) = self.store_mut(a).remove_half(a, b, lb) else {
+        self.check_endpoints(a, b)?;
+        let Some(l) = self.edge_label(a, b) else {
             return Ok(None);
         };
-        let mirrored = self.store_mut(b).remove_half(b, a, la);
-        debug_assert_eq!(
-            mirrored,
-            Some(label),
-            "half-edge invariant violated on remove"
-        );
+        self.splice_half(a, b, l, false);
+        self.splice_half(b, a, l, false);
         self.n_edges -= 1;
-        Ok(Some(label))
+        Ok(Some(l))
+    }
+
+    /// Splice the `v → n` half of edge `{v, n}` (label `el`) into or out of
+    /// `v`'s list, in whichever store holds it, and count it there. The
+    /// caller has probed the edge: by the half-edge invariant, one probe
+    /// answers for both halves.
+    fn splice_half(&mut self, v: VertexId, n: VertexId, el: ELabel, insert: bool) {
+        let nl = self.labels[n.index()];
+        let store = self.store_mut(v);
+        store.adj[v.index()].splice(n, el, nl, insert);
+        if insert {
+            store.half_edges += 1;
+        } else {
+            store.half_edges -= 1;
+        }
+        store.applied_ops += 1;
     }
 
     /// Apply a FIFO batch of edge updates (`true` = insert) with up to
@@ -772,7 +715,7 @@ impl<R: Route> Graph<R> {
             .collect();
         let mut runs: Vec<Vec<(VertexId, u32)>> = vec![Vec::new(); ns * per_store];
         for (i, &(e, _)) in ops.iter().enumerate() {
-            if self.endpoint_labels(e.src, e.dst).is_err() {
+            if self.check_endpoints(e.src, e.dst).is_err() {
                 continue; // verdict stays `false`, like the serial path
             }
             let tag = (i as u32) << 1;
@@ -839,8 +782,9 @@ impl<R: Route> Graph<R> {
         self.edge_label(a, b).is_some()
     }
 
-    /// Label of edge `{a, b}`, if present. `O(#groups + log d)` via the
-    /// smaller endpoint's partition index.
+    /// Label of edge `{a, b}`, if present. Probes the shorter endpoint list
+    /// only: `O(log |Σ_V| + log b)` when the other endpoint's label block
+    /// (of size `b`) carries one elabel, `O(log |Σ_V| + b)` otherwise.
     #[inline]
     pub fn edge_label(&self, a: VertexId, b: VertexId) -> Option<ELabel> {
         let (la, lb) = (self.list(a)?, self.list(b)?);
@@ -855,8 +799,8 @@ impl<R: Route> Graph<R> {
         }
     }
 
-    /// Does `{v, n}` exist with elabel exactly `el`? A targeted `O(log)`
-    /// probe of one partition group — the kernel's backward-edge check.
+    /// Does `{v, n}` exist with elabel exactly `el`? A binary search of the
+    /// [`Graph::neighbors_with`] run — the kernel's backward-edge check.
     #[inline]
     pub fn has_edge_with(&self, v: VertexId, n: VertexId, el: ELabel) -> bool {
         let Some(list) = self.list(v) else {
@@ -878,7 +822,9 @@ impl<R: Route> Graph<R> {
     }
 
     /// Neighbors of `v` with vertex label `vl` over edge label `el`, as a
-    /// contiguous slice sorted by neighbor id. `O(log #groups)`.
+    /// contiguous slice sorted by neighbor id. `O(log |Σ_V|)` for the block
+    /// probe, returning the whole block when it carries one elabel; else
+    /// `O(log b + log r)` more for a block of size `b` and a run of size `r`.
     ///
     /// Id-sortedness makes these slices directly mergeable: the kernel's
     /// multi-way galloping intersection operates on them.
@@ -889,7 +835,7 @@ impl<R: Route> Graph<R> {
 
     /// Neighbors of `v` with vertex label `vl` under *any* edge label, as a
     /// contiguous slice sorted by `(elabel, id)`. **Not** id-sorted across
-    /// elabel groups — callers ignoring edge labels (CaLiG mode) must probe
+    /// elabel runs — callers ignoring edge labels (CaLiG mode) must probe
     /// rather than merge.
     #[inline]
     pub fn neighbors_with_vlabel(&self, v: VertexId, vl: VLabel) -> &[(VertexId, ELabel)] {
@@ -897,7 +843,8 @@ impl<R: Route> Graph<R> {
     }
 
     /// Count of neighbors of `v` with label `vl` (and elabel `el`, unless
-    /// `None`). `O(log #groups)` — the NLF filter's building block.
+    /// `None`). The cost of [`Graph::neighbors_with`], or `O(log |Σ_V|)`
+    /// with `el = None` — the NLF filter's building block.
     #[inline]
     pub fn count_neighbors_with(&self, v: VertexId, vl: VLabel, el: Option<ELabel>) -> usize {
         match el {
@@ -956,8 +903,9 @@ impl<R: Route> Graph<R> {
     }
 
     /// Neighbors of `v` whose vertex label is `vl` and connecting edge label
-    /// is `el` (`el = None` matches any edge label — CaLiG mode). `O(log)`
-    /// partition lookup plus a branch-free slice walk.
+    /// is `el` (`el = None` matches any edge label — CaLiG mode). A
+    /// [`Graph::neighbors_with`] (or block) lookup plus a branch-free slice
+    /// walk.
     pub fn neighbors_filtered(
         &self,
         v: VertexId,
@@ -980,16 +928,14 @@ impl<R: Route> Graph<R> {
         }
     }
 
-    /// Validate the endpoints of an edge op (distinct, both alive) and
-    /// return their vertex labels.
+    /// Validate the endpoints of an edge op: distinct and both alive.
     #[inline]
-    fn endpoint_labels(&self, a: VertexId, b: VertexId) -> Result<(VLabel, VLabel)> {
+    fn check_endpoints(&self, a: VertexId, b: VertexId) -> Result<()> {
         if a == b {
             return Err(GraphError::SelfLoop(a));
         }
         self.check_alive(a)?;
-        self.check_alive(b)?;
-        Ok((self.labels[a.index()], self.labels[b.index()]))
+        self.check_alive(b)
     }
 
     fn bucket_mut(&mut self, label: VLabel) -> &mut Vec<VertexId> {
@@ -1021,59 +967,50 @@ impl<R: Route> Graph<R> {
             if !self.alive[i] && !list.is_empty() {
                 return Err(GraphError::VertexNotIsolated(a, list.len()));
             }
-            // Partition index: keys strictly increasing, starts strictly
-            // increasing from 0, all in range, no empty groups.
-            for w in list.groups.windows(2) {
+            // Block index: labels strictly increasing, starts strictly
+            // increasing from 0, all in range, no empty blocks.
+            for w in list.blocks.windows(2) {
                 if w[0].0 >= w[1].0 {
-                    return Err(GraphError::Io(format!("group keys of {a:?} not sorted")));
+                    return Err(GraphError::Io(format!("block labels of {a:?} not sorted")));
                 }
                 if w[0].1 >= w[1].1 {
                     return Err(GraphError::Io(format!(
-                        "group starts of {a:?} not increasing"
+                        "block starts of {a:?} not increasing"
                     )));
                 }
             }
-            match list.groups.first() {
+            match list.blocks.first() {
                 Some(&(_, s)) if s != 0 => {
-                    return Err(GraphError::Io(format!("first group of {a:?} not at 0")));
+                    return Err(GraphError::Io(format!("first block of {a:?} not at 0")));
                 }
                 None if !list.entries.is_empty() => {
-                    return Err(GraphError::Io(format!("entries of {a:?} with no groups")));
+                    return Err(GraphError::Io(format!("entries of {a:?} with no blocks")));
                 }
                 _ => {}
             }
-            if let Some(&(_, s)) = list.groups.last() {
+            if let Some(&(_, s)) = list.blocks.last() {
                 if (s as usize) >= list.entries.len() {
-                    return Err(GraphError::Io(format!("empty trailing group on {a:?}")));
+                    return Err(GraphError::Io(format!("empty trailing block on {a:?}")));
                 }
             }
-            // Entries agree with their group key; ids strictly increase
-            // within a group; no neighbor appears twice overall.
+            // Entries carry their block's label; `(elabel, id)` strictly
+            // increases within a block; no neighbor appears twice overall.
             let mut seen: Vec<VertexId> = Vec::with_capacity(list.len());
-            for gi in 0..list.groups.len() {
-                let (key, s) = list.groups[gi];
-                let e = list.group_end(gi);
-                let (gvl, gel) = (VLabel((key >> 32) as u32), ELabel(key as u32));
-                let run = &list.entries[s as usize..e];
-                for w in run.windows(2) {
-                    if w[0].0 >= w[1].0 {
-                        return Err(GraphError::Io(format!(
-                            "group {gvl:?}/{gel:?} of {a:?} not id-sorted"
-                        )));
-                    }
+            for bi in 0..list.blocks.len() {
+                let bvl = list.blocks[bi].0;
+                let run = &list.entries[list.block_start(bi)..list.block_start(bi + 1)];
+                if run.windows(2).any(|w| (w[0].1, w[0].0) >= (w[1].1, w[1].0)) {
+                    return Err(GraphError::Io(format!(
+                        "block {bvl:?} of {a:?} not (elabel, id)-sorted"
+                    )));
                 }
-                for &(b, l) in run {
-                    if l != gel {
-                        return Err(GraphError::Io(format!(
-                            "entry {a:?}->{b:?} elabel {l:?} in group {gel:?}"
-                        )));
-                    }
+                for &(b, _) in run {
                     if !self.is_alive(b) {
                         return Err(GraphError::Io(format!("edge {a:?}-{b:?} to dead vertex")));
                     }
-                    if self.labels[b.index()] != gvl {
+                    if self.labels[b.index()] != bvl {
                         return Err(GraphError::Io(format!(
-                            "entry {a:?}->{b:?} labeled {:?} in group {gvl:?}",
+                            "entry {a:?}->{b:?} labeled {:?} in block {bvl:?}",
                             self.labels[b.index()]
                         )));
                     }
@@ -1320,17 +1257,52 @@ mod tests {
         assert_eq!(g.count_neighbors_with(c, VLabel(1), None), 3);
         assert_eq!(g.count_neighbors_with(c, VLabel(1), Some(ELabel(0))), 2);
 
-        // The full list concatenates the groups in key order.
+        // The full list concatenates the blocks in label order.
         assert_eq!(g.neighbors(c).len(), 4);
         assert!(g.has_edge_with(c, n_1_1, ELabel(1)));
         assert!(!g.has_edge_with(c, n_1_1, ELabel(0)));
         g.check_invariants().unwrap();
 
-        // Removal keeps partitions tight (empty groups vanish).
+        // Removal keeps the runs tight (an emptied run vanishes).
         g.remove_edge(c, n_1_1).unwrap();
         assert!(g.neighbors_with(c, VLabel(1), ELabel(1)).is_empty());
         assert_eq!(g.count_neighbors_with(c, VLabel(1), None), 2);
         g.check_invariants().unwrap();
+    }
+
+    /// `neighbors_with` inside one multi-label block: the first, middle and
+    /// last edge-label runs, with lengths 1, 2, 4, 5 and 9 on either side of
+    /// the gallop's probe points, and absent labels before, between and
+    /// after them. Neighbors of other vertex labels flank the block.
+    #[test]
+    fn neighbors_with_finds_every_run_of_a_multi_label_block() {
+        let mut g = DataGraph::new();
+        let c = g.add_vertex(VLabel(1));
+        let runs = [(1, 2), (3, 1), (4, 9), (6, 5), (7, 4)]; // (elabel, length)
+        for (vl, el) in [(0, 5), (2, 0)] {
+            let n = g.add_vertex(VLabel(vl));
+            g.insert_edge(c, n, ELabel(el)).unwrap();
+        }
+        for (el, len) in runs {
+            for _ in 0..len {
+                let n = g.add_vertex(VLabel(1));
+                g.insert_edge(n, c, ELabel(el)).unwrap();
+            }
+        }
+        g.check_invariants().unwrap();
+        let block = g.neighbors_with_vlabel(c, VLabel(1));
+        assert_eq!(block.len(), 21);
+        for el in (0..9).map(ELabel) {
+            let want: Vec<_> = block.iter().filter(|e| e.1 == el).copied().collect();
+            let len = runs.iter().find(|r| r.0 == el.0).map_or(0, |r| r.1);
+            assert_eq!(
+                (g.neighbors_with(c, VLabel(1), el), want.len()),
+                (&want[..], len)
+            );
+            for &(n, _) in block {
+                assert_eq!(g.has_edge_with(c, n, el), want.iter().any(|e| e.0 == n));
+            }
+        }
     }
 
     /// A store never holds adjacency for a vertex routed elsewhere, and

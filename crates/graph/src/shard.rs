@@ -418,31 +418,7 @@ mod tests {
         assert_eq!(edges, want);
         let nl = GraphShard::num_vertex_label_buckets(g) as u32;
         for v in (0..m.labels.len()).map(VertexId::from) {
-            assert_eq!(GraphShard::is_alive(g, v), m.label(v).is_some());
-            let ns = m.neighbors(v);
-            assert_eq!(GraphShard::neighbors(g, v), ns);
-            assert_eq!(GraphShard::degree(g, v), ns.len());
-            let Some(lv) = m.label(v) else { continue };
-            assert_eq!(GraphShard::label(g, v), lv);
-            assert!(GraphShard::vertices_with_label(g, lv).contains(&v));
-            for vl in (0..nl).map(VLabel) {
-                let of_vl = |&&(n, _): &&(VertexId, ELabel)| m.label(n) == Some(vl);
-                let any_el: Vec<_> = ns.iter().filter(of_vl).copied().collect();
-                assert_eq!(GraphShard::neighbors_with_vlabel(g, v, vl), any_el);
-                for el in (0..=m.max_elabel).map(ELabel) {
-                    let exact: Vec<_> = any_el.iter().filter(|e| e.1 == el).copied().collect();
-                    assert_eq!(GraphShard::neighbors_with(g, v, vl, el), exact);
-                    assert_eq!(
-                        GraphShard::count_neighbors_with(g, v, vl, Some(el)),
-                        exact.len()
-                    );
-                }
-            }
-            for &(n, l) in &ns {
-                assert_eq!(GraphShard::edge_label(g, n, v), Some(l));
-                assert!(GraphShard::has_edge_with(g, v, n, l));
-                assert!(!GraphShard::has_edge_with(g, v, n, ELabel(l.0 + 1)));
-            }
+            agree_at(g, m, v);
         }
         let buckets: usize = (0..nl)
             .map(|l| GraphShard::vertices_with_label(g, VLabel(l)).len())
@@ -461,6 +437,38 @@ mod tests {
         for (i, s) in stats.iter().enumerate() {
             let mine = |v: &&VertexId| GraphShard::shard_of(g, **v) == i;
             assert_eq!(s.owned_vertices, alive.iter().filter(mine).count());
+        }
+    }
+
+    /// Read-side agreement at one vertex: liveness, label, its whole list,
+    /// every vertex-label block and `(vlabel, elabel)` run, and the edge
+    /// probes of each of its edges.
+    fn agree_at<R: Route>(g: &Graph<R>, m: &Model, v: VertexId) {
+        assert_eq!(GraphShard::is_alive(g, v), m.label(v).is_some());
+        let ns = m.neighbors(v);
+        assert_eq!(GraphShard::neighbors(g, v), ns);
+        assert_eq!(GraphShard::degree(g, v), ns.len());
+        let Some(lv) = m.label(v) else { return };
+        assert_eq!(GraphShard::label(g, v), lv);
+        assert!(GraphShard::vertices_with_label(g, lv).contains(&v));
+        let nl = GraphShard::num_vertex_label_buckets(g) as u32;
+        for vl in (0..nl).map(VLabel) {
+            let of_vl = |&&(n, _): &&(VertexId, ELabel)| m.label(n) == Some(vl);
+            let any_el: Vec<_> = ns.iter().filter(of_vl).copied().collect();
+            assert_eq!(GraphShard::neighbors_with_vlabel(g, v, vl), any_el);
+            for el in (0..=m.max_elabel).map(ELabel) {
+                let exact: Vec<_> = any_el.iter().filter(|e| e.1 == el).copied().collect();
+                assert_eq!(GraphShard::neighbors_with(g, v, vl, el), exact);
+                assert_eq!(
+                    GraphShard::count_neighbors_with(g, v, vl, Some(el)),
+                    exact.len()
+                );
+            }
+        }
+        for &(n, l) in &ns {
+            assert_eq!(GraphShard::edge_label(g, n, v), Some(l));
+            assert!(GraphShard::has_edge_with(g, v, n, l));
+            assert!(!GraphShard::has_edge_with(g, v, n, ELabel(l.0 + 1)));
         }
     }
 
@@ -615,6 +623,113 @@ mod tests {
         for shards in [1usize, 2, 4, 7] {
             conformance(|| ShardedGraph::new(ShardConfig::hash(shards)).unwrap());
             conformance(|| ShardedGraph::new(ShardConfig::range_even(shards, 40)).unwrap());
+        }
+    }
+
+    /// The adjacency index under the label shapes it must serve, per op
+    /// and per 2-writer batch, against [`Model`]: one vertex label × 44
+    /// edge labels (LSBench: one block holds the whole list), 20 × 20 with
+    /// a hub of degree ≥ 2 000 (Orkut: many short multi-label blocks), and
+    /// one edge label (every block is one run). Streams re-insert edges
+    /// under another edge label, and a dead slot is revived under a new
+    /// vertex label and reconnected.
+    #[test]
+    fn label_shapes_conform_per_op_and_per_batch() {
+        // (vertex labels, edge labels, vertices, hub degree, random ops)
+        let shapes = [
+            (1, 44, 48, 0, 1000),
+            (20, 20, 2048, 2000, 120),
+            (5, 1, 48, 0, 1000),
+        ];
+        for (vls, els, verts, hub, n) in shapes {
+            for batched in [false, true] {
+                let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+                let mut rnd = move |k: u32| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x >> 8) as u32 % k
+                };
+                let (mut g, mut m) = (DataGraph::new(), Model::default());
+                for i in 0..verts {
+                    g.add_vertex(VLabel(i % vls));
+                    m.ensure(VertexId(i), VLabel(i % vls));
+                }
+                let edge =
+                    |a: u32, b: u32, el: u32| EdgeUpdate::new(VertexId(a), VertexId(b), ELabel(el));
+                let build: Vec<_> = (1..=hub).map(|i| (edge(0, i, rnd(els)), true)).collect();
+                apply_and_agree(&mut g, &mut m, &build, true);
+                assert_eq!(g.degree(VertexId(0)), hub as usize);
+                agree(&g, &m);
+
+                // Half the ops touch vertex 0; every 16th becomes an
+                // insert → delete → insert under another edge label.
+                let mut ops = Vec::new();
+                for i in 0..n {
+                    let a = if rnd(2) == 0 { 0 } else { rnd(verts) };
+                    let (b, el) = (rnd(verts), rnd(els));
+                    if i % 16 == 0 {
+                        let relabel = (el + 1) % els;
+                        ops.extend([(edge(a, b, el), true), (edge(b, a, el), false)]);
+                        ops.push((edge(a, b, relabel), true));
+                    } else {
+                        ops.push((edge(a, b, el), rnd(8) < 5));
+                    }
+                }
+                apply_and_agree(&mut g, &mut m, &ops, batched);
+
+                // Revive vertex 1 under another vertex label and reconnect it.
+                let (v, vl) = (VertexId(1), VLabel(vls / 2 + 1));
+                g.delete_vertex(v, true).unwrap();
+                m.edges.retain(|&(a, b), _| a != v && b != v);
+                m.labels[1] = None;
+                agree(&g, &m);
+                g.ensure_vertex(v, vl);
+                m.ensure(v, vl);
+                let back: Vec<_> = (0..40).map(|i| (edge(1, i * 2, rnd(els)), true)).collect();
+                apply_and_agree(&mut g, &mut m, &back, batched);
+                agree(&g, &m);
+            }
+        }
+    }
+
+    /// Apply `ops` to `g` — one op at a time, or in batches of 48 through
+    /// two writers — and to the model, checking the `changed` verdicts, the
+    /// invariants and every touched endpoint after each op or batch.
+    fn apply_and_agree(
+        g: &mut DataGraph,
+        m: &mut Model,
+        ops: &[(EdgeUpdate, bool)],
+        batched: bool,
+    ) {
+        for batch in ops.chunks(if batched { 48 } else { 1 }) {
+            let want: Vec<bool> = (batch.iter())
+                .map(|&(e, insert)| {
+                    if insert {
+                        m.insert(e.src, e.dst, e.label).unwrap_or(false)
+                    } else {
+                        m.remove(e.src, e.dst).is_ok_and(|l| l.is_some())
+                    }
+                })
+                .collect();
+            let mut got = Vec::new();
+            g.apply_edge_batch_with(batch, 2, &mut got);
+            assert_eq!(got, want);
+            g.check_invariants().unwrap();
+            let mut touched: Vec<VertexId> =
+                batch.iter().flat_map(|(e, _)| [e.src, e.dst]).collect();
+            touched.sort_unstable();
+            touched.dedup();
+            for v in touched {
+                agree_at(g, m, v);
+            }
+            for &(e, _) in batch {
+                let stored = m.edges.get(&(e.src.min(e.dst), e.src.max(e.dst)));
+                assert_eq!(g.edge_label(e.src, e.dst), stored.copied());
+                for el in (0..=m.max_elabel).map(ELabel) {
+                    assert_eq!(g.has_edge_with(e.src, e.dst, el), stored == Some(&el));
+                }
+            }
         }
     }
 

@@ -552,18 +552,16 @@ impl<G: GraphShard> CsmService<G> {
             self.fan_noop(u, idx, span);
             return Ok(());
         }
-        let exists = self.g.has_edge(e.src, e.dst);
-        if is_insert == exists {
-            self.noops += 1;
-            self.fan_noop(u, idx, span);
-            return Ok(());
-        }
-        if is_insert {
-            self.insert_edge(u, e, idx, span)
-        } else {
-            // Deletions classify and enumerate on the pre-removal graph.
-            let e = EdgeUpdate::new(e.src, e.dst, self.g.edge_label(e.src, e.dst).unwrap());
-            self.delete_edge(u, e, idx, span)
+        match (is_insert, self.g.edge_label(e.src, e.dst)) {
+            (true, None) => self.insert_edge(u, e, idx, span),
+            // Deletions classify and enumerate on the pre-removal graph,
+            // under the label stored there.
+            (false, Some(l)) => self.delete_edge(u, EdgeUpdate::new(e.src, e.dst, l), idx, span),
+            _ => {
+                self.noops += 1;
+                self.fan_noop(u, idx, span);
+                Ok(())
+            }
         }
     }
 
