@@ -6,7 +6,7 @@
 //!
 //! | Algorithm | ADS | Index update | Search |
 //! |-----------|-----|--------------|--------|
-//! | [`GraphFlow`] | none | `O(1)` | join-based (level frontier) |
+//! | [`GraphFlow`] | none | `O(1)` | WCO intersections (kernel backtracking) |
 //! | [`TurboFlux`] | DCG (spanning-tree states) | `O(\|E(G)\|·\|V(Q)\|)` | backtracking |
 //! | [`Symbi`] | DCS (bidirectional DP) | `O(\|E(G)\|·\|E(Q)\|)` | backtracking |
 //! | [`CaLiG`] | lighting (1-hop NLF) | `O(d)` relighting | kernel–shell |

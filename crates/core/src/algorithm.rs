@@ -90,19 +90,21 @@ pub trait CsmAlgorithm<G: GraphShard = DataGraph>: Send + Sync {
     fn is_candidate(&self, g: &G, q: &QueryGraph, u: QVertexId, v: VertexId) -> bool;
 
     /// Does [`CsmAlgorithm::is_candidate`] accept every vertex? Then a
-    /// counting run may deliver leaves as counts
-    /// ([`kernel::counts_leaves`]), and the inner executor leaves an
+    /// counting run with exact edge labels may deliver leaves as counts
+    /// ([`kernel::finish_last_level`]), and the inner executor leaves an
     /// independent tail's two levels to `search`, which must then finish
-    /// them through the kernel's leaf routines.
+    /// them through the kernel: the default `search` ([`kernel::extend`])
+    /// does.
     fn admits_all(&self) -> bool {
         false
     }
 
     /// The algorithm's sequential enumeration from a partial embedding at
     /// `depth` along `ctx.order`. The default is the shared backtracking
-    /// kernel filtered by [`Self::is_candidate`]; algorithms with their own
-    /// traversal shape (GraphFlow's join-style frontier, NewSP's CPT/EXP)
-    /// override this — exactly the "traversal routine" of paper Fig. 5.
+    /// kernel filtered by [`Self::is_candidate`], which GraphFlow and the
+    /// ADS algorithms use; algorithms with their own traversal shape
+    /// (NewSP's CPT/EXP, CaLiG's kernel-first order) override this —
+    /// exactly the "traversal routine" of paper Fig. 5.
     ///
     /// Returns `false` iff enumeration was stopped early (deadline or sink).
     fn search(

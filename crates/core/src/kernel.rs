@@ -3,7 +3,7 @@
 //!
 //! The kernel is shared by all five baselines; an algorithm customizes it
 //! through its [`CandidateFilter`] (ADS candidacy) and, if it wants a
-//! different traversal shape entirely (NewSP, GraphFlow), by overriding
+//! different traversal shape entirely (NewSP, CaLiG), by overriding
 //! `CsmAlgorithm::search`. The kernel itself performs the universal
 //! correctness checks — vertex label, degree prune, backward-edge
 //! verification, injectivity — so filters only add pruning, never
@@ -429,7 +429,7 @@ fn merge_each<G: GraphShard>(
 /// the sink needs, and the label and degree tests are implied by the
 /// partition slices.
 #[inline]
-pub fn counts_leaves<G: GraphShard>(
+pub(crate) fn counts_leaves<G: GraphShard>(
     ctx: &SearchCtx<'_, G>,
     filter: &(impl CandidateFilter<G> + ?Sized),
     sink: &dyn MatchSink,
@@ -440,7 +440,7 @@ pub fn counts_leaves<G: GraphShard>(
 /// Finish the last order position (`depth + 1 == |V(Q)|`): deliver every
 /// completion `M ∪ {(u, v)}`, `v ∈ C(u, M)`, of `emb` to `sink` — the final
 /// step of paper Algorithm 1. Every last-level site (the kernel's
-/// recursion, GraphFlow, NewSP and, through them, the inner executor) ends
+/// recursion, NewSP and, through them, the inner executor) ends
 /// here. Returns `false` iff the sink stopped the search; `emb` is left as
 /// it came in.
 ///
@@ -518,7 +518,7 @@ fn count_last_level<G: GraphShard>(ctx: &SearchCtx<'_, G>, emb: &Embedding, dept
 /// `|A′|` times B's probe steps less those of the driver entries that are
 /// the `a` being extended. Returns `false` iff the deadline passed or the
 /// sink stopped the search.
-pub fn finish_last_two_levels<G: GraphShard>(
+fn finish_last_two_levels<G: GraphShard>(
     ctx: &SearchCtx<'_, G>,
     emb: &Embedding,
     depth: usize,

@@ -51,13 +51,16 @@
 //! half-ops, routes every half-op to the store (and id-range chunk of that
 //! store) holding its endpoint, and hands each chunk to exactly one job as
 //! a disjoint `&mut` sub-slice of the store's adjacency table — no two
-//! writers ever share a list, so there is nothing to lock. Ops on the same
-//! edge reach both endpoint lists in the same relative order (both halves
-//! carry the batch sequence tag), and each half's `changed` verdict is a
-//! pure function of prior ops on that edge plus the invariant above — so
-//! both sides decide identically without coordinating. This one pipeline
-//! is the paper's §4.2 safe-update batch executor on the constant route
-//! and the multi-writer shard applier on a `K`-store route.
+//! writers ever share a list, so there is nothing to lock. A job walks its
+//! half-ops in op order and applies each with one probe of its own list
+//! and at most one `AdjList::splice`, the routine every other write uses
+//! too. Ops on the same edge reach both endpoint lists in the same
+//! relative order (both halves carry the batch sequence tag), and each
+//! half's `changed` verdict is a pure function of prior ops on that edge
+//! plus the invariant above — so both sides decide identically without
+//! coordinating. This one pipeline is the paper's §4.2 safe-update batch
+//! executor on the constant route and the multi-writer shard applier on a
+//! `K`-store route.
 //!
 //! **Ordering contract:** `neighbors(v)` is sorted by `(L(neighbor),
 //! elabel, id)`, *not* globally by id. Within one `(vlabel, elabel)` run
@@ -93,18 +96,10 @@ struct AdjList {
     blocks: Vec<(VLabel, u32)>,
 }
 
-/// An entry's full sort key within its list: `(L(neighbor), elabel, id)`.
-type EntryKey = (VLabel, ELabel, VertexId);
-
 impl AdjList {
     #[inline]
     fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     #[inline]
@@ -207,138 +202,6 @@ impl AdjList {
             b.1 = if insert { b.1 + 1 } else { b.1 - 1 };
         }
     }
-
-    /// Apply a FIFO sequence of half-edge operations in one list rebuild.
-    ///
-    /// Semantically identical to applying each op in sequence through the
-    /// per-op path — each op's `changed` flag (appended to `out` with its
-    /// tag) reflects the list state produced by the ops before it — but the
-    /// entry vector is rebuilt **once**: `O(len + k log k)` instead of the
-    /// `O(k · len)` shifts of per-op application. This is what makes a
-    /// single-writer shard applier beat the serial per-op path on dense
-    /// (hub-heavy) batches.
-    fn apply_ops_merged(&mut self, ops: &[(u32, HalfOp)], out: &mut Vec<(u32, bool)>) {
-        // Distinct touched neighbors, with their initial edge label. A
-        // neighbor's vertex label is stable for the whole batch (vertex
-        // updates never share a batch with edge updates).
-        let mut touched: Vec<(VertexId, VLabel)> = ops
-            .iter()
-            .map(|&(_, op)| (op.neighbor(), op.neighbor_label()))
-            .collect();
-        touched.sort_unstable_by_key(|&(n, _)| n);
-        touched.dedup_by_key(|e| e.0);
-        let init: Vec<Option<ELabel>> = touched.iter().map(|&(n, nl)| self.find(n, nl)).collect();
-        let mut cur = init.clone();
-
-        // Replay the sequence against the touched-set state only.
-        for &(tag, op) in ops {
-            let i = touched
-                .binary_search_by_key(&op.neighbor(), |&(n, _)| n)
-                .expect("op neighbor missing from touched set");
-            let changed = match op {
-                HalfOp::Insert { el, .. } => {
-                    if cur[i].is_none() {
-                        cur[i] = Some(el);
-                        true
-                    } else {
-                        false
-                    }
-                }
-                HalfOp::Remove { .. } => cur[i].take().is_some(),
-            };
-            out.push((tag, changed));
-        }
-
-        // Net effect per neighbor → one merged rebuild. A neighbor removed
-        // and re-inserted under another elabel contributes to both sides.
-        let mut inserts: Vec<EntryKey> = Vec::new();
-        let mut removes: Vec<EntryKey> = Vec::new();
-        for (i, &(n, nl)) in touched.iter().enumerate() {
-            if init[i] != cur[i] {
-                removes.extend(init[i].map(|el| (nl, el, n)));
-                inserts.extend(cur[i].map(|el| (nl, el, n)));
-            }
-        }
-        if inserts.is_empty() && removes.is_empty() {
-            return;
-        }
-        inserts.sort_unstable();
-        removes.sort_unstable();
-        self.rebuild_merged(&inserts, &removes);
-    }
-
-    /// Rebuild `entries`/`blocks` in one pass: old entries (minus
-    /// `removes`) merged with `inserts`, both sorted by [`EntryKey`].
-    fn rebuild_merged(&mut self, inserts: &[EntryKey], removes: &[EntryKey]) {
-        let old = std::mem::take(self);
-        self.entries
-            .reserve(old.len() + inserts.len() - removes.len());
-        let mut ins = inserts.iter().copied().peekable();
-        let mut rem = removes.iter().copied().peekable();
-        for bi in 0..old.blocks.len() {
-            let vl = old.blocks[bi].0;
-            for &(n, el) in &old.entries[old.block_start(bi)..old.block_start(bi + 1)] {
-                let key = (vl, el, n);
-                while let Some(k) = ins.next_if(|&k| k < key) {
-                    self.push(k);
-                }
-                if rem.next_if_eq(&key).is_none() {
-                    self.push(key);
-                }
-            }
-        }
-        ins.for_each(|k| self.push(k));
-        debug_assert!(rem.peek().is_none(), "remove target missing from list");
-    }
-
-    /// Append the entry with key `(vl, el, n)`, opening block `vl` if the
-    /// last block is another label's.
-    fn push(&mut self, (vl, el, n): EntryKey) {
-        if self.blocks.last().map(|&(l, _)| l) != Some(vl) {
-            self.blocks.push((vl, self.entries.len() as u32));
-        }
-        self.entries.push((n, el));
-    }
-}
-
-/// One endpoint-local half of an undirected edge operation, as a writer
-/// job of [`Graph::apply_edge_batch_with`] applies it to the list of the
-/// endpoint it mutates. Carries the *neighbor's* vertex label, which is
-/// what the block index is keyed by.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum HalfOp {
-    /// Add neighbor `n` (labeled `nl`) over edge label `el`.
-    Insert {
-        /// Neighbor vertex.
-        n: VertexId,
-        /// Edge label.
-        el: ELabel,
-        /// Neighbor's vertex label.
-        nl: VLabel,
-    },
-    /// Drop the edge to neighbor `n` (labeled `nl`).
-    Remove {
-        /// Neighbor vertex.
-        n: VertexId,
-        /// Neighbor's vertex label.
-        nl: VLabel,
-    },
-}
-
-impl HalfOp {
-    #[inline]
-    fn neighbor(self) -> VertexId {
-        match self {
-            HalfOp::Insert { n, .. } | HalfOp::Remove { n, .. } => n,
-        }
-    }
-
-    #[inline]
-    fn neighbor_label(self) -> VLabel {
-        match self {
-            HalfOp::Insert { nl, .. } | HalfOp::Remove { nl, .. } => nl,
-        }
-    }
 }
 
 /// One adjacency store: the neighbor lists of the vertices routed to it,
@@ -352,45 +215,56 @@ pub struct AdjStore {
     owned: usize,
     /// Half-edges stored here.
     half_edges: usize,
-    /// Half-edge ops applied here: every half the per-op path splices, and
+    /// Half-edge ops applied here: every half the per-op path splices,
     /// every half the batch path routes here, whether it changes the list
-    /// or not.
+    /// or not, and every half [`crate::ShardedGraph::from_graph`] copies in.
     applied_ops: u64,
+}
+
+impl AdjStore {
+    /// Count alive vertex `v` as owned here and return its list, growing
+    /// the table to hold `v`'s slot.
+    fn own(&mut self, v: VertexId) -> &mut AdjList {
+        if self.adj.len() <= v.index() {
+            self.adj.resize_with(v.index() + 1, AdjList::default);
+        }
+        self.owned += 1;
+        &mut self.adj[v.index()]
+    }
 }
 
 /// Apply one writer job's half-ops to `lists`, the sub-slice of a store's
 /// adjacency table starting at vertex id `base`. `run` names each half-op
-/// as `(endpoint, tag)`; the op itself is read back from `ops[tag >> 1]`
-/// and the neighbor's label from `labels`. Sort by `(endpoint, tag)` (tags
-/// are monotone in op order, so this is per-endpoint FIFO order), then
-/// splice each endpoint's run into its list with **one** merged rebuild
-/// instead of per-op `O(d)` shifts. Returns `(tag, changed)` per op.
+/// by its tag, in push order: tags are monotone in op order, so each
+/// endpoint sees its ops first in, first out. The op is read back from
+/// `ops[tag >> 1]`, its endpoint and neighbor from the tag's half bit, and
+/// the neighbor's label from `labels`. Each half probes its own list once,
+/// then splices an absent neighbor in or a present one out (with the label
+/// it is stored under). Returns `(tag, changed)` per op.
 fn apply_run(
     lists: &mut [AdjList],
     base: usize,
-    mut run: Vec<(VertexId, u32)>,
+    run: Vec<u32>,
     ops: &[(EdgeUpdate, bool)],
     labels: &[VLabel],
 ) -> Vec<(u32, bool)> {
-    run.sort_unstable();
-    let mut out = Vec::with_capacity(run.len());
-    let mut scratch: Vec<(u32, HalfOp)> = Vec::new();
-    for group in run.chunk_by(|a, b| a.0 == b.0) {
-        scratch.clear();
-        scratch.extend(group.iter().map(|&(_, tag)| {
+    (run.into_iter())
+        .map(|tag| {
             let (e, insert) = ops[(tag >> 1) as usize];
-            let n = if tag & 1 == 1 { e.dst } else { e.src };
-            let nl = labels[n.index()];
-            let op = if insert {
-                HalfOp::Insert { n, el: e.label, nl }
+            let (v, n) = if tag & 1 == 1 {
+                (e.src, e.dst)
             } else {
-                HalfOp::Remove { n, nl }
+                (e.dst, e.src)
             };
-            (tag, op)
-        }));
-        lists[group[0].0.index() - base].apply_ops_merged(&scratch, &mut out);
-    }
-    out
+            let (list, nl) = (&mut lists[v.index() - base], labels[n.index()]);
+            let stored = list.find(n, nl);
+            let changed = stored.is_some() != insert;
+            if changed {
+                list.splice(n, stored.unwrap_or(e.label), nl, insert);
+            }
+            (tag, changed)
+        })
+        .collect()
 }
 
 /// Where a vertex's adjacency lives — the one decision [`Graph`] is
@@ -429,10 +303,11 @@ impl Route for Mono {
     }
 }
 
-/// Edge batches below this many ops take the serial per-op path (spawn and
-/// routing overhead beats the merge win). Unverified: no committed
-/// measurement set it; 32 is the smaller of the two thresholds the former
-/// monolithic (64) and sharded (32) bulk paths used.
+/// Edge batches below this many ops take the serial per-op path. The
+/// constant trades one fork-join (spawn, routing and the serial flag merge)
+/// against splitting the batch's per-op splices across writers. Unverified:
+/// no committed measurement set it; 32 is the smaller of the two thresholds
+/// the former monolithic (64) and sharded (32) bulk paths used.
 const MIN_PARALLEL_BATCH: usize = 32;
 
 /// The dynamic, labeled, undirected data graph `G = (V, E, L)`, with
@@ -485,6 +360,27 @@ impl DataGraph {
         g.labels.reserve(vertices);
         g.alive.reserve(vertices);
         g.stores[0].adj.reserve(vertices);
+        g
+    }
+
+    /// This graph with its adjacency placed by `route`: the vertex metadata
+    /// (labels and liveness of every slot, dead ones included; label
+    /// buckets; counts; the largest edge label seen) is copied, and each
+    /// alive vertex's list is cloned whole into the store `route` names.
+    /// Each store counts the halves it receives as applied ops. `O(V + E)`.
+    pub(crate) fn rerouted<R: Route>(&self, route: R) -> Graph<R> {
+        let mut g = Graph::with_route(route);
+        g.labels.clone_from(&self.labels);
+        g.alive.clone_from(&self.alive);
+        g.by_label.clone_from(&self.by_label);
+        (g.n_edges, g.n_alive, g.max_elabel) = (self.n_edges, self.n_alive, self.max_elabel);
+        for v in self.vertices() {
+            let list = self.list(v).cloned().unwrap_or_default();
+            let store = g.store_mut(v);
+            store.half_edges += list.len();
+            store.applied_ops += list.len() as u64;
+            *store.own(v) = list;
+        }
         g
     }
 }
@@ -581,12 +477,8 @@ impl<R: Route> Graph<R> {
             self.labels[i] = label;
             self.bucket_mut(label).push(id);
             self.n_alive += 1;
-            let store = self.store_mut(id);
-            if store.adj.len() <= i {
-                store.adj.resize_with(i + 1, AdjList::default);
-            }
-            debug_assert!(store.adj[i].is_empty(), "dead slot with edges");
-            store.owned += 1;
+            let list = self.store_mut(id).own(id);
+            debug_assert!(list.entries.is_empty(), "dead slot with edges");
         }
     }
 
@@ -634,10 +526,7 @@ impl<R: Route> Graph<R> {
         if self.edge_label(a, b).is_some() {
             return Ok(false);
         }
-        self.splice_half(a, b, l, true);
-        self.splice_half(b, a, l, true);
-        self.n_edges += 1;
-        self.max_elabel = self.max_elabel.max(l.0);
+        self.splice_edge(a, b, l, true);
         Ok(true)
     }
 
@@ -648,26 +537,36 @@ impl<R: Route> Graph<R> {
         let Some(l) = self.edge_label(a, b) else {
             return Ok(None);
         };
-        self.splice_half(a, b, l, false);
-        self.splice_half(b, a, l, false);
-        self.n_edges -= 1;
+        self.splice_edge(a, b, l, false);
         Ok(Some(l))
     }
 
-    /// Splice the `v → n` half of edge `{v, n}` (label `el`) into or out of
-    /// `v`'s list, in whichever store holds it, and count it there. The
+    /// Splice both halves of edge `{a, b}` (label `l`) into or out of their
+    /// lists, each in whichever store holds it, and count the op. The
     /// caller has probed the edge: by the half-edge invariant, one probe
     /// answers for both halves.
-    fn splice_half(&mut self, v: VertexId, n: VertexId, el: ELabel, insert: bool) {
-        let nl = self.labels[n.index()];
-        let store = self.store_mut(v);
-        store.adj[v.index()].splice(n, el, nl, insert);
-        if insert {
-            store.half_edges += 1;
-        } else {
-            store.half_edges -= 1;
+    fn splice_edge(&mut self, a: VertexId, b: VertexId, l: ELabel, insert: bool) {
+        for (v, n) in [(a, b), (b, a)] {
+            let nl = self.labels[n.index()];
+            let store = self.store_mut(v);
+            store.adj[v.index()].splice(n, l, nl, insert);
+            store.applied_ops += 1;
         }
-        store.applied_ops += 1;
+        self.count_edge(a, b, l, insert);
+    }
+
+    /// Count an edge op `{a, b}` (label `l`) that changed the graph: one
+    /// half in each endpoint's store, one edge overall.
+    fn count_edge(&mut self, a: VertexId, b: VertexId, l: ELabel, insert: bool) {
+        let step = |x: usize| if insert { x + 1 } else { x - 1 };
+        for v in [a, b] {
+            let store = self.store_mut(v);
+            store.half_edges = step(store.half_edges);
+        }
+        self.n_edges = step(self.n_edges);
+        if insert {
+            self.max_elabel = self.max_elabel.max(l.0);
+        }
     }
 
     /// Apply a FIFO batch of edge updates (`true` = insert) with up to
@@ -681,9 +580,9 @@ impl<R: Route> Graph<R> {
     /// to pay for a fork-join, or with a single writer, run as that serial
     /// loop. Otherwise: route half-ops to per-store, per-id-range runs →
     /// one job per run over a disjoint `&mut` chunk of the store's
-    /// adjacency table ([`par::run_jobs`]) → one merged list rebuild per
-    /// touched vertex → merge the `changed` flags and do the edge
-    /// accounting serially. See the module docs for why no locks are
+    /// adjacency table ([`par::run_jobs`]) → one probe and at most one
+    /// splice per half, in op order → merge the `changed` flags and do the
+    /// edge accounting serially. See the module docs for why no locks are
     /// needed.
     pub fn apply_edge_batch_with(
         &mut self,
@@ -705,15 +604,15 @@ impl<R: Route> Graph<R> {
             return;
         }
 
-        // Route each op's two halves as `(endpoint, tag)` to store `s`,
-        // id-range chunk `v / widths[s]` of that store. Tag = op index << 1
-        // | is_src_half: monotone in op order, so the per-endpoint sort in
-        // `apply_run` restores FIFO, and the merge knows which half's
-        // verdict to keep.
+        // Route each op's two halves by tag to store `s`, id-range chunk
+        // `v / widths[s]` of that store, where `v` is the half's endpoint.
+        // Tag = op index << 1 | is_src_half: monotone in op order, so every
+        // run is per-endpoint FIFO as pushed, and the merge knows which
+        // half's verdict to keep.
         let widths: Vec<usize> = (self.stores.as_ref().iter())
             .map(|s| s.adj.len().div_ceil(per_store).max(1))
             .collect();
-        let mut runs: Vec<Vec<(VertexId, u32)>> = vec![Vec::new(); ns * per_store];
+        let mut runs: Vec<Vec<u32>> = vec![Vec::new(); ns * per_store];
         for (i, &(e, _)) in ops.iter().enumerate() {
             if self.check_endpoints(e.src, e.dst).is_err() {
                 continue; // verdict stays `false`, like the serial path
@@ -722,7 +621,7 @@ impl<R: Route> Graph<R> {
             for (v, tag) in [(e.src, tag | 1), (e.dst, tag)] {
                 let s = self.route.store_of(v);
                 self.stores.as_mut()[s].applied_ops += 1;
-                runs[s * per_store + v.index() / widths[s]].push((v, tag));
+                runs[s * per_store + v.index() / widths[s]].push(tag);
             }
         }
 
@@ -735,39 +634,26 @@ impl<R: Route> Graph<R> {
         let jobs: Vec<_> = (chunks.zip(runs).enumerate())
             .filter(|(_, (_, run))| !run.is_empty())
             .map(|(j, (lists, run))| {
-                let (s, base) = (j / per_store, (j % per_store) * widths[j / per_store]);
-                move || (s, apply_run(lists, base, run, ops, labels))
+                let base = (j % per_store) * widths[j / per_store];
+                move || apply_run(lists, base, run, ops, labels)
             })
             .collect();
         let results = par::run_jobs(jobs);
 
-        // Merge: src-half verdicts become the per-op flags; every applied
-        // half moves its store's half-edge count. Serial and exact.
+        // Merge: src-half verdicts become the per-op flags, and each changed
+        // op is counted once for both halves. Serial and exact.
         let base = changed.len();
         changed.resize(base + ops.len(), false);
-        for &(s, ref flags) in &results {
-            for &(tag, _) in flags.iter().filter(|f| f.1) {
+        for &(tag, did) in results.iter().flatten() {
+            if did && tag & 1 == 1 {
                 let i = (tag >> 1) as usize;
                 let (e, insert) = ops[i];
-                let store = &mut self.stores.as_mut()[s];
-                if insert {
-                    store.half_edges += 1;
-                } else {
-                    store.half_edges -= 1;
-                }
-                if tag & 1 == 1 {
-                    changed[base + i] = true;
-                    if insert {
-                        self.n_edges += 1;
-                        self.max_elabel = self.max_elabel.max(e.label.0);
-                    } else {
-                        self.n_edges -= 1;
-                    }
-                }
+                changed[base + i] = true;
+                self.count_edge(e.src, e.dst, e.label, insert);
             }
         }
         #[cfg(debug_assertions)]
-        for &(tag, did) in results.iter().flat_map(|(_, flags)| flags) {
+        for &(tag, did) in results.iter().flatten() {
             debug_assert_eq!(
                 changed[base + (tag >> 1) as usize],
                 did,
@@ -964,7 +850,7 @@ impl<R: Route> Graph<R> {
                 }
                 continue;
             };
-            if !self.alive[i] && !list.is_empty() {
+            if !self.alive[i] && !list.entries.is_empty() {
                 return Err(GraphError::VertexNotIsolated(a, list.len()));
             }
             // Block index: labels strictly increasing, starts strictly

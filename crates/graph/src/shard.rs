@@ -303,32 +303,19 @@ impl ShardedGraph {
         Ok(Self::with_route(cfg))
     }
 
-    /// The 1-shard case: behaviorally identical to a [`DataGraph`]
-    /// (same per-op semantics; batches stay serial because a single
-    /// store has nothing to overlap).
-    pub fn single() -> Self {
-        Self::with_route(ShardConfig::hash(1))
-    }
-
-    /// Shard an existing monolithic graph: every alive vertex keeps its
-    /// id and label; every edge is re-routed to its owners. Bulk-loads
-    /// through the batch path (one adjacency rebuild per vertex instead
-    /// of a per-edge `O(d)` splice), so resharding a dense graph is
-    /// `O(E log E)` rather than `O(E·d)`.
+    /// Shard an existing monolithic graph: an `O(V + E)` copy. Every
+    /// alive vertex keeps its id, its label and its neighbor list, which
+    /// is cloned whole into the store `cfg` routes it to; each store's
+    /// [`ShardStats`] reads as if its halves had been inserted edge by
+    /// edge (`applied_ops` counts the halves routed there). The vertex
+    /// metadata is the source's: [`GraphShard::vertex_slots`] keeps its
+    /// dead slots, trailing ones included, and
+    /// [`GraphShard::max_edge_label`] is the largest label it has seen,
+    /// present or not. Fails with [`GraphError::ShardConfig`] on an
+    /// invalid config.
     pub fn from_graph(cfg: ShardConfig, g: &DataGraph) -> Result<Self> {
-        let mut sg = Self::new(cfg)?;
-        for v in g.vertices() {
-            sg.ensure_vertex(v, g.label(v));
-        }
-        let ops: Vec<(EdgeUpdate, bool)> = g
-            .edges()
-            .map(|(a, b, l)| (EdgeUpdate::new(a, b, l), true))
-            .collect();
-        let mut changed = Vec::with_capacity(ops.len());
-        // Two writers, so a 1-store target still loads in two chunk jobs.
-        sg.apply_edge_batch_with(&ops, 2, &mut changed);
-        debug_assert!(changed.iter().all(|&c| c), "source edges all apply");
-        Ok(sg)
+        cfg.validate()?;
+        Ok(g.rerouted(cfg))
     }
 
     /// The partitioning policy in force.
@@ -733,6 +720,121 @@ mod tests {
         }
     }
 
+    /// `from_graph` copies lists rather than inserting edges, and must
+    /// still equal an edge-by-edge build (`new` + `ensure_vertex` +
+    /// `insert_edge`) under both partitioners at 1, 2, 4 and 7 shards:
+    /// the same lists, per-store stats, counts and invariants, and a graph
+    /// that keeps taking writes. Sources have the label shapes of
+    /// [`label_shapes_conform_per_op_and_per_batch`], a hub of degree
+    /// 2 000, a dead slot in the middle, a slot revived under a new label
+    /// and trailing dead slots. The copy keeps the source's metadata, so
+    /// its `vertex_slots()` keeps the trailing dead slots, where the
+    /// edge-by-edge build ends at the last alive vertex.
+    #[test]
+    fn from_graph_equals_an_edge_by_edge_build() {
+        // (vertex labels, edge labels, vertices, hub degree, random edges)
+        let shapes = [
+            (1, 44, 48, 0, 300),
+            (20, 20, 2048, 2000, 120),
+            (5, 1, 48, 0, 300),
+        ];
+        for (vls, els, verts, hub, n) in shapes {
+            let mut x = 0x2545_f491_4f6c_dd1d_u64;
+            let mut rnd = move |k: u32| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 8) as u32 % k
+            };
+            let mut g = DataGraph::new();
+            for i in 0..verts {
+                g.add_vertex(VLabel(i % vls));
+            }
+            let link = |g: &mut DataGraph, a: u32, b: u32, el: u32| {
+                let _ = g.insert_edge(VertexId(a), VertexId(b), ELabel(el));
+            };
+            for i in 1..=hub {
+                link(&mut g, 0, i, rnd(els));
+            }
+            for _ in 0..n {
+                let (a, b) = (rnd(verts), rnd(verts));
+                link(&mut g, a, b, rnd(els));
+            }
+            // A dead slot in the middle; slot 1 revived under a new label
+            // and reconnected; slots `verts..verts + 6` dead at the end.
+            g.delete_vertex(VertexId(3), true).unwrap();
+            g.delete_vertex(VertexId(1), true).unwrap();
+            g.ensure_vertex(VertexId(1), VLabel(vls / 2 + 1));
+            for i in 0..20 {
+                link(&mut g, 1, 4 + i * 2, rnd(els));
+            }
+            g.ensure_vertex(VertexId(verts + 5), VLabel(0));
+            g.delete_vertex(VertexId(verts + 5), false).unwrap();
+            g.check_invariants().unwrap();
+            // The copy keeps the largest label seen, the edge-by-edge build
+            // the largest present: they agree while an edge carries it.
+            let max = g.max_edge_label();
+            assert!(g.edges().any(|(_, _, l)| l.0 == max));
+
+            let slots = g.vertex_slots() as u32;
+            for shards in [1usize, 2, 4, 7] {
+                for cfg in [
+                    ShardConfig::hash(shards),
+                    ShardConfig::range_even(shards, slots),
+                ] {
+                    let mut sg = ShardedGraph::from_graph(cfg.clone(), &g).unwrap();
+                    let mut built = ShardedGraph::new(cfg).unwrap();
+                    for v in g.vertices() {
+                        built.ensure_vertex(v, g.label(v));
+                    }
+                    for (a, b, l) in g.edges() {
+                        assert_eq!(built.insert_edge(a, b, l), Ok(true));
+                    }
+                    sg.check_invariants().unwrap();
+                    assert_eq!(sg.vertex_slots(), g.vertex_slots());
+                    assert_eq!(built.vertex_slots(), verts as usize);
+                    same_graph(&sg, &built);
+
+                    // Both keep taking writes alike, including a revived
+                    // trailing slot and a batch on the parallel path.
+                    for h in [&mut sg, &mut built] {
+                        h.ensure_vertex(VertexId(verts + 2), VLabel(0));
+                        h.insert_edge(VertexId(verts + 2), VertexId(0), ELabel(0))
+                            .unwrap();
+                    }
+                    let ops = seeded_ops(200, verts, 5);
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    GraphShard::apply_edge_batch(&mut sg, &ops, &mut got);
+                    GraphShard::apply_edge_batch(&mut built, &ops, &mut want);
+                    assert_eq!(got, want);
+                    sg.check_invariants().unwrap();
+                    same_graph(&sg, &built);
+                }
+            }
+        }
+        assert!(ShardedGraph::from_graph(ShardConfig::hash(0), &DataGraph::new()).is_err());
+    }
+
+    /// `a` and `b` hold the same vertices, lists and per-store stats.
+    fn same_graph(a: &ShardedGraph, b: &ShardedGraph) {
+        assert_eq!(a.shard_stats(), b.shard_stats());
+        assert_eq!(
+            (a.num_vertices(), a.num_edges(), a.max_edge_label()),
+            (b.num_vertices(), b.num_edges(), b.max_edge_label())
+        );
+        for v in (0..a.vertex_slots().max(b.vertex_slots())).map(VertexId::from) {
+            assert_eq!(a.is_alive(v), b.is_alive(v), "{v:?}");
+            assert_eq!(a.neighbors(v), b.neighbors(v), "{v:?}");
+        }
+        for l in (0..a.num_vertex_label_buckets() as u32).map(VLabel) {
+            let mut members = a.vertices_with_label(l).to_vec();
+            let mut want = b.vertices_with_label(l).to_vec();
+            members.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(members, want);
+        }
+    }
+
     #[test]
     fn config_validation_rejects_bad_shapes() {
         assert_eq!(
@@ -790,9 +892,9 @@ mod tests {
         }
     }
 
-    /// `from_graph` re-routes an existing graph edge for edge, and the
-    /// applier counters record every routed half-op — but only behind a
-    /// router: the constant route reports 0.
+    /// `from_graph` re-routes an existing graph's lists, and the applier
+    /// counters record every half it routes — but only behind a router:
+    /// the constant route reports 0.
     #[test]
     fn from_graph_reshards_and_counts_routed_ops() {
         let mut g = DataGraph::new();
