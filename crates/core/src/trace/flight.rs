@@ -7,11 +7,15 @@
 //! ring, meant to be left on in production `serve`: the record path is
 //! allocation-free, lock-free, and writes a handful of atomic words per
 //! event (see the `flight_record_hot_path` micro-bench row in
-//! EXPERIMENTS.md).
+//! EXPERIMENTS.md). [`FlightRecorder::record`] takes its timestamp from
+//! the caller, so the serving layer reads [`FlightRecorder::now_ns`] once
+//! per stage boundary and writes every event at that boundary (a close
+//! and the next open, say) with the same stamp.
 //!
 //! # Protocol
 //!
-//! Each shard is a single-writer ring of [`FlightSlot`]s guarded by the
+//! Each shard is a single-writer ring of [`FlightSlot`]s, its capacity a
+//! power of two so a sequence maps to its slot with a mask, guarded by the
 //! same seqlock-lite epoch-tag discipline as
 //! [`super::window::WindowRing`]: the writer publishes a slot by storing
 //! tag `0` (mid-write marker, `Release`), the payload words (`Relaxed`),
@@ -207,7 +211,8 @@ impl FlightShard {
     #[inline]
     fn write(&self, span: u64, meta: u64, ts: u64, arg: u64) {
         let seq = self.seq.load(Ordering::Relaxed);
-        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
+        // The capacity is a power of two (`FlightRecorder::new`).
+        let slot = &self.slots[(seq & (self.slots.len() as u64 - 1)) as usize];
         // Same rotation discipline as WindowRing::bucket_now: invalidate,
         // mutate relaxed, re-tag. Readers validate tag == seq + 1 before
         // and after copying, so they only ever drop whole events.
@@ -259,7 +264,8 @@ impl FlightRecorder {
         self.shards.len()
     }
 
-    /// Per-shard slot capacity.
+    /// Per-shard slot capacity: the configured one, rounded up to a power
+    /// of two.
     #[inline]
     pub fn capacity(&self) -> usize {
         self.shards[0].slots.len()

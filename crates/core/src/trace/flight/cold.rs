@@ -13,7 +13,7 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlightConfig {
     /// Slots per shard (events retained per ring; older events are
-    /// overwritten).
+    /// overwritten). Rounded up to a power of two, at least 2.
     pub capacity: usize,
     /// Session shards (sessions hash onto these; one extra shard is
     /// always added for service-level stages).
@@ -98,9 +98,10 @@ impl FlightSnapshot {
 
 impl FlightRecorder {
     /// A recorder with `cfg.session_shards + 1` single-writer rings of
-    /// `cfg.capacity` slots each (capacities below 2 are clamped).
+    /// `cfg.capacity` slots each, rounded up to a power of two so the
+    /// record path indexes with a mask (capacities below 2 are clamped).
     pub fn new(cfg: FlightConfig) -> FlightRecorder {
-        let cap = cfg.capacity.max(2);
+        let cap = cfg.capacity.max(2).next_power_of_two();
         let shards = (0..cfg.session_shards.max(1) + 1)
             .map(|_| FlightShard {
                 seq: AtomicU64::new(0),

@@ -336,7 +336,6 @@ pub struct Graph<R: Route> {
     by_label: Vec<Vec<VertexId>>,
     n_edges: usize,
     n_alive: usize,
-    max_elabel: u32,
 }
 
 /// The monolithic in-memory data graph: [`Graph`] on the constant route.
@@ -365,15 +364,15 @@ impl DataGraph {
 
     /// This graph with its adjacency placed by `route`: the vertex metadata
     /// (labels and liveness of every slot, dead ones included; label
-    /// buckets; counts; the largest edge label seen) is copied, and each
-    /// alive vertex's list is cloned whole into the store `route` names.
-    /// Each store counts the halves it receives as applied ops. `O(V + E)`.
+    /// buckets; counts) is copied, and each alive vertex's list is cloned
+    /// whole into the store `route` names. Each store counts the halves it
+    /// receives as applied ops. `O(V + E)`.
     pub(crate) fn rerouted<R: Route>(&self, route: R) -> Graph<R> {
         let mut g = Graph::with_route(route);
         g.labels.clone_from(&self.labels);
         g.alive.clone_from(&self.alive);
         g.by_label.clone_from(&self.by_label);
-        (g.n_edges, g.n_alive, g.max_elabel) = (self.n_edges, self.n_alive, self.max_elabel);
+        (g.n_edges, g.n_alive) = (self.n_edges, self.n_alive);
         for v in self.vertices() {
             let list = self.list(v).cloned().unwrap_or_default();
             let store = g.store_mut(v);
@@ -396,7 +395,6 @@ impl<R: Route> Graph<R> {
             by_label: Vec::new(),
             n_edges: 0,
             n_alive: 0,
-            max_elabel: 0,
         }
     }
 
@@ -436,12 +434,6 @@ impl<R: Route> Graph<R> {
     #[inline]
     pub fn num_edges(&self) -> usize {
         self.n_edges
-    }
-
-    /// Largest edge label value seen so far (0 if none).
-    #[inline]
-    pub fn max_edge_label(&self) -> u32 {
-        self.max_elabel
     }
 
     /// Number of distinct vertex-label buckets allocated (an upper bound on
@@ -552,21 +544,18 @@ impl<R: Route> Graph<R> {
             store.adj[v.index()].splice(n, l, nl, insert);
             store.applied_ops += 1;
         }
-        self.count_edge(a, b, l, insert);
+        self.count_edge(a, b, insert);
     }
 
-    /// Count an edge op `{a, b}` (label `l`) that changed the graph: one
-    /// half in each endpoint's store, one edge overall.
-    fn count_edge(&mut self, a: VertexId, b: VertexId, l: ELabel, insert: bool) {
+    /// Count an edge op `{a, b}` that changed the graph: one half in each
+    /// endpoint's store, one edge overall.
+    fn count_edge(&mut self, a: VertexId, b: VertexId, insert: bool) {
         let step = |x: usize| if insert { x + 1 } else { x - 1 };
         for v in [a, b] {
             let store = self.store_mut(v);
             store.half_edges = step(store.half_edges);
         }
         self.n_edges = step(self.n_edges);
-        if insert {
-            self.max_elabel = self.max_elabel.max(l.0);
-        }
     }
 
     /// Apply a FIFO batch of edge updates (`true` = insert) with up to
@@ -649,7 +638,7 @@ impl<R: Route> Graph<R> {
                 let i = (tag >> 1) as usize;
                 let (e, insert) = ops[i];
                 changed[base + i] = true;
-                self.count_edge(e.src, e.dst, e.label, insert);
+                self.count_edge(e.src, e.dst, insert);
             }
         }
         #[cfg(debug_assertions)]
@@ -990,10 +979,6 @@ impl<R: Route> GraphShard for Graph<R> {
     #[inline]
     fn num_edges(&self) -> usize {
         Graph::num_edges(self)
-    }
-    #[inline]
-    fn max_edge_label(&self) -> u32 {
-        Graph::max_edge_label(self)
     }
     #[inline]
     fn num_vertex_label_buckets(&self) -> usize {

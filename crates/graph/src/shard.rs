@@ -47,8 +47,6 @@ pub trait GraphShard: Send + Sync {
     fn num_vertices(&self) -> usize;
     /// Number of undirected edges.
     fn num_edges(&self) -> usize;
-    /// Largest edge label value seen so far (0 if none).
-    fn max_edge_label(&self) -> u32;
     /// Number of distinct vertex-label buckets allocated.
     fn num_vertex_label_buckets(&self) -> usize;
     /// Full neighbor list of `v`, sorted by `(L(neighbor), elabel, id)`.
@@ -309,10 +307,8 @@ impl ShardedGraph {
     /// [`ShardStats`] reads as if its halves had been inserted edge by
     /// edge (`applied_ops` counts the halves routed there). The vertex
     /// metadata is the source's: [`GraphShard::vertex_slots`] keeps its
-    /// dead slots, trailing ones included, and
-    /// [`GraphShard::max_edge_label`] is the largest label it has seen,
-    /// present or not. Fails with [`GraphError::ShardConfig`] on an
-    /// invalid config.
+    /// dead slots, trailing ones included. Fails with
+    /// [`GraphError::ShardConfig`] on an invalid config.
     pub fn from_graph(cfg: ShardConfig, g: &DataGraph) -> Result<Self> {
         cfg.validate()?;
         Ok(g.rerouted(cfg))
@@ -396,7 +392,6 @@ mod tests {
         g.check_invariants().unwrap();
         assert_eq!(GraphShard::vertex_slots(g), m.labels.len());
         assert_eq!(GraphShard::num_edges(g), m.edges.len());
-        assert_eq!(GraphShard::max_edge_label(g), m.max_elabel);
         let alive: Vec<VertexId> = GraphShard::vertices(g).collect();
         assert_eq!(GraphShard::num_vertices(g), alive.len());
         let mut edges: Vec<_> = GraphShard::edges(g).collect();
@@ -771,10 +766,6 @@ mod tests {
             g.ensure_vertex(VertexId(verts + 5), VLabel(0));
             g.delete_vertex(VertexId(verts + 5), false).unwrap();
             g.check_invariants().unwrap();
-            // The copy keeps the largest label seen, the edge-by-edge build
-            // the largest present: they agree while an edge carries it.
-            let max = g.max_edge_label();
-            assert!(g.edges().any(|(_, _, l)| l.0 == max));
 
             let slots = g.vertex_slots() as u32;
             for shards in [1usize, 2, 4, 7] {
@@ -819,8 +810,8 @@ mod tests {
     fn same_graph(a: &ShardedGraph, b: &ShardedGraph) {
         assert_eq!(a.shard_stats(), b.shard_stats());
         assert_eq!(
-            (a.num_vertices(), a.num_edges(), a.max_edge_label()),
-            (b.num_vertices(), b.num_edges(), b.max_edge_label())
+            (a.num_vertices(), a.num_edges()),
+            (b.num_vertices(), b.num_edges())
         );
         for v in (0..a.vertex_slots().max(b.vertex_slots())).map(VertexId::from) {
             assert_eq!(a.is_alive(v), b.is_alive(v), "{v:?}");

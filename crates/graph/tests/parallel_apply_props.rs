@@ -80,7 +80,6 @@ fn batch_equals_serial<R: Route>(
     par.apply_edge_batch_with(ops, writers, &mut got);
     prop_assert_eq!(&got, &want);
     prop_assert_eq!(par.num_edges(), seq.num_edges());
-    prop_assert_eq!(par.max_edge_label(), seq.max_edge_label());
     for v in (0..seq.vertex_slots()).map(VertexId::from) {
         prop_assert_eq!(par.neighbors(v), seq.neighbors(v));
     }

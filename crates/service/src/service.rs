@@ -29,7 +29,7 @@ use csm_graph::{DataGraph, EdgeUpdate, GraphShard, ShardStats, Update};
 use paracosm_core::{
     AdsChange, Classified, CsmAlgorithm, CsmError, CsmResult, FanKind, FlightConfig,
     FlightRecorder, FlightStage, RunReport, SafeStage, SpanId, StageSnapshot, StreamObserver,
-    UpdateObservation,
+    UpdateObservation, SESSION_AGGREGATE,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,7 +44,8 @@ pub struct ServiceConfig {
     /// Per-shard slot capacity of the always-on flight recorder (see
     /// [`paracosm_core::FlightRecorder`]); the recorder keeps the last
     /// `capacity` span events per shard for stall forensics and the
-    /// `/debug/flight` endpoint. Values below 2 are clamped.
+    /// `/debug/flight` endpoint. Rounded up to a power of two; values
+    /// below 2 are clamped.
     pub flight_capacity: usize,
 }
 
@@ -68,6 +69,10 @@ enum DeleteStage {
     /// Unsafe: matches were enumerated (or absorbed) pre-removal.
     Found(SessionFind, FanKind),
 }
+
+/// One session's pre-removal state of an edge deletion; `None` marks a
+/// deferred label-safe fan-out.
+type DeletePre = Option<(StageSnapshot, Duration, DeleteStage)>;
 
 /// Per-session accumulator for a vertex-deletion cascade.
 #[derive(Clone, Copy, Default)]
@@ -128,6 +133,11 @@ pub struct CsmService<G: GraphShard = DataGraph> {
     telemetry: Option<ServiceTelemetry>,
     shared: SharedIndex,
     flight: Arc<FlightRecorder>,
+    /// Per-session scratch of an edge update, cleared and reused so that
+    /// a label-safe edge update allocates nothing: insert verdicts, and
+    /// deletion dispositions taken before the removal.
+    stages: Vec<Option<SafeStage>>,
+    pres: Vec<DeletePre>,
 }
 
 impl<G: GraphShard> CsmService<G> {
@@ -152,6 +162,8 @@ impl<G: GraphShard> CsmService<G> {
             flight: Arc::new(FlightRecorder::new(FlightConfig::with_capacity(
                 cfg.flight_capacity,
             ))),
+            stages: Vec::new(),
+            pres: Vec::new(),
         })
     }
 
@@ -368,17 +380,39 @@ impl<G: GraphShard> CsmService<G> {
     /// telemetry is off): `begin_update` stamps the watchdog's in-flight
     /// marker and samples the queue depth, `end_update` stamps progress
     /// and refreshes the scrape-side mirrors.
+    ///
+    /// The service-shard flight events read the clock once per stage
+    /// boundary: the admit open's stamp also opens classification, and
+    /// one closing read writes the deferred aggregate pair and the admit
+    /// close.
     fn process_one(&mut self, u: Update) -> CsmResult<()> {
         let idx = self.update_idx;
         self.update_idx += 1;
         self.processed += 1;
         let span = self.flight.begin_span();
-        self.flight.begin(0, span, FlightStage::Admit, idx);
+        let opened = self.flight.now_ns();
+        self.stamp(span, FlightStage::Admit, true, opened, idx);
         if let Some(t) = &self.telemetry {
             t.begin_update(idx, self.queue.len() as u64, span);
         }
-        let result = self.process_one_inner(u, idx, span);
-        self.flight.end(0, span, FlightStage::Admit, idx);
+        let result = self.process_one_inner(u, idx, span, opened);
+        let closed = self.flight.now_ns();
+        if let Ok(deferred @ 1..) = result {
+            // `FlightRecorder::fan_aggregate`'s pair, at the closing stamp.
+            for (begin, arg) in [(true, idx), (false, deferred)] {
+                self.flight.record(
+                    0,
+                    span,
+                    FlightStage::Fanout,
+                    begin,
+                    FanKind::Deferred,
+                    SESSION_AGGREGATE,
+                    closed,
+                    arg,
+                );
+            }
+        }
+        self.stamp(span, FlightStage::Admit, false, closed, idx);
         if let Some(t) = &self.telemetry {
             t.end_update(
                 self.processed,
@@ -389,20 +423,55 @@ impl<G: GraphShard> CsmService<G> {
                 self.g.shard_stats(),
             );
         }
-        result
+        result.map(drop)
     }
 
-    fn process_one_inner(&mut self, u: Update, idx: u64, span: SpanId) -> CsmResult<()> {
+    /// Write one service-shard stage event at `ts`, the stamp its stage
+    /// boundary read once for every event it writes.
+    #[inline]
+    fn stamp(&self, span: SpanId, stage: FlightStage, begin: bool, ts: u64, arg: u64) {
+        self.flight
+            .record(0, span, stage, begin, FanKind::Engine, 0, ts, arg);
+    }
+
+    /// Close the classify stage and open the apply stage with one read;
+    /// returns the stamp. Apply args carry the owning shard of an endpoint
+    /// (0 on monolithic backends), so flight forensics can attribute
+    /// applies to shards.
+    fn open_apply(&self, span: SpanId, shard: usize) -> u64 {
+        let ts = self.flight.now_ns();
+        self.stamp(span, FlightStage::Classify, false, ts, 0);
+        self.stamp(span, FlightStage::Apply, true, ts, shard as u64);
+        ts
+    }
+
+    /// Close the apply stage opened at `opened`; returns its duration, the
+    /// graph-apply time every session is charged.
+    fn close_apply(&self, span: SpanId, opened: u64, shard: usize) -> Duration {
+        let ts = self.flight.now_ns();
+        self.stamp(span, FlightStage::Apply, false, ts, shard as u64);
+        Duration::from_nanos(ts - opened)
+    }
+
+    /// One update past admission; `opened` is the admit stamp, which also
+    /// opens classification. Returns how many sessions took the deferred
+    /// label-safe fan-out.
+    fn process_one_inner(
+        &mut self,
+        u: Update,
+        idx: u64,
+        span: SpanId,
+        opened: u64,
+    ) -> CsmResult<u64> {
         match u {
-            Update::InsertEdge(e) => self.process_edge(u, e, true, idx, span),
-            Update::DeleteEdge(e) => self.process_edge(u, e, false, idx, span),
+            Update::InsertEdge(e) => self.process_edge(u, e, true, idx, span, opened),
+            Update::DeleteEdge(e) => self.process_edge(u, e, false, idx, span, opened),
             Update::InsertVertex { id, label } => {
-                let t0 = Instant::now();
-                self.flight.begin(0, span, FlightStage::Apply, 0);
+                let applying = self.flight.now_ns();
+                self.stamp(span, FlightStage::Apply, true, applying, 0);
                 let grew = !self.g.is_alive(id);
                 self.g.ensure_vertex(id, label);
-                self.flight.end(0, span, FlightStage::Apply, 0);
-                let apply = t0.elapsed();
+                let apply = self.close_apply(span, applying, 0);
                 if !grew {
                     self.noops += 1;
                 }
@@ -437,13 +506,13 @@ impl<G: GraphShard> CsmService<G> {
                     );
                     self.flight.fan_end(span, FanKind::Engine, sid, 0);
                 }
-                Ok(())
+                Ok(0)
             }
             Update::DeleteVertex { id } => {
                 if !self.g.is_alive(id) {
                     self.noops += 1;
                     self.fan_noop(u, idx, span);
-                    return Ok(());
+                    return Ok(0);
                 }
                 // Cascade: each incident edge is classified and (where
                 // unsafe) enumerated per session, exactly as a standalone
@@ -455,17 +524,19 @@ impl<G: GraphShard> CsmService<G> {
                     .map(|&(v, l)| EdgeUpdate::new(id, v, l))
                     .collect();
                 let mut acc = vec![VertexAcc::default(); self.sessions.len()];
-                self.flight
-                    .begin(0, span, FlightStage::Classify, incident.len() as u64);
+                self.stamp(
+                    span,
+                    FlightStage::Classify,
+                    true,
+                    opened,
+                    incident.len() as u64,
+                );
                 for &e in incident.iter() {
                     self.cascade_edge_delete(e, &mut acc)?;
                 }
-                self.flight.end(0, span, FlightStage::Classify, 0);
-                let t0 = Instant::now();
-                self.flight.begin(0, span, FlightStage::Apply, 0);
+                let applying = self.open_apply(span, 0);
                 self.g.delete_vertex(id, false)?;
-                self.flight.end(0, span, FlightStage::Apply, 0);
-                let apply = t0.elapsed();
+                let apply = self.close_apply(span, applying, 0);
                 let g = &self.g;
                 for (s, a) in self.sessions.iter_mut().zip(acc) {
                     self.flight
@@ -493,7 +564,7 @@ impl<G: GraphShard> CsmService<G> {
                     );
                     self.flight.fan_end(span, FanKind::Engine, sid, a.negatives);
                 }
-                Ok(())
+                Ok(0)
             }
         }
     }
@@ -525,17 +596,22 @@ impl<G: GraphShard> CsmService<G> {
         }
     }
 
-    /// Open an update-edge phase of the shared index: the union stage-1
-    /// lookup for `e`, bracketed as a `SharedProbe` flight stage.
-    fn probe_edge(&mut self, e: &EdgeUpdate, span: SpanId, idx: u64) {
-        self.flight.begin(0, span, FlightStage::SharedProbe, idx);
+    /// Open classification at the admit stamp `opened`, then open an
+    /// update-edge phase of the shared index: the union stage-1 lookup for
+    /// `e`, bracketed as a `SharedProbe` flight stage that opens at the
+    /// same stamp.
+    fn probe_edge(&mut self, e: &EdgeUpdate, span: SpanId, idx: u64, opened: u64) {
+        self.stamp(span, FlightStage::Classify, true, opened, idx);
+        self.stamp(span, FlightStage::SharedProbe, true, opened, idx);
         self.shared
             .begin_edge(self.g.label(e.src), self.g.label(e.dst), e.label);
-        self.flight.end(0, span, FlightStage::SharedProbe, 0);
+        let probed = self.flight.now_ns();
+        self.stamp(span, FlightStage::SharedProbe, false, probed, 0);
     }
 
     /// One edge update through classification, single graph application,
-    /// and per-session ADS/enumeration fan-out.
+    /// and per-session ADS/enumeration fan-out. The validity and no-op
+    /// checks count as classification, which opens at `opened`.
     fn process_edge(
         &mut self,
         u: Update,
@@ -543,67 +619,66 @@ impl<G: GraphShard> CsmService<G> {
         is_insert: bool,
         idx: u64,
         span: SpanId,
-    ) -> CsmResult<()> {
+        opened: u64,
+    ) -> CsmResult<u64> {
         // A server keeps running on malformed input: updates naming dead
         // vertices (or self-loops) are counted as `invalid` and fanned out
         // as no-ops instead of failing the stream like a standalone run.
         if !self.g.is_alive(e.src) || !self.g.is_alive(e.dst) || e.src == e.dst {
             self.invalid += 1;
             self.fan_noop(u, idx, span);
-            return Ok(());
+            return Ok(0);
         }
         match (is_insert, self.g.edge_label(e.src, e.dst)) {
-            (true, None) => self.insert_edge(u, e, idx, span),
+            (true, None) => self.insert_edge(u, e, idx, span, opened),
             // Deletions classify and enumerate on the pre-removal graph,
             // under the label stored there.
-            (false, Some(l)) => self.delete_edge(u, EdgeUpdate::new(e.src, e.dst, l), idx, span),
+            (false, Some(l)) => {
+                let e = EdgeUpdate::new(e.src, e.dst, l);
+                self.delete_edge(u, e, idx, span, opened)
+            }
             _ => {
                 self.noops += 1;
                 self.fan_noop(u, idx, span);
-                Ok(())
+                Ok(0)
             }
         }
     }
 
-    fn insert_edge(&mut self, u: Update, e: EdgeUpdate, idx: u64, span: SpanId) -> CsmResult<()> {
+    fn insert_edge(
+        &mut self,
+        u: Update,
+        e: EdgeUpdate,
+        idx: u64,
+        span: SpanId,
+        opened: u64,
+    ) -> CsmResult<u64> {
         // Stages 1-2 are judged on the pre-insertion graph: stage 1 is one
         // union lookup (two hash probes), stage 2 runs once per share group.
-        self.flight.begin(0, span, FlightStage::Classify, idx);
-        self.probe_edge(&e, span, idx);
+        self.probe_edge(&e, span, idx, opened);
+        let mut stages = std::mem::take(&mut self.stages);
+        stages.clear();
         let (g, ix) = (&self.g, &mut self.shared);
-        let stages: Vec<Option<SafeStage>> = self
-            .sessions
-            .iter()
-            .enumerate()
-            .map(|(pos, s)| {
-                if ix.label_safe(pos, s, g, &e) {
-                    Some(SafeStage::Label)
-                } else {
-                    ix.degree_safe(pos, s, g, &e, true)
-                        .then_some(SafeStage::Degree)
-                }
-            })
-            .collect();
-        self.flight.end(0, span, FlightStage::Classify, 0);
-        // Apply args carry the owning shard of each endpoint (both 0 on
-        // monolithic backends), so flight forensics can attribute applies
-        // to shards.
-        let t0 = Instant::now();
-        self.flight
-            .begin(0, span, FlightStage::Apply, self.g.shard_of(e.src) as u64);
+        stages.extend(self.sessions.iter().enumerate().map(|(pos, s)| {
+            if ix.label_safe(pos, s, g, &e) {
+                Some(SafeStage::Label)
+            } else {
+                ix.degree_safe(pos, s, g, &e, true)
+                    .then_some(SafeStage::Degree)
+            }
+        }));
+        let applying = self.open_apply(span, self.g.shard_of(e.src));
         self.g.insert_edge(e.src, e.dst, e.label)?;
-        self.flight
-            .end(0, span, FlightStage::Apply, self.g.shard_of(e.dst) as u64);
-        let apply = t0.elapsed();
+        let apply = self.close_apply(span, applying, self.g.shard_of(e.dst));
         let (g, ix) = (&self.g, &mut self.shared);
         let mut agg = 0u64;
-        for (pos, (s, stage)) in self.sessions.iter_mut().zip(stages).enumerate() {
+        for (pos, (s, &stage)) in self.sessions.iter_mut().zip(&stages).enumerate() {
             // Label-safe fan-out to a session with no per-update consumer
             // (rolling window / event tracing) defers its bookkeeping: the
             // observer fires now, the commutative stats/counter totals fold
             // in at the next flush point, and the update shares ONE
-            // aggregate flight record (written after the loop) instead of
-            // paying a per-session pair.
+            // aggregate flight record (written as the admit span closes)
+            // instead of paying a per-session pair.
             if stage == Some(SafeStage::Label) && s.defers() {
                 agg += 1;
                 s.fan_label_safe(idx, apply, span);
@@ -658,17 +733,22 @@ impl<G: GraphShard> CsmService<G> {
             );
             self.flight.fan_end(span, fan_kind, sid, f.count);
         }
-        self.flight.fan_aggregate(span, FanKind::Deferred, agg, idx);
-        Ok(())
+        self.stages = stages;
+        Ok(agg)
     }
 
-    fn delete_edge(&mut self, u: Update, e: EdgeUpdate, idx: u64, span: SpanId) -> CsmResult<()> {
-        self.flight.begin(0, span, FlightStage::Classify, idx);
-        self.probe_edge(&e, span, idx);
+    fn delete_edge(
+        &mut self,
+        u: Update,
+        e: EdgeUpdate,
+        idx: u64,
+        span: SpanId,
+        opened: u64,
+    ) -> CsmResult<u64> {
+        self.probe_edge(&e, span, idx, opened);
+        let mut pres = std::mem::take(&mut self.pres);
+        pres.clear();
         let (g, ix) = (&self.g, &mut self.shared);
-        // `None` marks a deferred fan-out (see the insert path).
-        let mut pres: Vec<Option<(StageSnapshot, Duration, DeleteStage)>> =
-            Vec::with_capacity(self.sessions.len());
         for (pos, s) in self.sessions.iter_mut().enumerate() {
             let label_safe = ix.label_safe(pos, s, g, &e);
             if label_safe && s.defers() {
@@ -695,17 +775,12 @@ impl<G: GraphShard> CsmService<G> {
             };
             pres.push(Some((pre, t.elapsed(), stage)));
         }
-        self.flight.end(0, span, FlightStage::Classify, 0);
-        let t0 = Instant::now();
-        self.flight
-            .begin(0, span, FlightStage::Apply, self.g.shard_of(e.src) as u64);
+        let applying = self.open_apply(span, self.g.shard_of(e.src));
         self.g.remove_edge(e.src, e.dst)?;
-        self.flight
-            .end(0, span, FlightStage::Apply, self.g.shard_of(e.dst) as u64);
-        let apply = t0.elapsed();
+        let apply = self.close_apply(span, applying, self.g.shard_of(e.dst));
         let g = &self.g;
         let mut agg = 0u64;
-        for (s, pre) in self.sessions.iter_mut().zip(pres) {
+        for (s, pre) in self.sessions.iter_mut().zip(pres.drain(..)) {
             let Some((pre, dt, stage)) = pre else {
                 agg += 1;
                 s.fan_label_safe(idx, apply, span);
@@ -745,8 +820,8 @@ impl<G: GraphShard> CsmService<G> {
             );
             self.flight.fan_end(span, fan_kind, sid, f.count);
         }
-        self.flight.fan_aggregate(span, FanKind::Deferred, agg, idx);
-        Ok(())
+        self.pres = pres;
+        Ok(agg)
     }
 
     /// One incident edge of a vertex-deletion cascade: per-session

@@ -50,7 +50,8 @@
 //!   --profile LEVEL    off|counters — per-session enumeration profiler;
 //!                      `counters` also serves GET /profile and
 //!                      GET /debug/explain/<session>      (default: off)
-//!   --flight-capacity N  flight-recorder events retained per shard
+//!   --flight-capacity N  flight-recorder events retained per shard,
+//!                      rounded up to a power of two
 //!                      (default: 1024; the recorder is always on)
 //!   --dump-flight-on-stall PATH  if any stall was flagged, write the
 //!                      flight recorder as Perfetto trace JSON at shutdown

@@ -7,7 +7,7 @@ use paracosm::algos::testing;
 use paracosm::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn triangle() -> QueryGraph {
     let mut q = QueryGraph::new();
@@ -444,4 +444,145 @@ fn hot_path_record_cost_is_nanoscale() {
         "span-record cost {per_event:.1} ns/event — the always-on default \
          assumes order-100ns; something slow entered the hot path"
     );
+}
+
+/// The service reads the clock once per stage boundary, and every
+/// service-shard event at that boundary carries the one stamp: the
+/// classify and shared-probe opens share a stamp with the admit open,
+/// the classify close with the apply open, and the deferred aggregate
+/// pair with the admit close. So an edge update whose sessions all took
+/// the deferred label-safe path reads the clock at most five times. Each
+/// session's apply time is the sum of the apply spans' widths, exactly,
+/// because both come from the same stamps. The ring capacity is the
+/// requested one rounded up to a power of two.
+#[test]
+fn stage_boundaries_share_one_clock_read() {
+    for (requested, rounded) in [(0, 2), (3, 4), (8, 8), (1000, 1024), (1025, 2048)] {
+        let f = FlightRecorder::new(FlightConfig::with_capacity(requested));
+        assert_eq!(f.capacity(), rounded, "capacity {requested}");
+    }
+
+    let (g, stream) = testing::random_workload(23, 24, 2, 1, 40, 80, 0.4);
+    let mut svc = CsmService::new(
+        g.clone(),
+        ServiceConfig {
+            flight_capacity: 1 << 14,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    // Two sessions that search, and two whose labels never occur in the
+    // graph, so that every edge update is label-safe (and deferred) for
+    // them and some updates are for all four.
+    let queries = [
+        (triangle(), AlgoKind::GraphFlow),
+        (path3(0, 1, 0), AlgoKind::Symbi),
+        (path3(7, 7, 7), AlgoKind::GraphFlow),
+        (path3(8, 9, 8), AlgoKind::TurboFlux),
+    ];
+    for (q, kind) in &queries {
+        svc.add_session(
+            SessionSpec::new(q.clone(), ParaCosmConfig::sequential()),
+            Box::new(kind.build(&g, q)),
+            Box::new(NoopObserver),
+        )
+        .unwrap();
+    }
+    let fresh = VertexId(g.vertex_slots() as u32);
+    let mut updates: Vec<Update> = stream.updates().to_vec();
+    updates.extend([
+        Update::InsertVertex {
+            id: fresh,
+            label: VLabel(0),
+        },
+        Update::InsertEdge(EdgeUpdate::new(fresh, VertexId(0), ELabel(0))),
+        Update::InsertEdge(EdgeUpdate::new(VertexId(1), VertexId(1), ELabel(0))),
+        Update::DeleteVertex { id: VertexId(0) },
+        Update::DeleteVertex { id: VertexId(0) },
+    ]);
+    for &u in &updates {
+        svc.submit(u).unwrap();
+    }
+    svc.drain().unwrap();
+    let flight = Arc::clone(svc.flight());
+    let report = svc.shutdown().unwrap();
+    let snap = flight.snapshot();
+    assert!(snap.dropped.iter().all(|&d| d == 0), "capacity fits all");
+
+    let mut apply_ns = 0u64;
+    let mut all_deferred_edges = 0;
+    for (i, u) in updates.iter().enumerate() {
+        let span = SpanId(i as u64 + 1);
+        let path: Vec<FlightEvent> = snap
+            .span_path(span)
+            .into_iter()
+            .filter(|e| e.shard == 0)
+            .collect();
+        let ts = |stage: FlightStage, begin: bool, session: u32| {
+            path.iter()
+                .find(|e| e.stage == stage && e.begin == begin && e.session == session)
+                .map(|e| e.ts_ns)
+        };
+        let admit = (
+            ts(FlightStage::Admit, true, 0).unwrap(),
+            ts(FlightStage::Admit, false, 0).unwrap(),
+        );
+        if let Some(open) = ts(FlightStage::Classify, true, 0) {
+            assert_eq!(open, admit.0, "span {span:?}: classify opens at admit");
+        }
+        if let Some(open) = ts(FlightStage::SharedProbe, true, 0) {
+            assert_eq!(
+                Some(open),
+                ts(FlightStage::Classify, true, 0),
+                "span {span:?}: shared probe opens with classify"
+            );
+        }
+        if let Some(close) = ts(FlightStage::Classify, false, 0) {
+            assert_eq!(
+                Some(close),
+                ts(FlightStage::Apply, true, 0),
+                "span {span:?}: classify closes as apply opens"
+            );
+        }
+        if let Some(close) = ts(FlightStage::Fanout, false, SESSION_AGGREGATE) {
+            assert_eq!(close, admit.1, "span {span:?}: aggregate closes with admit");
+            assert_eq!(
+                ts(FlightStage::Fanout, true, SESSION_AGGREGATE),
+                Some(close)
+            );
+        }
+        if let (Some(open), Some(close)) = (
+            ts(FlightStage::Apply, true, 0),
+            ts(FlightStage::Apply, false, 0),
+        ) {
+            apply_ns += close - open;
+        }
+        let sessions_fanned = snap
+            .span_path(span)
+            .iter()
+            .any(|e| e.stage == FlightStage::Fanout && e.session != SESSION_AGGREGATE);
+        let edge = matches!(u, Update::InsertEdge(_) | Update::DeleteEdge(_));
+        if edge && !sessions_fanned && ts(FlightStage::Apply, true, 0).is_some() {
+            all_deferred_edges += 1;
+            let mut stamps: Vec<u64> = path.iter().map(|e| e.ts_ns).collect();
+            stamps.dedup();
+            assert!(
+                stamps.len() <= 5,
+                "span {span:?}: an all-deferred edge update read the clock {} times",
+                stamps.len()
+            );
+        }
+    }
+    assert!(
+        all_deferred_edges > 0,
+        "some edge update was label-safe for all"
+    );
+    assert!(apply_ns > 0);
+    for s in &report.sessions {
+        assert_eq!(
+            s.stats.apply_time,
+            Duration::from_nanos(apply_ns),
+            "session apply time is the sum of the apply spans"
+        );
+    }
 }
