@@ -1023,6 +1023,11 @@ impl<R: Route> GraphShard for Graph<R> {
     fn remove_edge(&mut self, a: VertexId, b: VertexId) -> Result<Option<ELabel>> {
         Graph::remove_edge(self, a, b)
     }
+    fn splice_probed_edge(&mut self, a: VertexId, b: VertexId, l: ELabel, insert: bool) {
+        debug_assert!(self.check_endpoints(a, b).is_ok());
+        debug_assert_eq!(self.edge_label(a, b), (!insert).then_some(l));
+        self.splice_edge(a, b, l, insert);
+    }
 
     /// One writer per store: a single store has nothing to overlap, so the
     /// constant route (and a 1-store router) keep the serial in-place path.

@@ -125,6 +125,13 @@ pub trait GraphShard: Send + Sync {
     fn insert_edge(&mut self, a: VertexId, b: VertexId, l: ELabel) -> Result<bool>;
     /// Remove undirected edge `{a, b}`, returning its label if it existed.
     fn remove_edge(&mut self, a: VertexId, b: VertexId) -> Result<Option<ELabel>>;
+    /// Splice an already-probed edge `{a, b}` with label `l` in
+    /// (`insert`) or out, with no probe of its own: for a caller that has
+    /// just asked [`GraphShard::edge_label`] and validated both endpoints.
+    /// Precondition, checked by `debug_assert!` only: `a` and `b` are
+    /// distinct alive vertices, and the edge is absent for an insert or
+    /// present under `l` for a removal.
+    fn splice_probed_edge(&mut self, a: VertexId, b: VertexId, l: ELabel, insert: bool);
 
     /// Apply one stream update, returning whether the graph changed.
     fn apply(&mut self, u: &Update) -> Result<bool> {
@@ -597,6 +604,64 @@ mod tests {
         assert_eq!(run(&ops)[..4], [true, false, true, true]);
         // Below the parallel threshold: the serial fallback, same contract.
         run(&seeded_ops(20, VERTS, 99));
+    }
+
+    /// `splice_probed_edge` after the caller's own `edge_label` probe makes
+    /// exactly the graph that `insert_edge` / `remove_edge` make: same
+    /// lists, same per-store accounting.
+    fn probed_splices_conform<R: Route>(make: impl Fn() -> Graph<R>) {
+        const VERTS: u32 = 40;
+        let (mut probed, mut per_op, mut m) = (make(), make(), Model::default());
+        for i in 0..VERTS {
+            GraphShard::add_vertex(&mut probed, VLabel(i % 5));
+            GraphShard::add_vertex(&mut per_op, VLabel(i % 5));
+            m.ensure(VertexId(i), VLabel(i % 5));
+        }
+        for (i, &(e, insert)) in seeded_ops(600, VERTS, 11).iter().enumerate() {
+            let (a, b) = (e.src, e.dst);
+            let changed = if insert {
+                GraphShard::insert_edge(&mut per_op, a, b, e.label).is_ok_and(|inserted| inserted)
+            } else {
+                GraphShard::remove_edge(&mut per_op, a, b).is_ok_and(|l| l.is_some())
+            };
+            let want = if insert {
+                m.insert(a, b, e.label).unwrap_or(false)
+            } else {
+                m.remove(a, b).is_ok_and(|l| l.is_some())
+            };
+            assert_eq!(changed, want, "op {i}");
+            let valid =
+                a != b && GraphShard::is_alive(&probed, a) && GraphShard::is_alive(&probed, b);
+            match (valid, insert, GraphShard::edge_label(&probed, a, b)) {
+                (true, true, None) => {
+                    GraphShard::splice_probed_edge(&mut probed, a, b, e.label, true)
+                }
+                (true, false, Some(l)) => {
+                    GraphShard::splice_probed_edge(&mut probed, a, b, l, false)
+                }
+                _ => assert!(!want, "op {i}: a change the probe missed"),
+            }
+            if i % 16 == 0 {
+                agree(&probed, &m);
+            }
+        }
+        agree(&probed, &m);
+        agree(&per_op, &m);
+        assert_eq!(
+            GraphShard::shard_stats(&probed),
+            GraphShard::shard_stats(&per_op)
+        );
+    }
+
+    #[test]
+    fn probed_splices_conform_on_every_backend() {
+        probed_splices_conform(DataGraph::new);
+        for shards in [2usize, 3] {
+            probed_splices_conform(|| ShardedGraph::new(ShardConfig::hash(shards)).unwrap());
+            probed_splices_conform(|| {
+                ShardedGraph::new(ShardConfig::range_even(shards, 40)).unwrap()
+            });
+        }
     }
 
     #[test]

@@ -16,13 +16,26 @@
 //! ΔM run once per share group, and stage-3 probes share one memo. Debug
 //! builds re-check each of its verdicts against the session's own scan.
 //!
+//! An edge update costs work only in the sessions it can touch. The
+//! union lookup lists the sessions subscribed to the edge's label triple;
+//! those, plus the sessions that cannot defer (a rolling window is
+//! installed), are *visited*: classified, maintained, enumerated and
+//! booked in their engines. Every other session is label-safe and gets
+//! its observer callback alone, with one observation built per update,
+//! still in session order. Its bookkeeping is derived instead of counted:
+//! the service tallies its valid, non-no-op edge updates and their apply
+//! time, each session records the tally at its last flush plus the
+//! updates on which it was visited, and a flush folds the difference into
+//! the engine ([`paracosm_core::Engine::flush_label_safe`]).
+//!
 //! Per-update call conventions mirror the standalone engine (paper
 //! Algorithm 1): inserts apply the edge, maintain each non-label-safe
 //! session's ADS, then enumerate; deletions classify and enumerate on the
-//! pre-removal graph, then remove and maintain.
+//! pre-removal graph, then remove and maintain. The no-op check's edge
+//! probe is the only one: the splice reuses its answer.
 
 use crate::queue::{AdmissionQueue, Backpressure, IngestHandle};
-use crate::session::{Session, SessionFind, SessionSpec};
+use crate::session::{EdgeTally, Session, SessionFind, SessionSpec};
 use crate::shared::{SharedIndex, SharedIndexStats};
 use crate::telemetry::{ServiceTelemetry, TelemetryConfig, TelemetryHandle};
 use csm_graph::{DataGraph, EdgeUpdate, GraphShard, ShardStats, Update};
@@ -59,8 +72,8 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Pre-removal disposition of one edge deletion for one session that
-/// does not defer it.
+/// Pre-removal disposition of one edge deletion for one visited session.
+#[derive(Clone, Copy)]
 enum DeleteStage {
     /// Label-safe: no ADS maintenance, no enumeration.
     LabelSafe,
@@ -70,9 +83,9 @@ enum DeleteStage {
     Found(SessionFind, FanKind),
 }
 
-/// One session's pre-removal state of an edge deletion; `None` marks a
-/// deferred label-safe fan-out.
-type DeletePre = Option<(StageSnapshot, Duration, DeleteStage)>;
+/// One visited session's pre-removal state of an edge deletion: its stage
+/// marker, the time classification and search took, and the disposition.
+type DeletePre = (StageSnapshot, Duration, DeleteStage);
 
 /// Per-session accumulator for a vertex-deletion cascade.
 #[derive(Clone, Copy, Default)]
@@ -133,9 +146,18 @@ pub struct CsmService<G: GraphShard = DataGraph> {
     telemetry: Option<ServiceTelemetry>,
     shared: SharedIndex,
     flight: Arc<FlightRecorder>,
-    /// Per-session scratch of an edge update, cleared and reused so that
-    /// a label-safe edge update allocates nothing: insert verdicts, and
-    /// deletion dispositions taken before the removal.
+    /// Valid, non-no-op edge updates so far and their summed apply time:
+    /// what deferring sessions' label-safe bookkeeping is derived from.
+    tally: EdgeTally,
+    /// Ascending positions of the sessions that cannot defer label-safe
+    /// bookkeeping (a rolling window is installed); an edge fan-out
+    /// visits them whether the edge touches them or not.
+    eager: Vec<usize>,
+    /// Scratch of an edge update, cleared and reused so that a label-safe
+    /// edge update allocates nothing: the visited sessions as ascending
+    /// `(position, label_safe)`, and aligned with them the insert
+    /// verdicts and the deletion dispositions taken before the removal.
+    visit: Vec<(usize, bool)>,
     stages: Vec<Option<SafeStage>>,
     pres: Vec<DeletePre>,
 }
@@ -162,6 +184,9 @@ impl<G: GraphShard> CsmService<G> {
             flight: Arc::new(FlightRecorder::new(FlightConfig::with_capacity(
                 cfg.flight_capacity,
             ))),
+            tally: EdgeTally::default(),
+            eager: Vec::new(),
+            visit: Vec::new(),
             stages: Vec::new(),
             pres: Vec::new(),
         })
@@ -189,8 +214,12 @@ impl<G: GraphShard> CsmService<G> {
         let mut t =
             ServiceTelemetry::start(cfg, Arc::clone(&self.queue), Arc::clone(&self.flight))?;
         for s in self.sessions.iter_mut() {
+            // A windowed session no longer defers: fold in what it owes
+            // first, so the window and the engine stats start in step.
+            s.flush_deferred(self.tally);
             t.register_session(s);
         }
+        self.refresh_eager();
         let handle = t.handle();
         self.telemetry = Some(t);
         Ok(handle)
@@ -224,14 +253,23 @@ impl<G: GraphShard> CsmService<G> {
             return Err(CsmError::ServiceClosed);
         }
         let id = self.next_id;
-        let mut session = Session::new(id, spec, algo, observer, &self.g)?;
+        let mut session = Session::new(id, spec, algo, observer, &self.g, self.tally)?;
         if let Some(t) = &mut self.telemetry {
             t.register_session(&mut session);
         }
         self.next_id += 1;
         self.shared.register(&session);
         self.sessions.push(session);
+        self.refresh_eager();
         Ok(id)
+    }
+
+    /// Recompute the positions of the sessions that cannot defer, after
+    /// the registry or a session's window changed.
+    fn refresh_eager(&mut self) {
+        self.eager.clear();
+        let eager = (self.sessions.iter().enumerate()).filter(|(_, s)| !s.defers());
+        self.eager.extend(eager.map(|(pos, _)| pos));
     }
 
     /// Deregister a session, draining in-flight (admitted but unprocessed)
@@ -248,13 +286,11 @@ impl<G: GraphShard> CsmService<G> {
         let mut session = self.sessions.remove(pos);
         self.shared.unregister(pos);
         debug_assert_eq!(self.shared.len(), self.sessions.len());
+        self.refresh_eager();
         if let Some(t) = &mut self.telemetry {
             t.unregister_session(id);
         }
-        let fspan = self.flight.begin_span();
-        self.flight.flush_begin(fspan, session.id as u32, 0);
-        let flushed = session.flush_deferred();
-        self.flight.flush_end(fspan, session.id as u32, flushed);
+        flush_session(&self.flight, self.tally, &mut session);
         Ok(session.report())
     }
 
@@ -358,14 +394,11 @@ impl<G: GraphShard> CsmService<G> {
             invalid: self.invalid,
             elapsed,
             sessions: {
-                let flight = &self.flight;
+                let (flight, tally) = (&self.flight, self.tally);
                 self.sessions
                     .iter_mut()
                     .map(|s| {
-                        let fspan = flight.begin_span();
-                        flight.flush_begin(fspan, s.id as u32, 0);
-                        let flushed = s.flush_deferred();
-                        flight.flush_end(fspan, s.id as u32, flushed);
+                        flush_session(flight, tally, s);
                         s.report()
                     })
                     .collect()
@@ -445,12 +478,12 @@ impl<G: GraphShard> CsmService<G> {
         ts
     }
 
-    /// Close the apply stage opened at `opened`; returns its duration, the
-    /// graph-apply time every session is charged.
-    fn close_apply(&self, span: SpanId, opened: u64, shard: usize) -> Duration {
+    /// Close the apply stage opened at `opened`; returns its width in
+    /// nanoseconds, the graph-apply time every session is charged.
+    fn close_apply(&self, span: SpanId, opened: u64, shard: usize) -> u64 {
         let ts = self.flight.now_ns();
         self.stamp(span, FlightStage::Apply, false, ts, shard as u64);
-        Duration::from_nanos(ts - opened)
+        ts - opened
     }
 
     /// One update past admission; `opened` is the admit stamp, which also
@@ -464,14 +497,14 @@ impl<G: GraphShard> CsmService<G> {
         opened: u64,
     ) -> CsmResult<u64> {
         match u {
-            Update::InsertEdge(e) => self.process_edge(u, e, true, idx, span, opened),
-            Update::DeleteEdge(e) => self.process_edge(u, e, false, idx, span, opened),
+            Update::InsertEdge(e) => Ok(self.process_edge(u, e, true, idx, span, opened)),
+            Update::DeleteEdge(e) => Ok(self.process_edge(u, e, false, idx, span, opened)),
             Update::InsertVertex { id, label } => {
                 let applying = self.flight.now_ns();
                 self.stamp(span, FlightStage::Apply, true, applying, 0);
                 let grew = !self.g.is_alive(id);
                 self.g.ensure_vertex(id, label);
-                let apply = self.close_apply(span, applying, 0);
+                let apply = Duration::from_nanos(self.close_apply(span, applying, 0));
                 if !grew {
                     self.noops += 1;
                 }
@@ -532,11 +565,11 @@ impl<G: GraphShard> CsmService<G> {
                     incident.len() as u64,
                 );
                 for &e in incident.iter() {
-                    self.cascade_edge_delete(e, &mut acc)?;
+                    self.cascade_edge_delete(e, &mut acc);
                 }
                 let applying = self.open_apply(span, 0);
                 self.g.delete_vertex(id, false)?;
-                let apply = self.close_apply(span, applying, 0);
+                let apply = Duration::from_nanos(self.close_apply(span, applying, 0));
                 let g = &self.g;
                 for (s, a) in self.sessions.iter_mut().zip(acc) {
                     self.flight
@@ -598,20 +631,34 @@ impl<G: GraphShard> CsmService<G> {
 
     /// Open classification at the admit stamp `opened`, then open an
     /// update-edge phase of the shared index: the union stage-1 lookup for
-    /// `e`, bracketed as a `SharedProbe` flight stage that opens at the
-    /// same stamp.
+    /// `e`, which lists the sessions to visit, bracketed as a
+    /// `SharedProbe` flight stage that opens at the same stamp.
     fn probe_edge(&mut self, e: &EdgeUpdate, span: SpanId, idx: u64, opened: u64) {
         self.stamp(span, FlightStage::Classify, true, opened, idx);
         self.stamp(span, FlightStage::SharedProbe, true, opened, idx);
-        self.shared
-            .begin_edge(self.g.label(e.src), self.g.label(e.dst), e.label);
+        let ix = &mut self.shared;
+        ix.begin_edge(self.g.label(e.src), self.g.label(e.dst), e.label);
+        ix.check_touched(&self.sessions, &self.g, e);
+        ix.visits(&self.eager, &mut self.visit);
         let probed = self.flight.now_ns();
         self.stamp(span, FlightStage::SharedProbe, false, probed, 0);
     }
 
+    /// Splice the probed edge `e` in or out between the apply stamps and
+    /// count it in the service's edge tally; returns the apply width in
+    /// nanoseconds.
+    fn apply_edge(&mut self, e: &EdgeUpdate, insert: bool, span: SpanId) -> u64 {
+        let applying = self.open_apply(span, self.g.shard_of(e.src));
+        self.g.splice_probed_edge(e.src, e.dst, e.label, insert);
+        let apply_ns = self.close_apply(span, applying, self.g.shard_of(e.dst));
+        self.tally.add(apply_ns);
+        apply_ns
+    }
+
     /// One edge update through classification, single graph application,
     /// and per-session ADS/enumeration fan-out. The validity and no-op
-    /// checks count as classification, which opens at `opened`.
+    /// checks count as classification, which opens at `opened`; the no-op
+    /// check is the update's one edge probe. Returns the deferred count.
     fn process_edge(
         &mut self,
         u: Update,
@@ -620,14 +667,14 @@ impl<G: GraphShard> CsmService<G> {
         idx: u64,
         span: SpanId,
         opened: u64,
-    ) -> CsmResult<u64> {
+    ) -> u64 {
         // A server keeps running on malformed input: updates naming dead
         // vertices (or self-loops) are counted as `invalid` and fanned out
         // as no-ops instead of failing the stream like a standalone run.
         if !self.g.is_alive(e.src) || !self.g.is_alive(e.dst) || e.src == e.dst {
             self.invalid += 1;
             self.fan_noop(u, idx, span);
-            return Ok(0);
+            return 0;
         }
         match (is_insert, self.g.edge_label(e.src, e.dst)) {
             (true, None) => self.insert_edge(u, e, idx, span, opened),
@@ -640,11 +687,15 @@ impl<G: GraphShard> CsmService<G> {
             _ => {
                 self.noops += 1;
                 self.fan_noop(u, idx, span);
-                Ok(0)
+                0
             }
         }
     }
 
+    /// An absent edge's insertion. Only the visited sessions — those the
+    /// edge touches, plus those that cannot defer — are classified and
+    /// take the engine path; every other session is label-safe and gets
+    /// its observer callback alone. Returns that deferred count.
     fn insert_edge(
         &mut self,
         u: Update,
@@ -652,48 +703,44 @@ impl<G: GraphShard> CsmService<G> {
         idx: u64,
         span: SpanId,
         opened: u64,
-    ) -> CsmResult<u64> {
+    ) -> u64 {
         // Stages 1-2 are judged on the pre-insertion graph: stage 1 is one
         // union lookup (two hash probes), stage 2 runs once per share group.
         self.probe_edge(&e, span, idx, opened);
-        let mut stages = std::mem::take(&mut self.stages);
-        stages.clear();
-        let (g, ix) = (&self.g, &mut self.shared);
-        stages.extend(self.sessions.iter().enumerate().map(|(pos, s)| {
-            if ix.label_safe(pos, s, g, &e) {
-                Some(SafeStage::Label)
-            } else {
-                ix.degree_safe(pos, s, g, &e, true)
-                    .then_some(SafeStage::Degree)
-            }
-        }));
-        let applying = self.open_apply(span, self.g.shard_of(e.src));
-        self.g.insert_edge(e.src, e.dst, e.label)?;
-        let apply = self.close_apply(span, applying, self.g.shard_of(e.dst));
-        let (g, ix) = (&self.g, &mut self.shared);
-        let mut agg = 0u64;
-        for (pos, (s, &stage)) in self.sessions.iter_mut().zip(&stages).enumerate() {
-            // Label-safe fan-out to a session with no per-update consumer
-            // (rolling window / event tracing) defers its bookkeeping: the
-            // observer fires now, the commutative stats/counter totals fold
-            // in at the next flush point, and the update shares ONE
+        let (g, ix, sessions) = (&self.g, &mut self.shared, &self.sessions);
+        self.stages.clear();
+        self.stages
+            .extend(self.visit.iter().map(|&(pos, label_safe)| {
+                if label_safe {
+                    Some(SafeStage::Label)
+                } else {
+                    ix.degree_safe(pos, &sessions[pos], g, &e, true)
+                        .then_some(SafeStage::Degree)
+                }
+            }));
+        let apply_ns = self.apply_edge(&e, true, span);
+        let apply = Duration::from_nanos(apply_ns);
+        let (g, ix, flight) = (&self.g, &mut self.shared, &self.flight);
+        let safe = label_safe_observation(idx, span);
+        let mut next = 0;
+        for (pos, s) in self.sessions.iter_mut().enumerate() {
+            // Untouched and deferring: the observer fires now, the engine
+            // bookkeeping is derived at the next flush, and the update's one
             // aggregate flight record (written as the admit span closes)
-            // instead of paying a per-session pair.
-            if stage == Some(SafeStage::Label) && s.defers() {
-                agg += 1;
-                s.fan_label_safe(idx, apply, span);
+            // stands for all such sessions.
+            if self.visit.get(next).is_none_or(|v| v.0 != pos) {
+                s.observe(&safe);
                 continue;
             }
-            self.flight
-                .fan_begin(span, FanKind::Engine, s.id as u32, idx);
+            let stage = self.stages[next];
+            next += 1;
+            s.note_visited(apply_ns);
+            let sid = s.id as u32;
+            let opened = fan_open(flight, span, sid, idx);
             let mut fan_kind = FanKind::Engine;
             s.eng.note_update();
             s.eng.note_apply(apply);
             let pre = s.eng.stage_snapshot();
-            // Label-safe fan-out is pure bookkeeping too cheap to meter per
-            // session: its latency reports as zero instead of paying two
-            // clock reads per session.
-            let t = (stage != Some(SafeStage::Label)).then(Instant::now);
             let (verdict, found) = match stage {
                 // Label-safe updates skip both ADS maintenance and search
                 // (batch-executor convention).
@@ -714,16 +761,21 @@ impl<G: GraphShard> CsmService<G> {
                     }
                 }
             };
+            // Label-safe fan-out is pure bookkeeping too cheap to meter per
+            // session: its latency reports as zero.
+            let latency = match stage {
+                Some(SafeStage::Label) => Duration::ZERO,
+                _ => Duration::from_nanos(flight.now_ns() - opened),
+            };
             s.eng.record_verdict(verdict, idx);
             let f = found.unwrap_or_default();
-            let sid = s.id as u32;
             s.finish(
                 u,
                 UpdateObservation {
                     index: idx,
                     verdict: Some(verdict),
                     noop: false,
-                    latency: t.map(|t| t.elapsed()).unwrap_or(Duration::ZERO),
+                    latency,
                     positives: f.count,
                     negatives: 0,
                     skipped: f.skipped,
@@ -731,12 +783,15 @@ impl<G: GraphShard> CsmService<G> {
                 },
                 pre,
             );
-            self.flight.fan_end(span, fan_kind, sid, f.count);
+            flight.fan_end(span, fan_kind, sid, f.count);
         }
-        self.stages = stages;
-        Ok(agg)
+        (self.sessions.len() - self.visit.len()) as u64
     }
 
+    /// A present edge's deletion, visiting the same sessions as
+    /// [`CsmService::insert_edge`]: classification and search run on the
+    /// pre-removal graph, ADS maintenance after it. Returns the deferred
+    /// count.
     fn delete_edge(
         &mut self,
         u: Update,
@@ -744,27 +799,20 @@ impl<G: GraphShard> CsmService<G> {
         idx: u64,
         span: SpanId,
         opened: u64,
-    ) -> CsmResult<u64> {
+    ) -> u64 {
         self.probe_edge(&e, span, idx, opened);
-        let mut pres = std::mem::take(&mut self.pres);
+        let (g, ix, flight, pres) = (&self.g, &mut self.shared, &self.flight, &mut self.pres);
         pres.clear();
-        let (g, ix) = (&self.g, &mut self.shared);
-        for (pos, s) in self.sessions.iter_mut().enumerate() {
-            let label_safe = ix.label_safe(pos, s, g, &e);
-            if label_safe && s.defers() {
-                pres.push(None);
-                continue;
-            }
-            self.flight
-                .fan_begin(span, FanKind::Engine, s.id as u32, idx);
+        for &(pos, label_safe) in &self.visit {
+            let s = &mut self.sessions[pos];
+            let opened = fan_open(flight, span, s.id as u32, idx);
             s.eng.note_update();
             let pre = s.eng.stage_snapshot();
             if label_safe {
                 // Untimed fan-out bookkeeping, as on inserts.
-                pres.push(Some((pre, Duration::ZERO, DeleteStage::LabelSafe)));
+                pres.push((pre, Duration::ZERO, DeleteStage::LabelSafe));
                 continue;
             }
-            let t = Instant::now();
             let stage = if ix.degree_safe(pos, s, g, &e, false) {
                 DeleteStage::Maintain(Classified::Safe(SafeStage::Degree))
             } else {
@@ -773,19 +821,21 @@ impl<G: GraphShard> CsmService<G> {
                     Some((f, kind)) => DeleteStage::Found(f, kind),
                 }
             };
-            pres.push(Some((pre, t.elapsed(), stage)));
+            pres.push((pre, Duration::from_nanos(flight.now_ns() - opened), stage));
         }
-        let applying = self.open_apply(span, self.g.shard_of(e.src));
-        self.g.remove_edge(e.src, e.dst)?;
-        let apply = self.close_apply(span, applying, self.g.shard_of(e.dst));
+        let apply_ns = self.apply_edge(&e, false, span);
+        let apply = Duration::from_nanos(apply_ns);
         let g = &self.g;
-        let mut agg = 0u64;
-        for (s, pre) in self.sessions.iter_mut().zip(pres.drain(..)) {
-            let Some((pre, dt, stage)) = pre else {
-                agg += 1;
-                s.fan_label_safe(idx, apply, span);
+        let safe = label_safe_observation(idx, span);
+        let mut next = 0;
+        for (pos, s) in self.sessions.iter_mut().enumerate() {
+            if self.visit.get(next).is_none_or(|v| v.0 != pos) {
+                s.observe(&safe);
                 continue;
-            };
+            }
+            let (pre, dt, stage) = self.pres[next];
+            next += 1;
+            s.note_visited(apply_ns);
             s.eng.note_apply(apply);
             let t = Instant::now();
             let (verdict, found, fan_kind) = match stage {
@@ -820,49 +870,85 @@ impl<G: GraphShard> CsmService<G> {
             );
             self.flight.fan_end(span, fan_kind, sid, f.count);
         }
-        self.pres = pres;
-        Ok(agg)
+        (self.sessions.len() - self.visit.len()) as u64
     }
 
-    /// One incident edge of a vertex-deletion cascade: per-session
-    /// classification and pre-removal enumeration, then a single removal
-    /// and per-session ADS maintenance. No per-edge verdicts or observer
-    /// callbacks — the enclosing vertex update reports once per session.
-    fn cascade_edge_delete(&mut self, e: EdgeUpdate, acc: &mut [VertexAcc]) -> CsmResult<()> {
-        let Some(label) = self.g.edge_label(e.src, e.dst) else {
-            return Ok(());
-        };
-        let e = EdgeUpdate::new(e.src, e.dst, label);
+    /// One incident edge `e` (present, under its stored label) of a
+    /// vertex-deletion cascade: classification and pre-removal
+    /// enumeration for the sessions it touches, then a single removal and
+    /// their ADS maintenance. No per-edge verdicts or observer callbacks —
+    /// the enclosing vertex update reports once per session.
+    fn cascade_edge_delete(&mut self, e: EdgeUpdate, acc: &mut [VertexAcc]) {
         let (g, ix) = (&self.g, &mut self.shared);
-        // Each cascaded edge is its own phase: fresh stage-1 flags, fresh
-        // probe memo, fresh delta cache.
+        // Each cascaded edge is its own phase: fresh touched list, fresh
+        // probe memo, fresh caches.
         ix.begin_edge(g.label(e.src), g.label(e.dst), e.label);
-        let mut label_safe = Vec::with_capacity(self.sessions.len());
-        for (pos, (s, a)) in self.sessions.iter_mut().zip(acc.iter_mut()).enumerate() {
-            let safe = ix.label_safe(pos, s, g, &e);
-            if !safe {
-                let t = Instant::now();
-                if !ix.degree_safe(pos, s, g, &e, false) {
-                    if let Some((f, _)) = ix.find_or_reuse(pos, s, g, &e, false, true) {
-                        a.negatives += f.count;
-                        a.skipped |= f.skipped;
-                    }
+        ix.check_touched(&self.sessions, g, &e);
+        ix.visits(&[], &mut self.visit);
+        for &(pos, _) in &self.visit {
+            let (s, a) = (&mut self.sessions[pos], &mut acc[pos]);
+            let t = Instant::now();
+            if !ix.degree_safe(pos, s, g, &e, false) {
+                if let Some((f, _)) = ix.find_or_reuse(pos, s, g, &e, false, true) {
+                    a.negatives += f.count;
+                    a.skipped |= f.skipped;
                 }
-                a.elapsed += t.elapsed();
             }
-            label_safe.push(safe);
+            a.elapsed += t.elapsed();
         }
-        self.g.remove_edge(e.src, e.dst)?;
+        self.g.splice_probed_edge(e.src, e.dst, e.label, false);
         let g = &self.g;
-        for ((s, safe), a) in self.sessions.iter_mut().zip(label_safe).zip(acc.iter_mut()) {
-            if !safe {
-                let t = Instant::now();
-                s.eng.ads_update(g, e, false);
-                a.elapsed += t.elapsed();
-            }
+        for &(pos, _) in &self.visit {
+            let t = Instant::now();
+            self.sessions[pos].eng.ads_update(g, e, false);
+            acc[pos].elapsed += t.elapsed();
         }
-        Ok(())
     }
+}
+
+/// The observation every deferring label-safe session receives for edge
+/// update `idx`, built once per update: verdict label-safe, zero latency,
+/// empty ΔM — exactly what the engine path reports for a label-safe
+/// update.
+fn label_safe_observation(idx: u64, span: SpanId) -> UpdateObservation {
+    UpdateObservation {
+        index: idx,
+        verdict: Some(Classified::Safe(SafeStage::Label)),
+        noop: false,
+        latency: Duration::ZERO,
+        positives: 0,
+        negatives: 0,
+        skipped: false,
+        span,
+    }
+}
+
+/// Open session `sid`'s fan-out span on its flight shard with one clock
+/// read; the returned stamp also starts the session's observed latency.
+fn fan_open(flight: &FlightRecorder, span: SpanId, sid: u32, idx: u64) -> u64 {
+    let ts = flight.now_ns();
+    let shard = flight.session_shard(u64::from(sid));
+    flight.record(
+        shard,
+        span,
+        FlightStage::Fanout,
+        true,
+        FanKind::Engine,
+        sid,
+        ts,
+        idx,
+    );
+    ts
+}
+
+/// A flush point for session `s`: fold its deferred label-safe
+/// bookkeeping in against the service's `tally`, bracketed by a `flush`
+/// flight span.
+fn flush_session<G: GraphShard>(flight: &FlightRecorder, tally: EdgeTally, s: &mut Session<G>) {
+    let fspan = flight.begin_span();
+    flight.flush_begin(fspan, s.id as u32, 0);
+    let flushed = s.flush_deferred(tally);
+    flight.flush_end(fspan, s.id as u32, flushed);
 }
 
 /// The multi-session counterpart of [`RunReport`]: service-level admission

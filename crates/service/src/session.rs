@@ -9,10 +9,10 @@
 use csm_graph::{DataGraph, EdgeUpdate, GraphShard, QueryGraph, Update};
 use paracosm_core::trace::Counter;
 use paracosm_core::{
-    Classified, CsmAlgorithm, CsmResult, Engine, ParaCosmConfig, RunReport, SafeStage, SessionDims,
-    SpanId, StageSnapshot, StreamObserver, UpdateObservation,
+    CsmAlgorithm, CsmResult, Engine, ParaCosmConfig, RunReport, SessionDims, StageSnapshot,
+    StreamObserver, UpdateObservation,
 };
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Consecutive budget overruns before stepping one rung down the ladder.
 pub(crate) const ESCALATE_AFTER: u32 = 2;
@@ -124,6 +124,25 @@ pub(crate) struct SessionFind {
     pub skipped: bool,
 }
 
+/// Running totals of a service's valid, non-no-op edge updates: how many,
+/// and their summed graph-apply time in nanoseconds. A deferring
+/// session's label-safe bookkeeping is the difference of two tallies
+/// ([`Session::flush_deferred`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct EdgeTally {
+    pub updates: u64,
+    pub apply_ns: u64,
+}
+
+impl EdgeTally {
+    /// Count one edge update that took `apply_ns` to apply.
+    #[inline]
+    pub(crate) fn add(&mut self, apply_ns: u64) {
+        self.updates += 1;
+        self.apply_ns += apply_ns;
+    }
+}
+
 /// One live standing query inside a [`crate::CsmService`].
 pub(crate) struct Session<G: GraphShard = DataGraph> {
     pub id: u64,
@@ -139,11 +158,11 @@ pub(crate) struct Session<G: GraphShard = DataGraph> {
     degraded: u64,
     skipped_updates: u64,
     shared_reuses: u64,
-    /// Label-safe fan-outs taken on the deferred fast path and not yet
-    /// folded into the engine ([`Session::flush_deferred`]).
-    pending_label_safe: u64,
-    /// Graph-apply wall time attributed to those deferred fan-outs.
-    pending_apply: Duration,
+    /// The service's edge tally at this session's last flush (or
+    /// registration), plus every counted edge update since on which the
+    /// session was visited: the service's tally minus this one is what
+    /// its deferred label-safe fan-outs owe the engine.
+    synced: EdgeTally,
 }
 
 impl<G: GraphShard> Session<G> {
@@ -153,6 +172,7 @@ impl<G: GraphShard> Session<G> {
         algo: Box<dyn CsmAlgorithm<G>>,
         observer: Box<dyn StreamObserver>,
         g: &G,
+        tally: EdgeTally,
     ) -> CsmResult<Session<G>> {
         let eng = Engine::new(g, spec.query, algo, spec.config)?;
         Ok(Session {
@@ -169,8 +189,7 @@ impl<G: GraphShard> Session<G> {
             degraded: 0,
             skipped_updates: 0,
             shared_reuses: 0,
-            pending_label_safe: 0,
-            pending_apply: Duration::ZERO,
+            synced: tally,
         })
     }
 
@@ -192,16 +211,16 @@ impl<G: GraphShard> Session<G> {
     }
 
     /// The session's per-query [`RunReport`], tagged with its dimensions.
-    /// Callers with `&mut` access flush deferred fan-out bookkeeping first
-    /// ([`Session::flush_deferred`]); the assert keeps them honest.
+    /// Callers flush deferred fan-out bookkeeping first
+    /// ([`Session::flush_deferred`]).
     pub(crate) fn report(&self) -> RunReport {
-        debug_assert_eq!(self.pending_label_safe, 0, "report before flush_deferred");
         self.eng.run_report(None, Some(self.dims()))
     }
 
-    /// May label-safe fan-outs to this session defer their bookkeeping
-    /// ([`Session::fan_label_safe`])? Mirrors the engine's gate: no rolling
-    /// window (so no live telemetry mirror) and no event-level tracing.
+    /// May label-safe fan-outs to this session defer their bookkeeping?
+    /// Mirrors the engine's gate: no rolling window (so no live telemetry
+    /// mirror). A deferring session is visited only by the edges it
+    /// subscribes to; every other edge costs it one [`Session::observe`].
     #[inline]
     pub(crate) fn defers(&self) -> bool {
         self.eng.defers_fan_bookkeeping()
@@ -209,43 +228,40 @@ impl<G: GraphShard> Session<G> {
 
     /// Label-safe fan-out on the deferred fast path: the observer sees the
     /// exact same [`UpdateObservation`] as the slow path (verdict
-    /// label-safe, zero latency, empty ΔM), while stats/counter bookkeeping
-    /// accumulates in the session until [`Session::flush_deferred`].
+    /// label-safe, zero latency, empty ΔM), and nothing else is written —
+    /// the bookkeeping is derived at the next [`Session::flush_deferred`].
     #[inline]
-    pub(crate) fn fan_label_safe(&mut self, idx: u64, apply: Duration, span: SpanId) {
-        debug_assert!(self.defers());
-        self.pending_label_safe += 1;
-        self.pending_apply += apply;
-        self.observer.on_update(&UpdateObservation {
-            index: idx,
-            verdict: Some(Classified::Safe(SafeStage::Label)),
-            noop: false,
-            latency: Duration::ZERO,
-            positives: 0,
-            negatives: 0,
-            skipped: false,
-            span,
-        });
+    pub(crate) fn observe(&mut self, obs: &UpdateObservation) {
+        self.observer.on_update(obs);
     }
 
-    /// Fold deferred label-safe bookkeeping into the engine and return how
+    /// The session took the full path on a counted edge update applied in
+    /// `apply_ns`: its engine did its own bookkeeping, so the update is
+    /// not deferred.
+    #[inline]
+    pub(crate) fn note_visited(&mut self, apply_ns: u64) {
+        self.synced.add(apply_ns);
+    }
+
+    /// Fold deferred label-safe bookkeeping into the engine — the
+    /// service's `tally` minus this session's synced one — and return how
     /// many fan-outs were flushed (the flight recorder's `flush` span arg).
     /// Must run before the engine's stats or counters are read externally;
-    /// no-op when nothing is pending.
-    pub(crate) fn flush_deferred(&mut self) -> u64 {
-        let flushed = self.pending_label_safe;
+    /// no engine write when nothing is owed.
+    pub(crate) fn flush_deferred(&mut self, tally: EdgeTally) -> u64 {
+        let flushed = tally.updates - self.synced.updates;
         if flushed > 0 {
-            self.eng.flush_label_safe(flushed, self.pending_apply);
-            self.pending_label_safe = 0;
-            self.pending_apply = Duration::ZERO;
+            let apply = Duration::from_nanos(tally.apply_ns - self.synced.apply_ns);
+            self.eng.flush_label_safe(flushed, apply);
         }
+        self.synced = tally;
         flushed
     }
 
     /// Budgeted `Find_Matches` for one unsafe update: enumerate at the
     /// current [`DegradeLevel`], attribute ΔM to stats/telemetry
     /// (`positive` selects appearing vs disappearing matches), and advance
-    /// the ladder from the observed enumeration time.
+    /// the ladder from the engine's `Find_Matches` time for this call.
     pub(crate) fn enumerate(&mut self, g: &G, e: &EdgeUpdate, positive: bool) -> SessionFind {
         let probing = if self.level == DegradeLevel::Skipped {
             self.since_probe += 1;
@@ -264,9 +280,9 @@ impl<G: GraphShard> Session<G> {
         let count_only = probing || self.level == DegradeLevel::CountOnly;
         let collect = !count_only && self.eng.config().collect_matches;
 
-        let t0 = Instant::now();
+        let before = self.eng.stats.find_time;
         let found = self.eng.find_matches(g, e, collect);
-        let dt = t0.elapsed();
+        let dt = self.eng.stats.find_time - before;
 
         if count_only {
             self.degraded += 1;

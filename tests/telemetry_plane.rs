@@ -601,3 +601,31 @@ fn telemetry_lifecycle_and_config_errors() {
     let alive = TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_ok();
     assert!(!alive, "telemetry listener survived shutdown");
 }
+
+/// Starting telemetry after a session has deferred label-safe
+/// bookkeeping: the deferred update folds into the engine before the
+/// window goes in, so shutdown reports both updates as label-safe.
+#[test]
+fn telemetry_started_after_deferred_updates_keeps_the_count() {
+    let mut g = DataGraph::new();
+    let v: Vec<_> = (0..4).map(|_| g.add_vertex(VLabel(1))).collect();
+    let mut svc = CsmService::new(g.clone(), ServiceConfig::default()).unwrap();
+    // A query over label 0: every edge between label-1 vertices is
+    // label-safe for it.
+    svc.add_session(
+        SessionSpec::new(triangle(), ParaCosmConfig::sequential()),
+        Box::new(AlgoKind::GraphFlow.build(&g, &triangle())),
+        Box::new(NoopObserver),
+    )
+    .unwrap();
+    let insert = |a: usize, b: usize| Update::InsertEdge(EdgeUpdate::new(v[a], v[b], ELabel(0)));
+    svc.submit(insert(0, 1)).unwrap();
+    svc.drain().unwrap();
+    svc.start_telemetry(TelemetryConfig::new("127.0.0.1:0"))
+        .unwrap();
+    svc.submit(insert(1, 2)).unwrap();
+    let report = svc.shutdown().unwrap();
+    let stats = &report.sessions[0].stats;
+    assert_eq!(stats.updates, 2);
+    assert_eq!(stats.classifier.safe_label, 2);
+}
